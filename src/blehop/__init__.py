@@ -16,8 +16,10 @@ from .csa import (
     channel_identifier,
     channel_sequence,
     csa1_channels_bulk,
+    csa1_unmapped_bulk,
     csa1_unmapped_channel,
     csa2_channels_bulk,
+    csa2_unmapped_bulk,
     csa2_unmapped_channel,
     mam,
     perm16,

@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csa import channel_identifier, channel_sequence, CsaVersion
+from .csa import (
+    COUNTER_PERIOD,
+    ConnectionParams,
+    CsaVersion,
+    channel_identifier,
+    channel_sequence,
+    csa1_unmapped_bulk,
+    csa2_unmapped_bulk,
+)
 from .errors import (
     AmbiguousAlignmentError,
     ConfigError,
@@ -27,8 +35,8 @@ from .errors import (
 )
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
-from .simulate import ScenarioConfig, _params_from_dict, _params_to_dict, simulate
-from .trace import load_trace, save_trace
+from .simulate import ScenarioConfig, simulate
+from .trace import load_trace, save_trace, split_by_connection
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,6 +54,14 @@ def _atomic_write_text(path, text):
 
 def _write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _write_eccdf(path, report):
+    _atomic_write_text(
+        path,
+        "abs_error_us,prob_error_exceeds\n"
+        + "".join(f"{err / 1000.0:.3f},{prob:.6f}\n" for err, prob in report.eccdf),
+    )
 
 
 def _write_manifest(out_dir, subcommand, arguments, inputs, outputs, rng_seed=None):
@@ -79,7 +95,7 @@ def cmd_simulate(args):
     for conn, timeline in zip(config.connections, timelines):
         lines.append(json.dumps({
             "access_address_hex": f"0x{conn.params.access_address:08X}",
-            "params": _params_to_dict(conn.params),
+            "params": conn.params.to_dict(),
             "initial_counter": conn.initial_counter,
             "counters": timeline.counters.tolist(),
             "channels": timeline.channels.tolist(),
@@ -122,8 +138,6 @@ def cmd_predict(args):
         report = ReconstructionReport.from_dict(json.load(handle))
     trace = load_trace(args.trace, args.format)
     if len({o.access_address for o in trace.observations}) > 1:
-        from .trace import split_by_connection
-
         parts = split_by_connection(trace)
         if report.access_address not in parts:
             raise ConfigError(
@@ -142,11 +156,7 @@ def cmd_predict(args):
     eval_path = out / "eval.json"
     _write_json(eval_path, run.report.to_dict())
     eccdf_path = out / "eccdf.csv"
-    _atomic_write_text(
-        eccdf_path,
-        "abs_error_us,prob_error_exceeds\n"
-        + "".join(f"{err / 1000.0:.3f},{prob:.6f}\n" for err, prob in run.report.eccdf),
-    )
+    _write_eccdf(eccdf_path, run.report)
     _write_manifest(
         out, "predict",
         {
@@ -170,11 +180,7 @@ def cmd_evaluate(args):
     eval_path = out / "eval.json"
     _write_json(eval_path, report.to_dict())
     eccdf_path = out / "eccdf.csv"
-    _atomic_write_text(
-        eccdf_path,
-        "abs_error_us,prob_error_exceeds\n"
-        + "".join(f"{err / 1000.0:.3f},{prob:.6f}\n" for err, prob in report.eccdf),
-    )
+    _write_eccdf(eccdf_path, report)
     _write_manifest(
         out, "evaluate",
         {"forecast": str(args.forecast), "trace": str(args.trace),
@@ -187,25 +193,21 @@ def cmd_evaluate(args):
 
 def cmd_hopgen(args):
     with open(args.params) as handle:
-        params = _params_from_dict(json.load(handle))
+        params = ConnectionParams.from_dict(json.load(handle))
     if args.events < 1:
         raise ConfigError(f"--events must be >= 1, got {args.events}")
     start = args.start_counter
     channels = channel_sequence(params, start, args.events)
+    idx = np.arange(start, start + args.events, dtype=np.int64)
     if params.csa_version is CsaVersion.CSA1:
-        idx = np.arange(start, start + args.events, dtype=np.int64)
-        unmapped = (params.initial_channel + (idx + 1) * params.hop_increment) % 37
+        unmapped = csa1_unmapped_bulk(idx, params.initial_channel, params.hop_increment)
     else:
-        from .csa import prn_e_bulk
-
-        ci = channel_identifier(params.access_address)
-        counters = np.arange(start, start + args.events, dtype=np.int64) % 65536
-        unmapped = prn_e_bulk(counters, ci).astype(np.int64) % 37
+        unmapped = csa2_unmapped_bulk(idx, channel_identifier(params.access_address))
     out = _out_dir(args)
     hops_path = out / "hops.csv"
     rows = ["event,counter,unmapped_channel,channel,time_us"]
     for n in range(args.events):
-        counter = (start + n) % 65536
+        counter = (start + n) % COUNTER_PERIOD
         rows.append(
             f"{n},{counter},{int(unmapped[n])},{int(channels[n])},{n * params.interval_us}"
         )

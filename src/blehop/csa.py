@@ -16,8 +16,8 @@ into the map:
   indexes the allowed list with ``floor(n_ch * prn / 2**16)``, so an
   excluded channel lands on varying allowed channels over time.
 
-Scalar operations are pure-Python and bit-exact; the ``*_bulk`` helpers are
-vectorized equivalents used by the simulator and the alignment search.
+Each rule is written once, as a NumPy function over counters or event
+indices; the scalar functions are one-element views that return ints.
 All 16-bit arithmetic is done in wider intermediates and reduced mod 2**16.
 """
 
@@ -45,9 +45,11 @@ HOP_INCREMENT_MAX = 16
 _MAP_BITS = 40
 _MAP_RESERVED_MASK = 0b111 << NUM_DATA_CHANNELS
 
-# Per-byte bit-reversal table backing the 16-bit permutation stage.
-_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_REV8_NP = np.array(_REV8, dtype=np.uint32)
+# The 16-bit permutation stage as a lookup table: reversing the bits of each
+# byte in place moves bit i of a 16-bit word to bit i ^ 7.
+_PERM16 = sum(
+    ((np.arange(COUNTER_PERIOD, dtype=np.uint32) >> i) & 1) << (i ^ 7) for i in range(16)
+)
 
 
 class CsaVersion(enum.Enum):
@@ -143,11 +145,10 @@ class ChannelMap:
 
     @cached_property
     def remap_table(self):
-        """37-entry lookup: unmapped channel -> CSA#1 output channel."""
-        table = np.empty(NUM_DATA_CHANNELS, dtype=np.int64)
-        for u in range(NUM_DATA_CHANNELS):
-            table[u] = u if u in self.allowed else self.ordered[u % self.n_ch]
-        return table
+        """The CSA#1 remap rule as a 37-entry lookup: unmapped -> output channel,
+        identity inside the map, else ``ordered[unmapped mod n_ch]``."""
+        unmapped = np.arange(NUM_DATA_CHANNELS)
+        return np.where(self.allowed_mask, unmapped, self.ordered_array[unmapped % self.n_ch])
 
 
 @dataclass(frozen=True)
@@ -202,25 +203,39 @@ class ConnectionParams:
     def interval_ns(self):
         return self.interval_us * 1000
 
+    @classmethod
+    def from_dict(cls, raw):
+        """Parse the JSON form used by scenario and params files."""
+        version = raw.get("csa_version")
+        if version in (1, "1", "CSA1"):
+            version = CsaVersion.CSA1
+        elif version in (2, "2", "CSA2"):
+            version = CsaVersion.CSA2
+        else:
+            raise ConfigError(f"csa_version must be 1 or 2, got {version!r}")
+        aa = raw.get("access_address")
+        if isinstance(aa, str):
+            aa = int(aa, 16)
+        return cls(
+            csa_version=version,
+            interval_us=int(raw["interval_us"]),
+            channel_map=ChannelMap.from_hex(raw["channel_map"]),
+            access_address=aa,
+            hop_increment=raw.get("hop_increment"),
+            initial_channel=raw.get("initial_channel"),
+        )
 
-def csa1_unmapped_channel(prev_channel, hop_increment):
-    """Advance the CSA#1 unmapped channel by one event.
-
-    The recursion consumes the previous *unmapped* channel, never the
-    remapped output, which is what gives the sequence its 37-event period.
-    """
-    _check_channel(prev_channel, "prev_channel")
-    if not HOP_INCREMENT_MIN <= hop_increment <= HOP_INCREMENT_MAX:
-        raise ConfigError(f"hop_increment must be in 5..16, got {hop_increment}")
-    return (prev_channel + hop_increment) % NUM_DATA_CHANNELS
-
-
-def remap_csa1(unmapped, channel_map):
-    """CSA#1 remap: identity inside the map, else ordered[unmapped mod n_ch]."""
-    _check_channel(unmapped, "unmapped")
-    if unmapped in channel_map:
-        return unmapped
-    return channel_map.ordered[unmapped % channel_map.n_ch]
+    def to_dict(self):
+        out = {
+            "csa_version": self.csa_version.value,
+            "interval_us": self.interval_us,
+            "channel_map": self.channel_map.to_hex(),
+            "access_address": f"0x{self.access_address:08X}",
+        }
+        if self.csa_version is CsaVersion.CSA1:
+            out["hop_increment"] = self.hop_increment
+            out["initial_channel"] = self.initial_channel
+        return out
 
 
 def channel_identifier(access_address):
@@ -229,93 +244,77 @@ def channel_identifier(access_address):
     return (aa >> 16) ^ (aa & 0xFFFF)
 
 
+# ---------------------------------------------------------------------------
+# the channel-selection core, then its one-element views
+
+
 def perm16(x):
     """Reverse the bits of each byte of a 16-bit value, bytes kept in place."""
-    return _REV8[x & 0xFF] | (_REV8[(x >> 8) & 0xFF] << 8)
+    return _PERM16[x]
 
 
 def mam(x, ci):
     """Multiply-add-modulo stage: (17 * x + ci) mod 2**16."""
-    return (17 * x + ci) % 0x10000
+    return (17 * x + ci) & 0xFFFF
 
 
-def prn_e(k, ci):
-    """Per-event 16-bit pseudo-random number for counter ``k`` under ``ci``.
+def prn_e_bulk(counters, ci):
+    """Per-event 16-bit pseudo-random number for each counter under ``ci``.
 
-    Composition, innermost first: xor with ci, then three rounds of
-    (permute, multiply-add), then a final xor with ci. Every stage is a
-    16-bit bijection, so for fixed ci the map k -> prn is a permutation
-    of 0..65535.
+    Counters are taken mod 2**16. Composition, innermost first: xor with
+    ci, then three rounds of (``perm16``, ``mam``), then a final xor with
+    ci. Every stage is a 16-bit bijection, so for fixed ci the map
+    k -> prn is a permutation of 0..65535. Returns uint32.
     """
-    x = (k ^ ci) & 0xFFFF
+    ci = int(ci)
+    x = (np.asarray(counters, dtype=np.int64) % COUNTER_PERIOD).astype(np.uint32) ^ ci
     for _ in range(3):
         x = mam(perm16(x), ci)
     return x ^ ci
 
 
-def csa2_unmapped_channel(k, ci):
-    return prn_e(k, ci) % NUM_DATA_CHANNELS
+def _csa2_unmapped(prn):
+    return prn % NUM_DATA_CHANNELS
 
 
-def remap_csa2(k, ci, channel_map):
-    """CSA#2 channel for counter ``k``: unmapped if allowed, else remapped.
-
-    The remap index is ``floor(n_ch * prn / 2**16)``, i.e. the prn scaled
-    onto the allowed list, which spreads an excluded channel's traffic
-    uniformly over the whole map.
-    """
-    p = prn_e(k, ci)
-    unmapped = p % NUM_DATA_CHANNELS
-    if unmapped in channel_map:
-        return unmapped
-    return channel_map.ordered[(channel_map.n_ch * p) >> 16]
+def _csa2_remap_index(prn, n_ch):
+    # the prn scaled onto the ascending allowed list: an excluded channel's
+    # traffic spreads over the whole map
+    return (n_ch * prn) >> 16
 
 
-def channel_for_event(params, event_index):
-    """Channel used at a given event index (counter, epoch-extended).
-
-    For CSA#2 only ``event_index mod 65536`` matters; for CSA#1 the index
-    counts events from the start of the connection and the result repeats
-    every 37 events.
-    """
-    if event_index < 0:
-        raise ConfigError(f"event_index must be >= 0, got {event_index}")
-    if params.csa_version is CsaVersion.CSA1:
-        unmapped = (
-            params.initial_channel + (event_index + 1) * params.hop_increment
-        ) % NUM_DATA_CHANNELS
-        return remap_csa1(unmapped, params.channel_map)
-    ci = channel_identifier(params.access_address)
-    return remap_csa2(event_index % COUNTER_PERIOD, ci, params.channel_map)
+def csa2_unmapped_bulk(counters, ci):
+    """CSA#2 unmapped channel (prn mod 37) for each counter."""
+    return _csa2_unmapped(prn_e_bulk(counters, ci).astype(np.int64))
 
 
-# ---------------------------------------------------------------------------
-# vectorized equivalents
-
-
-def prn_e_bulk(counters, ci):
-    """Vectorized ``prn_e`` over an array of counters; returns uint32."""
-    x = (np.asarray(counters, dtype=np.int64) % COUNTER_PERIOD).astype(np.uint32)
-    ci32 = np.uint32(ci)
-    x ^= ci32
-    for _ in range(3):
-        x = _REV8_NP[x & 0xFF] | (_REV8_NP[(x >> np.uint32(8)) & 0xFF] << np.uint32(8))
-        x = (np.uint32(17) * x + ci32) & np.uint32(0xFFFF)
-    return x ^ ci32
+def csa2_remap_index_bulk(counters, ci, n_ch):
+    """CSA#2 remap index ``floor(n_ch * prn / 2**16)`` for each counter;
+    ``n_ch`` broadcasts, so a column of map sizes gives a row per size."""
+    return _csa2_remap_index(prn_e_bulk(counters, ci).astype(np.int64), n_ch)
 
 
 def csa2_channels_bulk(counters, ci, channel_map):
-    """Vectorized CSA#2 mapped channels for an array of counters."""
+    """CSA#2 channel for each counter: unmapped if allowed, else remapped."""
     p = prn_e_bulk(counters, ci).astype(np.int64)
-    unmapped = p % NUM_DATA_CHANNELS
-    remapped = channel_map.ordered_array[(channel_map.n_ch * p) >> 16]
+    unmapped = _csa2_unmapped(p)
+    remapped = channel_map.ordered_array[_csa2_remap_index(p, channel_map.n_ch)]
     return np.where(channel_map.allowed_mask[unmapped], unmapped, remapped)
 
 
-def csa1_channels_bulk(event_indices, params):
-    """Vectorized CSA#1 mapped channels for an array of event indices."""
+def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):
+    """CSA#1 unmapped channel ``(initial + (idx + 1) * hop) mod 37`` per event.
+
+    The recursion advances the previous *unmapped* channel, never the
+    remapped output, which is what gives the sequence its 37-event period.
+    """
     idx = np.asarray(event_indices, dtype=np.int64)
-    unmapped = (params.initial_channel + (idx + 1) * params.hop_increment) % NUM_DATA_CHANNELS
+    return (initial_channel + (idx + 1) * hop_increment) % NUM_DATA_CHANNELS
+
+
+def csa1_channels_bulk(event_indices, params):
+    """CSA#1 channel for each event index, remapped by ``ChannelMap.remap_table``."""
+    unmapped = csa1_unmapped_bulk(event_indices, params.initial_channel, params.hop_increment)
     return params.channel_map.remap_table[unmapped]
 
 
@@ -328,3 +327,42 @@ def channel_sequence(params, start_event, count):
         return csa1_channels_bulk(idx, params)
     ci = channel_identifier(params.access_address)
     return csa2_channels_bulk(idx, ci, params.channel_map)
+
+
+def prn_e(k, ci):
+    """Per-event 16-bit pseudo-random number for counter ``k`` under ``ci``."""
+    return int(prn_e_bulk(k, ci))
+
+
+def csa2_unmapped_channel(k, ci):
+    return int(csa2_unmapped_bulk(k, ci))
+
+
+def remap_csa2(k, ci, channel_map):
+    """CSA#2 channel for counter ``k``: unmapped if allowed, else remapped."""
+    return int(csa2_channels_bulk(k, ci, channel_map))
+
+
+def csa1_unmapped_channel(prev_channel, hop_increment):
+    """Advance the CSA#1 unmapped channel by one event."""
+    _check_channel(prev_channel, "prev_channel")
+    if not HOP_INCREMENT_MIN <= hop_increment <= HOP_INCREMENT_MAX:
+        raise ConfigError(f"hop_increment must be in 5..16, got {hop_increment}")
+    return int(csa1_unmapped_bulk(0, prev_channel, hop_increment))
+
+
+def remap_csa1(unmapped, channel_map):
+    """CSA#1 remap: identity inside the map, else ordered[unmapped mod n_ch]."""
+    return int(channel_map.remap_table[_check_channel(unmapped, "unmapped")])
+
+
+def channel_for_event(params, event_index):
+    """Channel used at a given event index (counter, epoch-extended).
+
+    For CSA#2 only ``event_index mod 65536`` matters; for CSA#1 the index
+    counts events from the start of the connection and the result repeats
+    every 37 events.
+    """
+    if event_index < 0:
+        raise ConfigError(f"event_index must be >= 0, got {event_index}")
+    return int(channel_sequence(params, event_index, 1)[0])

@@ -393,8 +393,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
     est = classification.interval
     ts = trace.timestamps()
     offsets = observation_offsets(trace, est.raw_interval_ns)
-    train_mask = ts <= ts[0] + int(train_ns)
-    n_train = int(np.sum(train_mask))
+    n_train = int(np.sum(ts <= ts[0] + int(train_ns)))
     if n_train < 2:
         raise InsufficientDataError("training window holds fewer than 2 observations")
     if n_train == ts.size:
@@ -420,30 +419,21 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
             raise EstimationError("no channel map estimate available for a CSA#2 forecast")
 
     # one-step-ahead predictions over the held-out tail
+    held_out = offsets[n_train:]
+    if is_csa2:
+        counters = (recon.alignment.k_init + held_out) % COUNTER_PERIOD
+        channels = csa2_channels_bulk(counters, recon.channel_id, recon.map_estimate.assumed_map)
+    else:
+        counters = held_out
+        channels = np.full(held_out.size, classification.sniff_channel)
     rolling_entries = []
-    for j in range(n_train, ts.size):
+    for j, counter, ch in zip(range(n_train, ts.size), counters, channels):
         offset = int(offsets[j])
         time_pred, std = predict_event_time(sync, offset)
-        if is_csa2:
-            counter = (recon.alignment.k_init + offset) % COUNTER_PERIOD
-            ch = int(
-                csa2_channels_bulk(
-                    np.array([counter]), recon.channel_id, recon.map_estimate.assumed_map
-                )[0]
-            )
-        else:
-            counter = offset
-            ch = classification.sniff_channel
-        rolling_entries.append(ForecastEntry(int(counter), ch, time_pred, std))
+        rolling_entries.append(ForecastEntry(int(counter), int(ch), time_pred, std))
         sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
     rolling = Forecast(rolling_entries, counters_are_wire=is_csa2)
-
-    test_trace = SniffTrace(
-        trace.sniff_channel,
-        [o for o, in_train in zip(trace.observations, train_mask) if not in_train],
-        dict(trace.capture_meta),
-    )
-    report = evaluate(rolling, test_trace, est.raw_interval_ns)
+    report = _evaluate_by_time(rolling, ts[n_train:].astype(float), None, est.raw_interval_ns)
 
     if horizon is None:
         span = int(offsets[-1]) - anchor_sync.anchor_offset

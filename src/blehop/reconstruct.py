@@ -28,7 +28,9 @@ from .csa import (
     NUM_DATA_CHANNELS,
     ChannelMap,
     channel_identifier,
-    prn_e_bulk,
+    csa2_channels_bulk,
+    csa2_remap_index_bulk,
+    csa2_unmapped_bulk,
 )
 from .errors import (
     ConfigError,
@@ -37,6 +39,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .simulate import expected_reconstruction_budget
+from .trace import split_by_connection
 
 INTERVAL_STEP_NS = 1_250_000
 INTERVAL_MIN_STEPS = 6  # 7.5 ms
@@ -47,7 +50,10 @@ DEFAULT_TOLERANCE_NS = 300_000  # grid-fit acceptance per gap
 # period (native hit plus remaps), so this many distinct phases already
 # rules it out.
 _MAX_CSA1_PHASES = 20
-_MIN_FILL_RATIO = 0.9
+# (period, phase) grid fill needed for CSA#1; at 7.5 ms, random maps, 50 us
+# jitter CSA#1 fills 0.85-0.96 with 10 % misses (0.77-0.86 with 20 %) and
+# CSA#2 traces short enough to have under 20 phases fill at most 0.67.
+_MIN_FILL_RATIO = 0.75
 
 
 class Verdict(enum.Enum):
@@ -266,7 +272,10 @@ def build_meas_vector(trace, interval_ns, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     vector spans the whole trace, so its length is the spanned event count
     plus one and the first entry is always 1.
     """
-    offsets = observation_offsets(trace, interval_ns, tolerance_ns=tolerance_ns)
+    return _hit_vector(observation_offsets(trace, interval_ns, tolerance_ns=tolerance_ns))
+
+
+def _hit_vector(offsets):
     vector = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
     vector[offsets] = 1
     return vector
@@ -280,8 +289,7 @@ def build_ref_vector(ci, sniff_channel):
     on the sniffed channel only for some maps, while unmapped hits are
     map-independent.
     """
-    counters = np.arange(COUNTER_PERIOD, dtype=np.int64)
-    unmapped = prn_e_bulk(counters, ci).astype(np.int64) % NUM_DATA_CHANNELS
+    unmapped = csa2_unmapped_bulk(np.arange(COUNTER_PERIOD), ci)
     return (unmapped == sniff_channel).astype(np.uint8)
 
 
@@ -347,8 +355,7 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     if offsets.size == 0:
         raise InsufficientDataError("no observations to infer a map from")
     counters = (k_init + offsets) % COUNTER_PERIOD
-    prns = prn_e_bulk(counters, ci).astype(np.int64)
-    unmapped = prns % NUM_DATA_CHANNELS
+    unmapped = csa2_unmapped_bulk(counters, ci)
     remap_mask = unmapped != sniff_channel
 
     counts = np.bincount(unmapped[remap_mask], minlength=NUM_DATA_CHANNELS)
@@ -358,10 +365,12 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
             f"{len(proven)} channels carry remap evidence; no valid map has fewer than "
             "2 channels — alignment or channel identifier is wrong"
         )
-    _check_reconcilable(prns[remap_mask], proven, sniff_channel)
+    _check_reconcilable(counters[remap_mask], ci, proven, sniff_channel)
 
     assumed = ChannelMap.from_channels(set(range(NUM_DATA_CHANNELS)) - proven)
-    targets = assumed.ordered_array[(assumed.n_ch * prns[remap_mask]) >> 16]
+    # every remap observation's unmapped channel is proven excluded, so its
+    # CSA#2 channel under the assumed map is its remap target
+    targets = csa2_channels_bulk(counters[remap_mask], ci, assumed)
     unexplained = int(np.sum(targets != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
@@ -381,31 +390,28 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     )
 
 
-def _check_reconcilable(remap_prns, proven, sniff_channel):
+def _check_reconcilable(remap_counters, ci, proven, sniff_channel):
     """Raise if some remap observation fits no map that honors the evidence.
 
-    A remap observation with prn value p forces the sniffed channel to sit
-    at position floor(n_ch * p / 2**16) of *some* candidate map's ordered
-    list. Feasibility only needs enough unproven channels below and above
-    the sniffed channel; if no candidate size works for an observation,
-    the evidence is self-contradictory.
+    A remap observation forces the sniffed channel to sit at its CSA#2
+    remap index of *some* candidate map's ordered list. Feasibility only
+    needs enough unproven channels below and above the sniffed channel; if
+    no candidate size works for an observation, the evidence is
+    self-contradictory.
     """
-    free_below = sum(1 for c in range(sniff_channel) if c not in proven)
-    free_above = sum(
-        1 for c in range(sniff_channel + 1, NUM_DATA_CHANNELS) if c not in proven
-    )
-    max_n = NUM_DATA_CHANNELS - len(proven)
-    for p in np.unique(remap_prns):
-        p = int(p)
-        reconcilable = any(
-            (position := (n * p) >> 16) <= free_below and n - 1 - position <= free_above
-            for n in range(2, max_n + 1)
+    free = [c for c in range(NUM_DATA_CHANNELS) if c not in proven]
+    free_below = sum(c < sniff_channel for c in free)
+    free_above = sum(c > sniff_channel for c in free)
+    sizes = np.arange(2, NUM_DATA_CHANNELS - len(proven) + 1)[:, None]
+    counters = np.unique(remap_counters)
+    positions = csa2_remap_index_bulk(counters, ci, sizes)
+    fits = (positions <= free_below) & (sizes - 1 - positions <= free_above)
+    unfit = counters[~fits.any(axis=0)]
+    if unfit.size:
+        raise InconsistentEvidenceError(
+            f"a remap observation (counter {int(unfit[0])}) fits no channel map consistent "
+            "with the gathered evidence — alignment or channel identifier is wrong"
         )
-        if not reconcilable:
-            raise InconsistentEvidenceError(
-                f"a remap observation (prn {p:#06x}) fits no channel map consistent "
-                "with the gathered evidence — alignment or channel identifier is wrong"
-            )
 
 
 @dataclass
@@ -526,10 +532,8 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
                 report.classification.interval.raw_interval_ns,
                 tolerance_ns=tolerance_ns,
             )
-            vector = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
-            vector[offsets] = 1
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
-            report.alignment = align_counter(vector, reference)
+            report.alignment = align_counter(_hit_vector(offsets), reference)
             if not report.alignment.ambiguous:
                 report.map_estimate = infer_channel_map(
                     offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel
@@ -541,8 +545,6 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
 
 def reconstruct_all(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     """Reconstruct every connection in a merged trace; one report per address."""
-    from .trace import split_by_connection
-
     return {
         aa: reconstruct_connection(part, tolerance_ns=tolerance_ns)
         for aa, part in split_by_connection(trace).items()

@@ -27,9 +27,7 @@ import numpy as np
 from .csa import (
     COUNTER_PERIOD,
     NUM_DATA_CHANNELS,
-    ChannelMap,
     ConnectionParams,
-    CsaVersion,
     channel_sequence,
 )
 from .errors import ConfigError
@@ -137,40 +135,6 @@ class ScenarioConfig:
         }
 
 
-def _params_from_dict(raw):
-    version = raw.get("csa_version")
-    if version in (1, "1", "CSA1"):
-        version = CsaVersion.CSA1
-    elif version in (2, "2", "CSA2"):
-        version = CsaVersion.CSA2
-    else:
-        raise ConfigError(f"csa_version must be 1 or 2, got {version!r}")
-    aa = raw.get("access_address")
-    if isinstance(aa, str):
-        aa = int(aa, 16)
-    return ConnectionParams(
-        csa_version=version,
-        interval_us=int(raw["interval_us"]),
-        channel_map=ChannelMap.from_hex(raw["channel_map"]),
-        access_address=aa,
-        hop_increment=raw.get("hop_increment"),
-        initial_channel=raw.get("initial_channel"),
-    )
-
-
-def _params_to_dict(params):
-    out = {
-        "csa_version": params.csa_version.value,
-        "interval_us": params.interval_us,
-        "channel_map": params.channel_map.to_hex(),
-        "access_address": f"0x{params.access_address:08X}",
-    }
-    if params.csa_version is CsaVersion.CSA1:
-        out["hop_increment"] = params.hop_increment
-        out["initial_channel"] = params.initial_channel
-    return out
-
-
 def _connection_from_dict(raw):
     imp = raw.get("impairments", {})
     impairments = ImpairmentModel(
@@ -180,7 +144,7 @@ def _connection_from_dict(raw):
         miss_probability=float(imp.get("miss_probability", 0.0)),
     )
     return ConnectionScenario(
-        params=_params_from_dict(raw["params"]),
+        params=ConnectionParams.from_dict(raw["params"]),
         impairments=impairments,
         start_offset_ns=int(raw.get("start_offset_us", 0)) * 1000,
         initial_counter=int(raw.get("initial_counter", 0)),
@@ -190,7 +154,7 @@ def _connection_from_dict(raw):
 def _connection_to_dict(conn):
     imp = conn.impairments
     return {
-        "params": _params_to_dict(conn.params),
+        "params": conn.params.to_dict(),
         "start_offset_us": conn.start_offset_ns // 1000,
         "initial_counter": conn.initial_counter,
         "impairments": {

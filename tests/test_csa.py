@@ -1,15 +1,19 @@
 """Unit tests for the channel selection algorithms.
 
-The pseudo-random generator and the CSA#1 recursion are checked against
-straight-line re-implementations written independently of the package code
-(different structure, no shared helpers), plus a set of frozen known-good
-values so a change in behavior cannot slip through unnoticed.
+The package writes each channel-selection rule once, as a vectorized core,
+and its scalar functions are one-element views of that core; so both forms
+are checked against straight-line re-implementations of the spec written
+independently of the package code (different structure, no shared
+helpers), plus a set of frozen known-good values so a change in behavior
+cannot slip through unnoticed.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blehop import (
     ChannelMap,
@@ -54,17 +58,32 @@ def oracle_prn(k, ci):
     return v ^ ci
 
 
+def oracle_csa1_remap(unmapped, allowed_sorted):
+    """Literal CSA#1 remap: keep a used channel, else index by unmapped mod n_ch."""
+    if unmapped in allowed_sorted:
+        return unmapped
+    return allowed_sorted[unmapped % len(allowed_sorted)]
+
+
 def oracle_csa1_sequence(hop, initial, allowed_sorted, count):
     """Literal CSA#1 recursion: advance unmapped, remap by index mod n_ch."""
     seq = []
     unmapped = initial
     for _ in range(count):
         unmapped = (unmapped + hop) % 37
-        if unmapped in allowed_sorted:
-            seq.append(unmapped)
-        else:
-            seq.append(allowed_sorted[unmapped % len(allowed_sorted)])
+        seq.append(oracle_csa1_remap(unmapped, allowed_sorted))
     return seq
+
+
+def oracle_csa2_channel(counter, ci, allowed_sorted):
+    """Spec-literal CSA#2: unmapped = prn mod 37; an unused channel is
+    replaced by the allowed channel at remapping index floor(N * prn / 2**16)."""
+    prn = oracle_prn(counter % 65536, ci)
+    unmapped = prn % 37
+    if unmapped in allowed_sorted:
+        return unmapped
+    remapping_index = (len(allowed_sorted) * prn) // 65536
+    return allowed_sorted[remapping_index]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +155,7 @@ def test_prn_bulk_matches_scalar():
         bulk = prn_e_bulk(counters, ci)
         assert bulk.dtype == np.uint32
         for k, value in zip(counters, bulk):
-            assert int(value) == prn_e(int(k), ci)
+            assert int(value) == prn_e(int(k), ci) == oracle_prn(int(k), ci)
 
 
 def test_prn_is_a_bijection_for_sample_cis():
@@ -186,8 +205,9 @@ def test_channel_map_containment_and_iteration():
 
 def test_remap_table_matches_scalar_remap():
     for cmap in (MAP_27, MAP_10, ChannelMap.full()):
+        allowed = sorted(cmap.allowed)
         for u in range(37):
-            assert cmap.remap_table[u] == remap_csa1(u, cmap)
+            assert cmap.remap_table[u] == remap_csa1(u, cmap) == oracle_csa1_remap(u, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +309,11 @@ def test_csa1_scalar_matches_bulk():
     params = ConnectionParams(
         CsaVersion.CSA1, 7500, MAP_27, 0xABCD1234, hop_increment=7, initial_channel=3
     )
+    expected = oracle_csa1_sequence(7, 3, sorted(MAP_27.allowed), 100)
     idx = np.arange(100)
     bulk = csa1_channels_bulk(idx, params)
     for k in idx:
-        assert channel_for_event(params, int(k)) == bulk[k]
+        assert channel_for_event(params, int(k)) == bulk[k] == expected[k]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +356,11 @@ def test_csa2_scalar_matches_bulk():
     rng = np.random.default_rng(5)
     counters = rng.integers(0, 0x10000, size=300)
     for cmap in (MAP_27, MAP_10, ChannelMap.full()):
+        allowed = sorted(cmap.allowed)
         bulk = csa2_channels_bulk(counters, 0x7D3C, cmap)
         for k, ch in zip(counters, bulk):
-            assert remap_csa2(int(k), 0x7D3C, cmap) == int(ch)
+            expected = oracle_csa2_channel(int(k), 0x7D3C, allowed)
+            assert remap_csa2(int(k), 0x7D3C, cmap) == int(ch) == expected
 
 
 def test_csa2_channels_stay_inside_the_map():
@@ -361,8 +384,51 @@ def test_csa2_counter_wraps_at_16_bits():
 
 def test_channel_sequence_matches_per_event():
     params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_10, 0xB0A1CD9D)
+    ci = (0xB0A1CD9D >> 16) ^ (0xB0A1CD9D & 0xFFFF)
     seq = channel_sequence(params, 100, 50)
     for j in range(50):
-        assert seq[j] == channel_for_event(params, 100 + j)
+        expected = oracle_csa2_channel(100 + j, ci, sorted(MAP_10.allowed))
+        assert seq[j] == channel_for_event(params, 100 + j) == expected
     with pytest.raises(ConfigError):
         channel_sequence(params, -1, 10)
+
+
+# ---------------------------------------------------------------------------
+# properties: the vectorized core equals the oracles
+
+maps = st.sets(st.integers(0, 36), min_size=2).map(sorted)
+# counters anywhere, or within 40 events of a 16-bit wrap
+counters = st.one_of(
+    st.integers(0, 3 * 65536),
+    st.integers(-40, 40).flatmap(
+        lambda d: st.integers(1, 3).map(lambda epoch: epoch * 65536 + d)
+    ),
+)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+
+@property_settings
+@given(ci=st.integers(0, 0xFFFF), allowed=maps, ks=st.lists(counters, max_size=40))
+def test_csa2_channels_bulk_equals_oracle(ci, allowed, ks):
+    got = csa2_channels_bulk(np.array(ks, dtype=np.int64), ci,
+                             ChannelMap.from_channels(allowed))
+    assert got.tolist() == [oracle_csa2_channel(k, ci, allowed) for k in ks]
+
+
+@property_settings
+@given(aa=st.integers(0, 0xFFFFFFFF), allowed=maps, start=counters,
+       count=st.integers(0, 80), csa1=st.booleans(), hop=st.integers(5, 16),
+       initial=st.integers(0, 36))
+def test_channel_sequence_equals_oracle(aa, allowed, start, count, csa1, hop, initial):
+    cmap = ChannelMap.from_channels(allowed)
+    if csa1:
+        start %= 1000  # CSA#1 event indices never wrap; keep the recursion short
+        params = ConnectionParams(CsaVersion.CSA1, 7500, cmap, aa,
+                                  hop_increment=hop, initial_channel=initial)
+        expected = oracle_csa1_sequence(hop, initial, allowed, start + count)[start:]
+    else:
+        params = ConnectionParams(CsaVersion.CSA2, 7500, cmap, aa)
+        ci = (aa >> 16) ^ (aa & 0xFFFF)
+        expected = [oracle_csa2_channel(start + j, ci, allowed) for j in range(count)]
+    assert channel_sequence(params, start, count).tolist() == expected

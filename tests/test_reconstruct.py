@@ -24,6 +24,7 @@ from blehop import (
     build_meas_vector,
     build_ref_vector,
     channel_identifier,
+    channel_sequence,
     classify_csa,
     estimate_interval,
     expected_reconstruction_budget,
@@ -167,6 +168,35 @@ def test_classify_csa2():
     assert cls.verdict is Verdict.CSA2
     assert cls.period_profile == ()
     assert cls.interval is est
+
+
+def test_classify_csa1_with_misses_as_repeating():
+    # 10 % misses put a CSA#1 connection's (period, phase) grid fill near
+    # 0.9; every one of these must still read as CSA#1.
+    verdicts, seed = [], 0
+    while len(verdicts) < 50:
+        seed += 1
+        rng = np.random.default_rng([1, seed])
+        allowed = rng.choice(37, size=int(rng.integers(2, 38)), replace=False)
+        sniff = int(rng.choice(allowed))
+        params = ConnectionParams(
+            CsaVersion.CSA1, 7500, ChannelMap.from_channels(allowed.tolist()),
+            0x50000000 + seed, hop_increment=int(rng.integers(5, 17)),
+            initial_channel=int(rng.integers(37)),
+        )
+        if np.count_nonzero(channel_sequence(params, 0, 37) == sniff) < 2:
+            continue  # a single-hit profile takes the 37-fold GCD branch instead
+        _, trace = simulate_one(params, 60 * 10**9, sniff=sniff, seed=seed,
+                                jitter=50_000.0, miss=0.1)
+        verdicts.append(classify_csa(trace, estimate_interval(trace)).verdict)
+    assert verdicts == [Verdict.CSA1_REPEATING] * 50
+
+
+def test_classify_short_csa2_trace():
+    params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
+    _, trace = simulate_one(params, 2 * 10**9, jitter=50_000.0, miss=0.1)
+    est = estimate_interval(trace)
+    assert classify_csa(trace, est).verdict is Verdict.CSA2
 
 
 def test_classify_needs_two_periods():
