@@ -137,7 +137,7 @@ def cmd_predict(args):
     with open(args.report) as handle:
         report = ReconstructionReport.from_dict(json.load(handle))
     trace = load_trace(args.trace, args.format)
-    if len({o.access_address for o in trace.observations}) > 1:
+    if np.unique(trace.access_addresses).size > 1:
         parts = split_by_connection(trace)
         if report.access_address not in parts:
             raise ConfigError(

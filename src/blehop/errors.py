@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class BlehopError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,18 @@ class BlehopError(Exception):
 
 class ConfigError(BlehopError):
     """Invalid scenario, parameter, or option value."""
+
+
+@contextmanager
+def reading(what):
+    """Report a missing key or a bad value met while reading a ``what`` dict
+    (parsed JSON) as a :class:`ConfigError`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing required key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:  # e.g. a list where a dict belongs
+        raise ConfigError(f"bad {what} value: {exc}") from exc
 
 
 class TraceParseError(BlehopError):

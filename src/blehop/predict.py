@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csa import COUNTER_PERIOD, csa2_channels_bulk
+from .csa import COUNTER_PERIOD, NUM_DATA_CHANNELS, csa2_channels_bulk
 from .errors import (
     AmbiguousAlignmentError,
     ConfigError,
     EstimationError,
     InsufficientDataError,
+    reading,
 )
 from .reconstruct import Verdict, observation_offsets
 from .simulate import EventTimeline
@@ -76,16 +77,19 @@ def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None,
 
 
 def _advance(sync, hops):
-    """A-priori state and covariance after ``hops`` events."""
-    h = float(hops)
+    """A-priori time and covariance entries (p00, p01, p11) after ``hops``
+    events; ``hops`` may be an int or an int array (results are elementwise)."""
+    # float before cubing: int64 h**3 overflows silently past 2,097,151 events
+    h = np.float64(hops)
     time_pred = sync.anchor_time_ns + h * sync.interval_ns
-    p = sync.covariance
+    (c00, c01), (_, c11) = sync.covariance.tolist()
     q = sync.process_noise
-    # F = [[1, h], [0, 1]]; Q from a white-noise acceleration of density q
-    p00 = p[0, 0] + 2 * h * p[0, 1] + h * h * p[1, 1] + q * h**3 / 3.0
-    p01 = p[0, 1] + h * p[1, 1] + q * h * h / 2.0
-    p11 = p[1, 1] + q * h
-    return time_pred, np.array([[p00, p01], [p01, p11]])
+    # F = [[1, h], [0, 1]]; Q from a white-noise acceleration of density q.
+    # h * h is exact, so h * h * h is the correctly rounded cube (array pow is not)
+    p00 = c00 + 2 * h * c01 + h * h * c11 + q * (h * h * h) / 3.0
+    p01 = c01 + h * c11 + q * h * h / 2.0
+    p11 = c11 + q * h
+    return time_pred, p00, p01, p11
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT_GATE_SIGMA):
@@ -98,24 +102,24 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
     """
     if hops_since_last < 1:
         raise ConfigError(f"hops_since_last must be >= 1, got {hops_since_last}")
-    time_pred, p = _advance(sync, hops_since_last)
+    time_pred, p00, p01, p11 = _advance(sync, hops_since_last)
     innovation = float(measured_time_ns) - time_pred
-    gain_denominator = p[0, 0] + sync.measurement_noise_var
+    gain_denominator = p00 + sync.measurement_noise_var
     if innovation * innovation > gate_sigma**2 * gain_denominator:
         return replace(
             sync,
             anchor_time_ns=time_pred,
-            covariance=p,
+            covariance=np.array([[p00, p01], [p01, p11]]),
             anchor_offset=sync.anchor_offset + int(hops_since_last),
         )
-    k0 = p[0, 0] / gain_denominator
-    k1 = p[0, 1] / gain_denominator
+    k0 = p00 / gain_denominator
+    k1 = p01 / gain_denominator
     new_time = time_pred + k0 * innovation
     new_interval = sync.interval_ns + k1 * innovation
     posterior = np.array(
         [
-            [(1 - k0) * p[0, 0], (1 - k0) * p[0, 1]],
-            [p[0, 1] - k1 * p[0, 0], p[1, 1] - k1 * p[0, 1]],
+            [(1 - k0) * p00, (1 - k0) * p01],
+            [p01 - k1 * p00, p11 - k1 * p01],
         ]
     )
     posterior = (posterior + posterior.T) / 2.0
@@ -137,10 +141,10 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
 
 
 def predict_event_time(sync, event_offset):
-    """Predicted timestamp and its standard deviation for an event offset."""
-    hops = event_offset - sync.anchor_offset
-    time_pred, p = _advance(sync, hops)
-    return time_pred, float(np.sqrt(max(p[0, 0], 0.0)))
+    """Predicted timestamp and its standard deviation for an event offset
+    (an int, or an int array for one prediction per offset)."""
+    time_pred, p00, _, _ = _advance(sync, event_offset - sync.anchor_offset)
+    return time_pred, np.sqrt(np.maximum(p00, 0.0))
 
 
 @dataclass(frozen=True)
@@ -183,16 +187,17 @@ class Forecast:
 
     @classmethod
     def from_dict(cls, raw):
-        return cls(
-            entries=[
-                ForecastEntry(
-                    int(e["counter"]), int(e["channel"]),
-                    float(e["time_ns"]), float(e["time_std_ns"]),
-                )
-                for e in raw["entries"]
-            ],
-            counters_are_wire=bool(raw.get("counters_are_wire", True)),
-        )
+        with reading("forecast"):
+            return cls(
+                entries=[
+                    ForecastEntry(
+                        int(e["counter"]), int(e["channel"]),
+                        float(e["time_ns"]), float(e["time_std_ns"]),
+                    )
+                    for e in raw["entries"]
+                ],
+                counters_are_wire=bool(raw.get("counters_are_wire", True)),
+            )
 
 
 def predict_csa1(classification, sync, horizon):
@@ -206,14 +211,11 @@ def predict_csa1(classification, sync, horizon):
         raise ConfigError("classification is CSA#2; use predict_csa2")
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
-    profile = set(classification.period_profile)
-    entries = []
-    for offset in range(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1):
-        if offset % 37 in profile:
-            time_pred, std = predict_event_time(sync, offset)
-            entries.append(
-                ForecastEntry(offset, classification.sniff_channel, time_pred, std)
-            )
+    offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
+    offsets = offsets[np.isin(offsets % NUM_DATA_CHANNELS, classification.period_profile)]
+    times, stds = predict_event_time(sync, offsets)
+    entries = [ForecastEntry(offset, classification.sniff_channel, time_ns, std)
+               for offset, time_ns, std in zip(offsets.tolist(), times.tolist(), stds.tolist())]
     return Forecast(entries, counters_are_wire=False)
 
 
@@ -231,12 +233,12 @@ def predict_csa2(alignment, ci, channel_map, sync, horizon, *, channel=None):
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
     counters = (alignment.k_init + offsets) % COUNTER_PERIOD
     channels = csa2_channels_bulk(counters, ci, channel_map)
-    entries = []
-    for offset, counter, ch in zip(offsets, counters, channels):
-        if channel is not None and ch != channel:
-            continue
-        time_pred, std = predict_event_time(sync, int(offset))
-        entries.append(ForecastEntry(int(counter), int(ch), time_pred, std))
+    if channel is not None:
+        keep = channels == channel
+        offsets, counters, channels = offsets[keep], counters[keep], channels[keep]
+    times, stds = predict_event_time(sync, offsets)
+    entries = list(map(ForecastEntry, counters.tolist(), channels.tolist(),
+                       times.tolist(), stds.tolist()))
     return Forecast(entries, counters_are_wire=True)
 
 
@@ -340,6 +342,8 @@ def _evaluate_by_counter(forecast, timeline):
 
 def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
     pred_times = np.array([e.time_ns for e in forecast.entries])
+    if np.any(np.diff(pred_times) < 0):
+        raise ConfigError("forecast times must be non-decreasing")
     pred_channels = np.array([e.channel for e in forecast.entries])
     half = interval_ns / 2.0
     taken = np.zeros(pred_times.size, dtype=bool)
@@ -446,8 +450,5 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
     else:
         forecast = predict_csa1(classification, anchor_sync, horizon)
         if channel is not None:
-            forecast = Forecast(
-                [e for e in forecast.entries if e.channel == channel],
-                counters_are_wire=False,
-            )
+            forecast.entries = [e for e in forecast.entries if e.channel == channel]
     return PredictionRun(forecast=forecast, rolling=rolling, report=report, sync=sync)

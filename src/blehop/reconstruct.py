@@ -37,6 +37,7 @@ from .errors import (
     EstimationError,
     InconsistentEvidenceError,
     InsufficientDataError,
+    reading,
 )
 from .simulate import expected_reconstruction_budget
 from .trace import split_by_connection
@@ -54,6 +55,10 @@ _MAX_CSA1_PHASES = 20
 # jitter CSA#1 fills 0.85-0.96 with 10 % misses (0.77-0.86 with 20 %) and
 # CSA#2 traces short enough to have under 20 phases fill at most 0.67.
 _MIN_FILL_RATIO = 0.75
+# Each CSA#2 gap is a multiple of 37 events with chance ~1/37, so a 37-fold
+# gap GCD over k gaps aliases a CSA#2 trace with chance ~37**-k: 5e-7 at
+# the 4 gaps this many observations give.
+_MIN_SINGLE_HIT_OBSERVATIONS = 5
 
 
 class Verdict(enum.Enum):
@@ -202,11 +207,18 @@ def classify_csa(trace, interval):
     Note the first case is a genuine alias: a CSA#2 connection whose
     interval is exactly 37 grid steps times the estimate would produce the
     same single-channel timing. The single-hit reading is taken because a
-    37-fold gap GCD is vanishingly unlikely under CSA#2.
+    37-fold gap GCD is vanishingly unlikely under CSA#2 once the trace
+    holds at least 5 observations; a shorter trace raises
+    :class:`InsufficientDataError`.
     """
     gcd_steps = interval.interval_ns // INTERVAL_STEP_NS
     folded = gcd_steps // NUM_DATA_CHANNELS
     if gcd_steps % NUM_DATA_CHANNELS == 0 and folded >= INTERVAL_MIN_STEPS:
+        if len(trace) < _MIN_SINGLE_HIT_OBSERVATIONS:
+            raise InsufficientDataError(
+                f"a single-hit CSA#1 reading needs at least {_MIN_SINGLE_HIT_OBSERVATIONS} "
+                f"observations, got {len(trace)}"
+            )
         corrected = IntervalEstimate(
             interval_ns=folded * INTERVAL_STEP_NS,
             raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS,
@@ -462,46 +474,47 @@ class ReconstructionReport:
 
     @classmethod
     def from_dict(cls, raw):
-        report = cls(
-            access_address=int(raw["access_address"], 16),
-            sniff_channel=raw.get("sniff_channel"),
-            observation_count=raw.get("observation_count", 0),
-            error=raw.get("error"),
-        )
-        if "verdict" in raw:
-            interval = IntervalEstimate(
-                interval_ns=int(raw["interval_us"]) * 1000,
-                raw_interval_ns=float(raw["raw_interval_us"]) * 1000.0,
-                hop_counts=(),
+        with reading("report"):
+            report = cls(
+                access_address=int(raw["access_address"], 16),
+                sniff_channel=raw.get("sniff_channel"),
+                observation_count=raw.get("observation_count", 0),
+                error=raw.get("error"),
             )
-            report.interval = interval
-            report.classification = CsaClassification(
-                Verdict(raw["verdict"]),
-                tuple(raw.get("period_profile", ())),
-                interval,
-                raw.get("sniff_channel"),
-            )
-        if "channel_identifier" in raw:
-            report.channel_id = int(raw["channel_identifier"], 16)
-        if "k_init" in raw:
-            align = raw.get("alignment", {})
-            report.alignment = CounterAlignment(
-                k_init=int(raw["k_init"]),
-                correlation_peak=align.get("correlation_peak", 0),
-                second_peak=align.get("second_peak", 0),
-                ambiguous=align.get("ambiguous", False),
-                candidates=tuple(align.get("candidates", (raw["k_init"],))),
-            )
-        if "channel_map" in raw:
-            evidence = {int(k): v for k, v in raw.get("evidence_count", {}).items()}
-            report.map_estimate = MapEstimate(
-                proven_excluded=frozenset(raw.get("proven_excluded", ())),
-                assumed_map=ChannelMap.from_hex(raw["channel_map"]),
-                evidence_count=evidence,
-                converged=raw.get("converged", False),
-                unexplained_remaps=raw.get("unexplained_remaps", 0),
-            )
-        return report
+            if "verdict" in raw:
+                interval = IntervalEstimate(
+                    interval_ns=int(raw["interval_us"]) * 1000,
+                    raw_interval_ns=float(raw["raw_interval_us"]) * 1000.0,
+                    hop_counts=(),
+                )
+                report.interval = interval
+                report.classification = CsaClassification(
+                    Verdict(raw["verdict"]),
+                    tuple(raw.get("period_profile", ())),
+                    interval,
+                    raw.get("sniff_channel"),
+                )
+            if "channel_identifier" in raw:
+                report.channel_id = int(raw["channel_identifier"], 16)
+            if "k_init" in raw:
+                align = raw.get("alignment", {})
+                report.alignment = CounterAlignment(
+                    k_init=int(raw["k_init"]),
+                    correlation_peak=align.get("correlation_peak", 0),
+                    second_peak=align.get("second_peak", 0),
+                    ambiguous=align.get("ambiguous", False),
+                    candidates=tuple(align.get("candidates", (raw["k_init"],))),
+                )
+            if "channel_map" in raw:
+                evidence = {int(k): v for k, v in raw.get("evidence_count", {}).items()}
+                report.map_estimate = MapEstimate(
+                    proven_excluded=frozenset(raw.get("proven_excluded", ())),
+                    assumed_map=ChannelMap.from_hex(raw["channel_map"]),
+                    evidence_count=evidence,
+                    converged=raw.get("converged", False),
+                    unexplained_remaps=raw.get("unexplained_remaps", 0),
+                )
+            return report
 
 
 def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
@@ -513,10 +526,10 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     An ambiguous alignment is surfaced in the report, and map inference is
     then skipped rather than guessing a candidate.
     """
-    addresses = {o.access_address for o in trace.observations}
+    addresses = np.unique(trace.access_addresses).tolist()
     if len(addresses) > 1:
         raise ConfigError("trace mixes access addresses; split it by connection first")
-    aa = addresses.pop() if addresses else 0
+    aa = addresses[0] if addresses else 0
     report = ReconstructionReport(
         access_address=aa,
         sniff_channel=trace.sniff_channel,

@@ -30,8 +30,8 @@ from .csa import (
     ConnectionParams,
     channel_sequence,
 )
-from .errors import ConfigError
-from .trace import Observation, SniffTrace
+from .errors import ConfigError, reading
+from .trace import SniffTrace
 
 MAX_DRIFT_PPM = 500.0
 
@@ -113,7 +113,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        try:
+        with reading("scenario"):
             connections = tuple(
                 _connection_from_dict(entry) for entry in raw.get("connections", [])
             )
@@ -122,10 +122,6 @@ class ScenarioConfig:
                 sniff_channel=int(raw["sniff_channel"]),
                 rng_seed=int(raw["rng_seed"]),
             )
-        except KeyError as exc:
-            raise ConfigError(f"scenario is missing required key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scenario value: {exc}") from exc
 
     def to_dict(self):
         return {
@@ -204,11 +200,7 @@ def _simulate_connection(conn, sniff_channel, rng):
     if imp.jitter_sigma_ns > 0.0:
         jitter = np.rint(rng.normal(0.0, imp.jitter_sigma_ns, hit_idx.size)).astype(np.int64)
         stamps = stamps + jitter
-    observations = [
-        Observation(int(t), params.access_address, sniff_channel, True)
-        for t in stamps
-    ]
-    return timeline, observations
+    return timeline, stamps
 
 
 def simulate(config):
@@ -216,20 +208,21 @@ def simulate(config):
 
     Timelines are returned in the scenario's connection order and carry
     the exact event grid; the trace contains only the captured, impaired
-    observations on the sniffed channel, merged and time-sorted.
+    observations on the sniffed channel, merged and sorted by (timestamp,
+    access address).
     """
-    timelines = []
-    merged = []
+    timelines, stamps = [], []
     for conn in config.connections:
         rng = np.random.default_rng([config.rng_seed, conn.params.access_address])
-        timeline, observations = _simulate_connection(conn, config.sniff_channel, rng)
+        timeline, conn_stamps = _simulate_connection(conn, config.sniff_channel, rng)
         timelines.append(timeline)
-        merged.extend(observations)
-    merged.sort(key=lambda o: (o.timestamp_ns, o.access_address))
+        stamps.append(conn_stamps)
+    addresses = np.repeat([c.params.access_address for c in config.connections],
+                          [s.size for s in stamps])
+    times = np.concatenate([np.empty(0, dtype=np.int64), *stamps])
+    order = np.lexsort((addresses, times))
     trace = SniffTrace(
-        config.sniff_channel,
-        merged,
-        {"rng_seed": config.rng_seed, "connection_count": len(config.connections)},
+        config.sniff_channel, times[order], addresses[order], np.ones(order.size, dtype=bool)
     )
     return timelines, trace
 

@@ -235,6 +235,32 @@ def test_predict_exit_codes(tmp_path, scenario_file, capsys):
     capsys.readouterr()
 
 
+def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys):
+    sim, recon, pred = run_pipeline(tmp_path, scenario_file)
+    trace = str(sim / "trace.csv")
+    # a report without its access address
+    report = json.loads((recon / "report_0xB0A1CD9D.json").read_text())
+    del report["access_address"]
+    no_address = tmp_path / "no_address.json"
+    no_address.write_text(json.dumps(report))
+    assert main(["predict", "--report", str(no_address), "--trace", trace,
+                 "--out-dir", str(tmp_path / "p")]) == EXIT_CONFIG
+    # a forecast without entries
+    no_entries = tmp_path / "no_entries.json"
+    no_entries.write_text(json.dumps({"counters_are_wire": True}))
+    assert main(["evaluate", "--forecast", str(no_entries), "--trace", trace,
+                 "--interval-us", "12500", "--out-dir", str(tmp_path / "e1")]) == EXIT_CONFIG
+    # a forecast whose times go backwards
+    forecast = json.loads((pred / "forecast.json").read_text())
+    entries = forecast["entries"]
+    entries[1]["time_ns"], entries[2]["time_ns"] = entries[2]["time_ns"], entries[1]["time_ns"]
+    unsorted = tmp_path / "unsorted.json"
+    unsorted.write_text(json.dumps(forecast))
+    assert main(["evaluate", "--forecast", str(unsorted), "--trace", trace,
+                 "--interval-us", "12500", "--out-dir", str(tmp_path / "e2")]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

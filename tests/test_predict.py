@@ -19,7 +19,7 @@ from blehop import (
     ImpairmentModel,
     InsufficientDataError,
     IntervalEstimate,
-    Observation,
+    ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
     Verdict,
@@ -261,7 +261,7 @@ def test_evaluate_counts_missed_predictions():
 def test_evaluate_against_trace_by_time():
     interval = 12_500_000
     obs_times = [0, 2 * interval, 5 * interval]
-    trace = SniffTrace(22, [Observation(t, 0xB0A1CD9D, 22, True) for t in obs_times])
+    trace = SniffTrace(22, obs_times, [0xB0A1CD9D] * 3, [True] * 3)
     entries = [
         ForecastEntry(0, 22, 0.0 + 1000, 1.0),
         ForecastEntry(2, 22, 2.0 * interval - 500, 1.0),
@@ -273,6 +273,28 @@ def test_evaluate_against_trace_by_time():
     assert sorted(np.round(report.abs_errors_ns).tolist()) == [500, 1000]
     assert report.missed_predictions == 2
     assert report.unmatched_references == 1
+
+
+def test_evaluate_rejects_unsorted_forecast_times():
+    interval = 12_500_000
+    trace = SniffTrace(22, [0, interval, 2 * interval], [0xB0A1CD9D] * 3, [True] * 3)
+    entries = [ForecastEntry(k, 22, t, 1.0) for k, t in
+               enumerate([0.0, 2.0 * interval, 1.0 * interval])]
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        evaluate(Forecast(entries, counters_are_wire=False), trace, interval)
+
+
+def test_from_dict_rejects_missing_keys():
+    with pytest.raises(ConfigError, match="'entries'"):
+        Forecast.from_dict({"counters_are_wire": True})
+    with pytest.raises(ConfigError, match="'time_ns'"):
+        Forecast.from_dict({"entries": [{"counter": 1, "channel": 2, "time_std_ns": 1.0}]})
+    with pytest.raises(ConfigError, match="'access_address'"):
+        ReconstructionReport.from_dict({"sniff_channel": 22})
+    with pytest.raises(ConfigError, match="bad report value"):
+        ReconstructionReport.from_dict({"access_address": "0xZZ"})
+    with pytest.raises(ConfigError, match="bad report value"):
+        ReconstructionReport.from_dict({"access_address": "0x1", "k_init": 3, "alignment": []})
 
 
 def test_evaluate_rejects_empty_inputs():
@@ -369,8 +391,7 @@ def test_run_prediction_needs_a_test_tail():
 
 
 def test_run_prediction_propagates_reconstruction_failure():
-    bad = SniffTrace(22, [Observation(0, 0xA, 22, True),
-                          Observation(12_500_000, 0xA, 22, True)])
+    bad = SniffTrace(22, [0, 12_500_000], [0xA, 0xA], [True, True])
     recon = reconstruct_connection(bad)
     assert recon.error
     with pytest.raises(EstimationError, match="reconstruction failed"):

@@ -15,7 +15,6 @@ from blehop import (
     ImpairmentModel,
     InconsistentEvidenceError,
     InsufficientDataError,
-    Observation,
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
@@ -42,7 +41,7 @@ STEP = 1_250_000  # ns
 
 
 def trace_at(times_ns, sniff=22, aa=0xB0A1CD9D):
-    return SniffTrace(sniff, [Observation(int(t), aa, sniff, True) for t in times_ns])
+    return SniffTrace(sniff, times_ns, [aa] * len(times_ns), [True] * len(times_ns))
 
 
 def simulate_one(params, duration_ns, sniff=22, seed=3, jitter=0.0, drift=0.0,
@@ -147,6 +146,17 @@ def test_classify_single_hit_divides_by_37():
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
     assert cls.interval.hop_counts == (37, 37, 37, 37, 37)
     assert cls.period_profile == (0,)
+
+
+def test_classify_single_hit_needs_five_observations():
+    # a 1 s CSA#2 capture whose two gaps are both 222 grid steps (6 * 37):
+    # too few gaps to tell a single-hit CSA#1 pattern from a CSA#2 alias
+    trace = trace_at([285_027_370, 562_400_018, 839_977_150], sniff=26, aa=0x897845EF)
+    with pytest.raises(InsufficientDataError, match="got 3"):
+        classify_csa(trace, estimate_interval(trace))
+    report = reconstruct_connection(trace)
+    assert report.classification is None
+    assert "got 3" in report.error
 
 
 def test_classify_repeating_profile():
@@ -435,10 +445,7 @@ def test_reconstruct_captures_estimation_errors():
 
 
 def test_reconstruct_rejects_mixed_addresses():
-    mixed = SniffTrace(22, [
-        Observation(0, 0xA, 22, True),
-        Observation(12_500_000, 0xB, 22, True),
-    ])
+    mixed = SniffTrace(22, [0, 12_500_000], [0xA, 0xB], [True, True])
     with pytest.raises(ConfigError):
         reconstruct_connection(mixed)
 

@@ -2,11 +2,13 @@
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blehop import (
     ConfigError,
-    Observation,
     SniffTrace,
     TraceParseError,
     load_trace,
@@ -16,12 +18,17 @@ from blehop import (
 
 
 def make_trace(sniff=22):
-    observations = [
-        Observation(1_000_000, 0xB0A1CD9D, sniff, True),
-        Observation(2_500_000, 0x53D39A21, sniff, False),
-        Observation(9_750_000, 0xB0A1CD9D, sniff, True),
-    ]
-    return SniffTrace(sniff, observations, {"note": "unit"})
+    return SniffTrace(
+        sniff,
+        [1_000_000, 2_500_000, 9_750_000],
+        [0xB0A1CD9D, 0x53D39A21, 0xB0A1CD9D],
+        [True, False, True],
+    )
+
+
+def columns(trace):
+    return (trace.timestamps().tolist(), trace.access_addresses.tolist(),
+            trace.is_central.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -30,26 +37,44 @@ def make_trace(sniff=22):
 
 def test_trace_validates_channel_consistency():
     with pytest.raises(ConfigError):
-        SniffTrace(22, [Observation(0, 0x1, 20, True)])
+        SniffTrace(40, [], [], [])
     with pytest.raises(ConfigError):
-        SniffTrace(40, [])
-    with pytest.raises(ConfigError):
-        SniffTrace(None, [Observation(0, 0x1, 20, True)])
+        SniffTrace(None, [0], [0x1], [True])
 
 
 def test_trace_validates_time_order():
-    good = [Observation(10, 0x1, 5, True), Observation(10, 0x1, 5, True)]
-    assert len(SniffTrace(5, good)) == 2  # equal timestamps allowed
+    assert len(SniffTrace(5, [10, 10], [0x1, 0x1], [True, True])) == 2  # ties allowed
     with pytest.raises(ConfigError):
-        SniffTrace(5, list(reversed([Observation(10, 0x1, 5, True),
-                                     Observation(20, 0x1, 5, True)])))
+        SniffTrace(5, [20, 10], [0x1, 0x1], [True, True])
+
+
+def test_trace_validates_columns():
+    with pytest.raises(ConfigError):
+        SniffTrace(5, [10, 20], [0x1], [True, True])
+    with pytest.raises(ConfigError):
+        SniffTrace(5, [[10]], [[0x1]], [[True]])
+    with pytest.raises(ConfigError):
+        SniffTrace(5, [10], [2**32], [True])
+    with pytest.raises(ConfigError):
+        SniffTrace(5, [10], [-1], [True])
 
 
 def test_timestamps_array():
-    ts = make_trace().timestamps()
+    trace = make_trace()
+    ts = trace.timestamps()
     assert ts.tolist() == [1_000_000, 2_500_000, 9_750_000]
     assert ts.dtype.name == "int64"
-    assert SniffTrace(None, []).timestamps().size == 0
+    assert trace.timestamps() is ts
+    assert SniffTrace(None, [], [], []).timestamps().size == 0
+
+
+def test_observations_are_a_row_view():
+    rows = make_trace().observations
+    assert [(o.timestamp_ns, o.access_address, o.channel, o.is_central) for o in rows] == [
+        (1_000_000, 0xB0A1CD9D, 22, True),
+        (2_500_000, 0x53D39A21, 22, False),
+        (9_750_000, 0xB0A1CD9D, 22, True),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +88,7 @@ def test_round_trip_through_file(tmp_path, fmt):
     save_trace(trace, path, fmt)
     loaded = load_trace(path, fmt)
     assert loaded.sniff_channel == trace.sniff_channel
-    assert loaded.observations == trace.observations
+    assert columns(loaded) == columns(trace)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -73,7 +98,7 @@ def test_round_trip_through_stream(fmt):
     save_trace(trace, buffer, fmt)
     buffer.seek(0)
     loaded = load_trace(buffer, fmt)
-    assert loaded.observations == trace.observations
+    assert columns(loaded) == columns(trace)
 
 
 def test_csv_format_is_stable():
@@ -92,7 +117,8 @@ def test_load_sorts_by_timestamp():
         "100,0x00000001,7,false\n"
     )
     loaded = load_trace(io.StringIO(text), "csv")
-    assert [o.timestamp_ns for o in loaded.observations] == [100, 900]
+    assert loaded.timestamps().tolist() == [100, 900]
+    assert loaded.access_addresses.tolist() == [1, 2]
 
 
 def test_empty_file_yields_empty_trace():
@@ -128,6 +154,7 @@ def test_bad_rows_report_their_line():
     header = "timestamp_ns,access_address_hex,channel,is_central\n"
     cases = [
         ("oops,0x00000001,7,true\n", "timestamp"),
+        ("99999999999999999999,0x00000001,7,true\n", "int64"),
         ("100,zz,7,true\n", "access_address"),
         ("100,0x100000000,7,true\n", "32 bits"),
         ("100,0x00000001,99,true\n", "channel"),
@@ -172,7 +199,7 @@ def test_bool_parsing_accepts_numeric_forms():
         "300,0x00000001,7,TRUE\n"
     )
     loaded = load_trace(io.StringIO(text), "csv")
-    assert [o.is_central for o in loaded.observations] == [True, False, True]
+    assert loaded.is_central.tolist() == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +208,81 @@ def test_bool_parsing_accepts_numeric_forms():
 
 def test_split_by_connection_partitions_and_filters():
     sniff = 22
-    observations = [
-        Observation(100, 0xA, sniff, True),
-        Observation(200, 0xB, sniff, True),
-        Observation(300, 0xA, sniff, False),   # peripheral: dropped from part
-        Observation(400, 0xA, sniff, True),
-        Observation(500, 0xC, sniff, False),   # only peripheral: empty part
-    ]
-    trace = SniffTrace(sniff, observations, {"k": 1})
+    trace = SniffTrace(
+        sniff,
+        [100, 200, 300, 400, 500],
+        [0xA, 0xB, 0xA, 0xA, 0xC],
+        # 300 is peripheral: dropped from its part; 0xC is only peripheral: empty part
+        [True, True, False, True, False],
+    )
     parts = split_by_connection(trace)
-    assert set(parts) == {0xA, 0xB, 0xC}
-    assert [o.timestamp_ns for o in parts[0xA].observations] == [100, 400]
-    assert [o.timestamp_ns for o in parts[0xB].observations] == [200]
+    assert list(parts) == [0xA, 0xB, 0xC]
+    assert parts[0xA].timestamps().tolist() == [100, 400]
+    assert parts[0xB].timestamps().tolist() == [200]
     assert len(parts[0xC]) == 0
     assert all(p.sniff_channel == sniff for p in parts.values())
-    assert parts[0xA].capture_meta == {"k": 1}
     # parts union back to the central packets of the input
     union = sorted(
         (o for p in parts.values() for o in p.observations),
         key=lambda o: o.timestamp_ns,
     )
-    assert union == [o for o in observations if o.is_central]
+    assert union == [o for o in trace.observations if o.is_central]
 
 
 def test_split_empty_trace():
-    assert split_by_connection(SniffTrace(None, [])) == {}
+    assert split_by_connection(SniffTrace(None, [], [], [])) == {}
+
+
+# ---------------------------------------------------------------------------
+# properties of the columnar trace
+
+property_settings = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+# few distinct timestamps give ties; the extremes of both ranges are drawn often
+timestamps = st.one_of(st.integers(0, 20), st.integers(-(2**63), 2**63 - 1))
+addresses = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+
+
+@st.composite
+def traces(draw):
+    rows = draw(st.lists(st.tuples(timestamps, addresses, st.booleans()), max_size=30))
+    rows.sort(key=lambda row: row[0])  # stable: tied rows keep their drawn order
+    ts, aa, central = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    return SniffTrace(draw(st.integers(0, 36)), ts, aa, central)
+
+
+@property_settings
+@given(trace=traces(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_save_load_round_trip_keeps_columns(trace, fmt):
+    buffer = io.StringIO()
+    save_trace(trace, buffer, fmt)
+    buffer.seek(0)
+    loaded = load_trace(buffer, fmt)
+    assert columns(loaded) == columns(trace)
+    assert loaded.sniff_channel == (trace.sniff_channel if len(trace) else None)
+
+
+@property_settings
+@given(trace=traces())
+def test_split_parts_are_the_central_rows_of_each_address(trace):
+    parts = split_by_connection(trace)
+    assert list(parts) == list(dict.fromkeys(trace.access_addresses.tolist()))
+    rows = list(zip(*columns(trace)))
+    for aa, part in parts.items():
+        assert part.sniff_channel == trace.sniff_channel
+        assert list(zip(*columns(part))) == [r for r in rows if r[1] == aa and r[2]]
+
+
+@property_settings
+@given(trace=traces())
+def test_columns_are_read_only(trace):
+    for column in (trace.timestamps(), trace.access_addresses, trace.is_central):
+        with pytest.raises(ValueError):
+            column[...] = 0
+
+
+def test_trace_copies_its_columns():
+    ts = np.array([1, 2], dtype=np.int64)
+    trace = SniffTrace(5, ts, [1, 2], [True, False])
+    ts[0] = 0
+    assert trace.timestamps().tolist() == [1, 2]
