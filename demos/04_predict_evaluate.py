@@ -61,9 +61,10 @@ for abs_ns, prob in r.eccdf[:: max(1, len(r.eccdf) // 5)]:
 # The long forecast names the wire counter, channel, time and a growing
 # 1-sigma time uncertainty for every upcoming event.
 print("\nfirst forecast entries after the training window:")
-for e in run.forecast.entries[:4]:
-    print(f"  counter {e.counter}: channel {e.channel:2d} at "
-          f"{e.time_ns / 1e9:.6f} s (+-{e.time_std_ns / 1e3:.0f} us)")
+for counter, channel, time_ns, std_ns in zip(*(col[:4].tolist()
+                                              for col in run.forecast.columns())):
+    print(f"  counter {counter}: channel {channel:2d} at "
+          f"{time_ns / 1e9:.6f} s (+-{std_ns / 1e3:.0f} us)")
 
 # Scored against the ground-truth timeline (match by wire counter), the
 # channel sequence must be perfect — errors come from timing only.

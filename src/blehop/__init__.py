@@ -40,7 +40,6 @@ from .errors import (
 from .predict import (
     EvalReport,
     Forecast,
-    ForecastEntry,
     PredictionRun,
     SyncState,
     evaluate,

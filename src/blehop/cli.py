@@ -136,14 +136,10 @@ def cmd_reconstruct(args):
 def cmd_predict(args):
     with open(args.report) as handle:
         report = ReconstructionReport.from_dict(json.load(handle))
-    trace = load_trace(args.trace, args.format)
-    if np.unique(trace.access_addresses).size > 1:
-        parts = split_by_connection(trace)
-        if report.access_address not in parts:
-            raise ConfigError(
-                f"trace has no observations for 0x{report.access_address:08X}"
-            )
-        trace = parts[report.access_address]
+    parts = split_by_connection(load_trace(args.trace, args.format))
+    if report.access_address not in parts:
+        raise ConfigError(f"trace has no observations for 0x{report.access_address:08X}")
+    trace = parts[report.access_address]
     run = run_prediction(
         trace, report,
         train_ns=int(args.train_seconds * 1e9),

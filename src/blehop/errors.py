@@ -19,7 +19,8 @@ def reading(what):
         yield
     except KeyError as exc:
         raise ConfigError(f"{what} is missing required key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:  # e.g. a list where a dict belongs
+    # e.g. a list where a dict belongs, or a number too large for its column
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad {what} value: {exc}") from exc
 
 

@@ -30,8 +30,8 @@ from .reconstruct import Verdict, observation_offsets
 from .simulate import EventTimeline
 from .trace import SniffTrace
 
-DEFAULT_MEASUREMENT_SIGMA_NS = 100_000.0  # 100 us sniffer timestamping noise
-DEFAULT_PROCESS_NOISE = 1.0  # white-acceleration density, ns^2 per event^3
+PROCESS_NOISE = 1.0  # white-acceleration density, ns^2 per event^3
+MEASUREMENT_NOISE_VAR = 100_000.0**2  # (100 us sniffer timestamping noise)^2
 DEFAULT_GATE_SIGMA = 6.0
 INTERVAL_GUARD_FRACTION = 1e-3  # filter divergence guard: +/-0.1 % of nominal
 
@@ -43,47 +43,36 @@ class SyncState:
     ``anchor_time_ns`` estimates the timestamp of the event at
     ``anchor_offset`` (event offsets count from the first observation the
     filter saw); ``interval_ns`` is the per-event period as measured in
-    sniffer time. ``covariance`` is the 2x2 error covariance over
-    (anchor time, interval).
+    sniffer time. ``covariance`` holds the entries (p00, p01, p11) of the
+    symmetric 2x2 error covariance over (anchor time, interval).
     """
 
     anchor_time_ns: float
     interval_ns: float
-    covariance: np.ndarray
+    covariance: tuple
     anchor_offset: int = 0
     nominal_interval_ns: float = 0.0
-    process_noise: float = DEFAULT_PROCESS_NOISE
-    measurement_noise_var: float = DEFAULT_MEASUREMENT_SIGMA_NS**2
 
 
-def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None,
-              process_noise=DEFAULT_PROCESS_NOISE,
-              measurement_sigma_ns=DEFAULT_MEASUREMENT_SIGMA_NS):
+def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
     """Start a tracker at the first observation of a connection."""
     if interval_ns <= 0:
         raise ConfigError(f"interval_ns must be positive, got {interval_ns}")
     nominal = float(nominal_interval_ns if nominal_interval_ns is not None else interval_ns)
-    r = float(measurement_sigma_ns) ** 2
-    covariance = np.diag([r, (nominal * 1e-4) ** 2])
     return SyncState(
         anchor_time_ns=float(first_time_ns),
         interval_ns=float(interval_ns),
-        covariance=covariance,
-        anchor_offset=0,
+        covariance=(MEASUREMENT_NOISE_VAR, 0.0, (nominal * 1e-4) ** 2),
         nominal_interval_ns=nominal,
-        process_noise=float(process_noise),
-        measurement_noise_var=r,
     )
 
 
-def _advance(sync, hops):
-    """A-priori time and covariance entries (p00, p01, p11) after ``hops``
-    events; ``hops`` may be an int or an int array (results are elementwise)."""
-    # float before cubing: int64 h**3 overflows silently past 2,097,151 events
-    h = np.float64(hops)
+def _advance(sync, h):
+    """A-priori time and covariance entries (p00, p01, p11) after ``h``
+    events; ``h`` is a float or a float array (results are elementwise)."""
     time_pred = sync.anchor_time_ns + h * sync.interval_ns
-    (c00, c01), (_, c11) = sync.covariance.tolist()
-    q = sync.process_noise
+    c00, c01, c11 = sync.covariance
+    q = PROCESS_NOISE
     # F = [[1, h], [0, 1]]; Q from a white-noise acceleration of density q.
     # h * h is exact, so h * h * h is the correctly rounded cube (array pow is not)
     p00 = c00 + 2 * h * c01 + h * h * c11 + q * (h * h * h) / 3.0
@@ -102,28 +91,23 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
     """
     if hops_since_last < 1:
         raise ConfigError(f"hops_since_last must be >= 1, got {hops_since_last}")
-    time_pred, p00, p01, p11 = _advance(sync, hops_since_last)
+    time_pred, p00, p01, p11 = _advance(sync, float(hops_since_last))
     innovation = float(measured_time_ns) - time_pred
-    gain_denominator = p00 + sync.measurement_noise_var
+    gain_denominator = p00 + MEASUREMENT_NOISE_VAR
     if innovation * innovation > gate_sigma**2 * gain_denominator:
         return replace(
             sync,
             anchor_time_ns=time_pred,
-            covariance=np.array([[p00, p01], [p01, p11]]),
+            covariance=(p00, p01, p11),
             anchor_offset=sync.anchor_offset + int(hops_since_last),
         )
     k0 = p00 / gain_denominator
     k1 = p01 / gain_denominator
-    new_time = time_pred + k0 * innovation
     new_interval = sync.interval_ns + k1 * innovation
-    posterior = np.array(
-        [
-            [(1 - k0) * p00, (1 - k0) * p01],
-            [p01 - k1 * p00, p11 - k1 * p01],
-        ]
-    )
-    posterior = (posterior + posterior.T) / 2.0
-    if posterior[0, 0] < 0 or posterior[1, 1] < 0 or np.linalg.det(posterior) < -1e-6:
+    # (I - KH) P, symmetrized
+    q00, q11 = (1 - k0) * p00, p11 - k1 * p01
+    q01 = ((1 - k0) * p01 + (p01 - k1 * p00)) / 2.0
+    if q00 < 0 or q11 < 0 or q00 * q11 - q01 * q01 < -1e-6:
         raise EstimationError("tracker covariance lost positive semi-definiteness")
     guard = sync.nominal_interval_ns
     if guard and abs(new_interval - guard) > INTERVAL_GUARD_FRACTION * guard:
@@ -133,9 +117,9 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
         )
     return replace(
         sync,
-        anchor_time_ns=new_time,
+        anchor_time_ns=time_pred + k0 * innovation,
         interval_ns=new_interval,
-        covariance=posterior,
+        covariance=(q00, q01, q11),
         anchor_offset=sync.anchor_offset + int(hops_since_last),
     )
 
@@ -143,59 +127,53 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
 def predict_event_time(sync, event_offset):
     """Predicted timestamp and its standard deviation for an event offset
     (an int, or an int array for one prediction per offset)."""
-    time_pred, p00, _, _ = _advance(sync, event_offset - sync.anchor_offset)
+    # float before cubing: int64 h**3 overflows silently past 2,097,151 events
+    h = np.float64(event_offset - sync.anchor_offset)
+    time_pred, p00, _, _ = _advance(sync, h)
     return time_pred, np.sqrt(np.maximum(p00, 0.0))
-
-
-@dataclass(frozen=True)
-class ForecastEntry:
-    counter: int
-    channel: int
-    time_ns: float
-    time_std_ns: float
 
 
 @dataclass
 class Forecast:
-    """Future events in time order.
+    """Future events in time order, as four equal-length 1-D columns.
 
-    For CSA#2 forecasts ``counter`` is the on-air 16-bit event counter and
-    ``counters_are_wire`` is true; CSA#1 forecasts cannot know the counter
-    (it never enters channel selection), so ``counter`` holds the event
-    offset from the first estimation observation instead.
+    For CSA#2 forecasts ``counters`` holds the on-air 16-bit event counters
+    and ``counters_are_wire`` is true; CSA#1 forecasts cannot know the
+    counter (it never enters channel selection), so ``counters`` holds the
+    event offsets from the first estimation observation instead.
     """
 
-    entries: list
+    counters: np.ndarray
+    channels: np.ndarray
+    times_ns: np.ndarray
+    time_stds_ns: np.ndarray
     counters_are_wire: bool = True
 
     def __len__(self):
-        return len(self.entries)
+        return self.counters.size
+
+    def columns(self):
+        """(counters, channels, times_ns, time_stds_ns)"""
+        return self.counters, self.channels, self.times_ns, self.time_stds_ns
 
     def to_dict(self):
         return {
             "counters_are_wire": self.counters_are_wire,
             "entries": [
-                {
-                    "counter": e.counter,
-                    "channel": e.channel,
-                    "time_ns": e.time_ns,
-                    "time_std_ns": e.time_std_ns,
-                }
-                for e in self.entries
+                {"counter": c, "channel": ch, "time_ns": t, "time_std_ns": s}
+                for c, ch, t, s in zip(*(col.tolist() for col in self.columns()))
             ],
         }
 
     @classmethod
     def from_dict(cls, raw):
         with reading("forecast"):
+            entries = raw["entries"]
+            columns = (("counter", int, np.int64), ("channel", int, np.int64),
+                       ("time_ns", float, np.float64), ("time_std_ns", float, np.float64))
             return cls(
-                entries=[
-                    ForecastEntry(
-                        int(e["counter"]), int(e["channel"]),
-                        float(e["time_ns"]), float(e["time_std_ns"]),
-                    )
-                    for e in raw["entries"]
-                ],
+                *(np.fromiter((kind(e[key]) for e in entries), dtype, len(entries))
+                  for key, kind, dtype in columns),
                 counters_are_wire=bool(raw.get("counters_are_wire", True)),
             )
 
@@ -213,18 +191,16 @@ def predict_csa1(classification, sync, horizon):
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
     offsets = offsets[np.isin(offsets % NUM_DATA_CHANNELS, classification.period_profile)]
-    times, stds = predict_event_time(sync, offsets)
-    entries = [ForecastEntry(offset, classification.sniff_channel, time_ns, std)
-               for offset, time_ns, std in zip(offsets.tolist(), times.tolist(), stds.tolist())]
-    return Forecast(entries, counters_are_wire=False)
+    channels = np.full(offsets.size, classification.sniff_channel)
+    return Forecast(offsets, channels, *predict_event_time(sync, offsets),
+                    counters_are_wire=False)
 
 
-def predict_csa2(alignment, ci, channel_map, sync, horizon, *, channel=None):
+def predict_csa2(alignment, ci, channel_map, sync, horizon):
     """Forecast every event of a CSA#2 connection over the horizon.
 
     Needs an unambiguous counter alignment; with tied alignment candidates
-    the forecast is refused rather than silently picking one. ``channel``
-    restricts the result to events on one channel.
+    the forecast is refused rather than silently picking one.
     """
     if alignment.ambiguous:
         raise AmbiguousAlignmentError(alignment.candidates)
@@ -233,13 +209,7 @@ def predict_csa2(alignment, ci, channel_map, sync, horizon, *, channel=None):
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
     counters = (alignment.k_init + offsets) % COUNTER_PERIOD
     channels = csa2_channels_bulk(counters, ci, channel_map)
-    if channel is not None:
-        keep = channels == channel
-        offsets, counters, channels = offsets[keep], counters[keep], channels[keep]
-    times, stds = predict_event_time(sync, offsets)
-    entries = list(map(ForecastEntry, counters.tolist(), channels.tolist(),
-                       times.tolist(), stds.tolist()))
-    return Forecast(entries, counters_are_wire=True)
+    return Forecast(counters, channels, *predict_event_time(sync, offsets))
 
 
 @dataclass
@@ -299,8 +269,9 @@ def evaluate(forecast, reference, interval_ns):
     the forecast carries wire counters (nearest-in-time among same-counter
     events, which disambiguates counter wraps); otherwise, and for real
     traces, each reference event takes the nearest prediction within half
-    an interval. Predictions left unmatched are counted as misses, not as
-    errors.
+    an interval. A trace is scored by its central packets and must hold
+    one connection. Predictions left unmatched are counted as misses, not
+    as errors.
     """
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
@@ -310,7 +281,9 @@ def evaluate(forecast, reference, interval_ns):
         ref_times = reference.times_ns.astype(float)
         ref_channels = reference.channels
     elif isinstance(reference, SniffTrace):
-        ref_times = reference.timestamps().astype(float)
+        if np.unique(reference.access_addresses).size > 1:
+            raise ConfigError("trace mixes access addresses; split it by connection first")
+        ref_times = reference.timestamps()[reference.is_central].astype(float)
         ref_channels = None
     else:
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
@@ -320,19 +293,22 @@ def evaluate(forecast, reference, interval_ns):
 
 
 def _evaluate_by_counter(forecast, timeline):
-    wire = timeline.counters % COUNTER_PERIOD
     by_counter = {}
-    for idx, counter in enumerate(wire):
-        by_counter.setdefault(int(counter), []).append(idx)
+    for idx, counter in enumerate((timeline.counters % COUNTER_PERIOD).tolist()):
+        by_counter.setdefault(counter, []).append(idx)
+    ref_times = timeline.times_ns.astype(float).tolist()
+    ref_channels = timeline.channels.tolist()
     errors, mismatches, missed = [], 0, 0
-    for entry in forecast.entries:
-        indices = by_counter.get(entry.counter)
+    for counter, channel, time_ns in zip(forecast.counters.tolist(),
+                                         forecast.channels.tolist(),
+                                         forecast.times_ns.tolist()):
+        indices = by_counter.get(counter)
         if not indices:
             missed += 1
             continue
-        best = min(indices, key=lambda i: abs(float(timeline.times_ns[i]) - entry.time_ns))
-        errors.append(float(timeline.times_ns[best]) - entry.time_ns)
-        if int(timeline.channels[best]) != entry.channel:
+        best = min(indices, key=lambda i: abs(ref_times[i] - time_ns))
+        errors.append(ref_times[best] - time_ns)
+        if ref_channels[best] != channel:
             mismatches += 1
     if not errors:
         raise EstimationError("forecast and reference share no event counters")
@@ -341,10 +317,9 @@ def _evaluate_by_counter(forecast, timeline):
 
 
 def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
-    pred_times = np.array([e.time_ns for e in forecast.entries])
+    pred_times = forecast.times_ns
     if np.any(np.diff(pred_times) < 0):
         raise ConfigError("forecast times must be non-decreasing")
-    pred_channels = np.array([e.channel for e in forecast.entries])
     half = interval_ns / 2.0
     taken = np.zeros(pred_times.size, dtype=bool)
     errors, mismatches, unmatched = [], 0, 0
@@ -361,7 +336,7 @@ def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
             continue
         taken[best] = True
         errors.append(float(t - pred_times[best]))
-        if ref_channels is not None and int(pred_channels[best]) != int(ref_channels[ref_idx]):
+        if ref_channels is not None and int(forecast.channels[best]) != int(ref_channels[ref_idx]):
             mismatches += 1
     if not errors:
         raise EstimationError("no reference event falls within half an interval of a prediction")
@@ -378,9 +353,7 @@ class PredictionRun:
     sync: SyncState
 
 
-def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
-                   channel=None, process_noise=DEFAULT_PROCESS_NOISE,
-                   measurement_sigma_ns=DEFAULT_MEASUREMENT_SIGMA_NS):
+def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, channel=None):
     """Train a tracker on the head of a trace, then predict its tail.
 
     The first ``train_ns`` of observations initialize and settle the
@@ -390,6 +363,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
     observations make the evaluation report. A long-horizon forecast from
     the end-of-training anchor is returned alongside; ``horizon`` defaults
     to covering the trace and is counted in events past that anchor.
+    ``channel`` restricts that forecast to events on one channel.
     """
     if recon.error:
         raise EstimationError(f"reconstruction failed: {recon.error}")
@@ -403,16 +377,6 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
     if n_train == ts.size:
         raise InsufficientDataError("training window covers the whole trace; nothing to predict")
 
-    sync = init_sync(
-        ts[0], est.raw_interval_ns,
-        nominal_interval_ns=est.raw_interval_ns,
-        process_noise=process_noise,
-        measurement_sigma_ns=measurement_sigma_ns,
-    )
-    for j in range(1, n_train):
-        sync = kalman_update(sync, ts[j], int(offsets[j] - offsets[j - 1]))
-    anchor_sync = sync
-
     is_csa2 = classification.verdict is Verdict.CSA2
     if is_csa2:
         if recon.alignment is None:
@@ -422,7 +386,17 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
         if recon.map_estimate is None:
             raise EstimationError("no channel map estimate available for a CSA#2 forecast")
 
-    # one-step-ahead predictions over the held-out tail
+    # train on the head; over the held-out tail predict each observation
+    # one step ahead before fusing it
+    sync = init_sync(ts[0], est.raw_interval_ns, nominal_interval_ns=est.raw_interval_ns)
+    times, stds = np.empty(ts.size - n_train), np.empty(ts.size - n_train)
+    for j in range(1, ts.size):
+        offset = int(offsets[j])
+        if j == n_train:
+            anchor_sync = sync
+        if j >= n_train:
+            times[j - n_train], stds[j - n_train] = predict_event_time(sync, offset)
+        sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
     held_out = offsets[n_train:]
     if is_csa2:
         counters = (recon.alignment.k_init + held_out) % COUNTER_PERIOD
@@ -430,25 +404,19 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None,
     else:
         counters = held_out
         channels = np.full(held_out.size, classification.sniff_channel)
-    rolling_entries = []
-    for j, counter, ch in zip(range(n_train, ts.size), counters, channels):
-        offset = int(offsets[j])
-        time_pred, std = predict_event_time(sync, offset)
-        rolling_entries.append(ForecastEntry(int(counter), int(ch), time_pred, std))
-        sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
-    rolling = Forecast(rolling_entries, counters_are_wire=is_csa2)
+    rolling = Forecast(counters, channels, times, stds, counters_are_wire=is_csa2)
     report = _evaluate_by_time(rolling, ts[n_train:].astype(float), None, est.raw_interval_ns)
 
     if horizon is None:
         span = int(offsets[-1]) - anchor_sync.anchor_offset
         horizon = max(span, 0)
     if is_csa2:
-        forecast = predict_csa2(
-            recon.alignment, recon.channel_id, recon.map_estimate.assumed_map,
-            anchor_sync, horizon, channel=channel,
-        )
+        forecast = predict_csa2(recon.alignment, recon.channel_id,
+                                recon.map_estimate.assumed_map, anchor_sync, horizon)
     else:
         forecast = predict_csa1(classification, anchor_sync, horizon)
-        if channel is not None:
-            forecast.entries = [e for e in forecast.entries if e.channel == channel]
+    if channel is not None:
+        keep = forecast.channels == channel
+        forecast = Forecast(*(col[keep] for col in forecast.columns()),
+                            counters_are_wire=forecast.counters_are_wire)
     return PredictionRun(forecast=forecast, rolling=rolling, report=report, sync=sync)

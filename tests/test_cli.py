@@ -5,8 +5,10 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from blehop import SniffTrace, load_trace, save_trace, split_by_connection
 from blehop.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CONFIG,
@@ -58,6 +60,12 @@ def scenario_file(tmp_path):
     return path
 
 
+def connection_trace(sim, access_address, dest):
+    """Write the rows of one connection of a simulated trace to ``dest``."""
+    save_trace(split_by_connection(load_trace(sim / "trace.csv"))[access_address], dest)
+    return dest
+
+
 def run_pipeline(tmp_path, scenario_file):
     sim = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario_file),
@@ -101,9 +109,14 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
     assert rows[0] == ["abs_error_us", "prob_error_exceeds"]
     assert len(rows) == ev["matched"] + 1
 
-    ev_dir = tmp_path / "ev"
+    # evaluate scores one connection: the merged trace is refused, its part is scored
     assert main(["evaluate", "--forecast", str(pred / "forecast.json"),
                  "--trace", str(sim / "trace.csv"), "--interval-us", "12500",
+                 "--out-dir", str(tmp_path / "ev_merged")]) == EXIT_CONFIG
+    part = connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv")
+    ev_dir = tmp_path / "ev"
+    assert main(["evaluate", "--forecast", str(pred / "forecast.json"),
+                 "--trace", str(part), "--interval-us", "12500",
                  "--out-dir", str(ev_dir)]) == EXIT_OK
     ev2 = json.loads((ev_dir / "eval.json").read_text())
     assert ev2["matched"] > 0
@@ -256,8 +269,37 @@ def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys)
     entries[1]["time_ns"], entries[2]["time_ns"] = entries[2]["time_ns"], entries[1]["time_ns"]
     unsorted = tmp_path / "unsorted.json"
     unsorted.write_text(json.dumps(forecast))
-    assert main(["evaluate", "--forecast", str(unsorted), "--trace", trace,
+    part = str(connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv"))
+    assert main(["evaluate", "--forecast", str(unsorted), "--trace", part,
                  "--interval-us", "12500", "--out-dir", str(tmp_path / "e2")]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
+def test_predict_uses_the_reports_central_packets(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({**SCENARIO, "connections": SCENARIO["connections"][:1]}))
+    sim, recon, _ = run_pipeline(tmp_path, one)
+    clean = load_trace(sim / "trace.csv")
+    # the same capture with a peripheral reply 150 us after each central packet
+    ts = clean.timestamps()
+    replies = SniffTrace(clean.sniff_channel, np.stack([ts, ts + 150_000], axis=1).ravel(),
+                         np.repeat(clean.access_addresses, 2), np.tile([True, False], ts.size))
+    save_trace(replies, tmp_path / "replies.csv")
+    report = recon / "report_0xB0A1CD9D.json"
+    outputs = {}
+    for name, trace in (("clean", sim / "trace.csv"), ("replies", tmp_path / "replies.csv")):
+        out = tmp_path / f"pred_{name}"
+        assert main(["predict", "--report", str(report), "--trace", str(trace),
+                     "--train-seconds", "60", "--out-dir", str(out)]) == EXIT_OK
+        outputs[name] = [(out / f).read_bytes() for f in ("forecast.json", "eval.json")]
+    assert outputs["replies"] == outputs["clean"]
+    # a report for an address the trace does not hold is refused
+    edited = json.loads(report.read_text())
+    edited["access_address"] = "0x12345678"
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(edited))
+    assert main(["predict", "--report", str(other), "--trace", str(sim / "trace.csv"),
+                 "--out-dir", str(tmp_path / "p")]) == EXIT_CONFIG
     capsys.readouterr()
 
 

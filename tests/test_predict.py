@@ -1,5 +1,7 @@
 """Unit tests for drift tracking, forecasting, and evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from blehop import (
     EstimationError,
     EventTimeline,
     Forecast,
-    ForecastEntry,
     ImpairmentModel,
     InsufficientDataError,
     IntervalEstimate,
@@ -35,6 +36,7 @@ from blehop import (
     run_prediction,
     simulate,
 )
+from blehop.predict import DEFAULT_GATE_SIGMA, MEASUREMENT_NOISE_VAR, PROCESS_NOISE
 
 MAP_27 = ChannelMap.from_hex("0x1FFFFFFC00")
 MAP_10 = ChannelMap.from_hex("0x1E00E00700")
@@ -45,6 +47,13 @@ def track(times_ns, hops, interval_ns, **kwargs):
     for t, h in zip(times_ns[1:], hops):
         sync = kalman_update(sync, t, h)
     return sync
+
+
+def forecast_of(rows, counters_are_wire=True):
+    """A forecast from (counter, channel, time_ns, time_std_ns) rows."""
+    counters, channels, times, stds = np.array(rows, dtype=float).reshape(-1, 4).T
+    return Forecast(counters.astype(np.int64), channels.astype(np.int64), times, stds,
+                    counters_are_wire)
 
 
 def simulate_one(params, duration_ns, sniff=22, seed=3, jitter=0.0, drift=0.0,
@@ -108,6 +117,49 @@ def test_outlier_is_gated_out():
     assert pred == pytest.approx(31 * interval, abs=100)
 
 
+def oracle_kalman_step(x, P, z, h, gate_sigma=DEFAULT_GATE_SIGMA):
+    """Textbook matrix Kalman step over (time, interval): returns x, P, gated."""
+    F = np.array([[1.0, h], [0.0, 1.0]])
+    Q = PROCESS_NOISE * np.array([[h**3 / 3.0, h**2 / 2.0], [h**2 / 2.0, h]])
+    H = np.array([[1.0, 0.0]])
+    x = F @ x
+    P = F @ P @ F.T + Q
+    S = (H @ P @ H.T)[0, 0] + MEASUREMENT_NOISE_VAR
+    y = z - (H @ x)[0]
+    if y * y > gate_sigma**2 * S:
+        return x, P, True
+    K = P @ H.T / S
+    x = x + K[:, 0] * y
+    P = (np.eye(2) - K @ H) @ P
+    return x, (P + P.T) / 2.0, False
+
+
+def test_tracker_matches_matrix_kalman_oracle():
+    interval = 7_500_000
+    rng = np.random.default_rng(11)
+    hops = rng.integers(1, 40, size=200)
+    offsets = np.concatenate([[0], np.cumsum(hops)])
+    times = offsets * interval * (1 + 20e-6) + np.rint(rng.normal(0, 50_000, offsets.size))
+    times[60] += 400_000  # off, but inside the gate (which includes the 100 us noise)
+    times[120] += 5_000_000  # one outlier, far outside the gate
+    sync = init_sync(times[0], interval)
+    x = np.array([times[0], float(interval)])
+    P = np.diag([MEASUREMENT_NOISE_VAR, (interval * 1e-4) ** 2])
+    gated_steps = []
+    for j in range(1, offsets.size):
+        h = int(hops[j - 1])
+        before = sync
+        sync = kalman_update(sync, times[j], h)
+        x, P, gated = oracle_kalman_step(x, P, times[j], float(h))
+        if gated:
+            gated_steps.append(j)
+        assert (sync.interval_ns == before.interval_ns) == gated
+        assert sync.anchor_offset == offsets[j]
+        np.testing.assert_allclose([sync.anchor_time_ns, sync.interval_ns], x, rtol=1e-12)
+        np.testing.assert_allclose(sync.covariance, [P[0, 0], P[0, 1], P[1, 1]], rtol=1e-12)
+    assert gated_steps == [120]
+
+
 def test_divergence_guard_trips():
     interval = 12_500_000
     sync = init_sync(0, interval)
@@ -153,26 +205,31 @@ def test_predict_csa2_channels_match_selection():
     fc = predict_csa2(align, ci, MAP_10, sync, 200)
     assert len(fc) == 200
     assert fc.counters_are_wire
-    counters = np.array([e.counter for e in fc.entries])
-    assert counters[0] == 60001
-    expected = csa2_channels_bulk(counters, ci, MAP_10)
-    assert [e.channel for e in fc.entries] == expected.tolist()
-    times = np.array([e.time_ns for e in fc.entries])
-    assert np.allclose(times, np.arange(1, 201) * 12_500_000)
+    assert fc.counters[0] == 60001
+    expected = csa2_channels_bulk(fc.counters, ci, MAP_10)
+    assert fc.channels.tolist() == expected.tolist()
+    assert np.allclose(fc.times_ns, np.arange(1, 201) * 12_500_000)
 
 
 def test_predict_csa2_wraps_counter():
     align = CounterAlignment(65530, 10, 1, False, (65530,))
     fc = predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
-    assert [e.counter for e in fc.entries] == [65531, 65532, 65533, 65534, 65535,
-                                               0, 1, 2, 3, 4]
+    assert fc.counters.tolist() == [65531, 65532, 65533, 65534, 65535, 0, 1, 2, 3, 4]
 
 
 def test_predict_csa2_channel_filter():
-    align = CounterAlignment(0, 10, 1, False, (0,))
-    fc = predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 500, channel=22)
-    assert 0 < len(fc) < 500
-    assert all(e.channel == 22 for e in fc.entries)
+    # predict_csa2 forecasts every event; run_prediction keeps one channel's rows
+    params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_10, 0xB0A1CD9D)
+    _, trace = simulate_one(params, 60 * 10**9)
+    recon = reconstruct_connection(trace)
+    full = run_prediction(trace, recon, train_ns=20 * 10**9, horizon=500).forecast
+    on_22 = run_prediction(trace, recon, train_ns=20 * 10**9, horizon=500, channel=22).forecast
+    assert len(full) == 500
+    assert 0 < len(on_22) < 500
+    assert on_22.counters_are_wire
+    keep = full.channels == 22
+    for got, want in zip(on_22.columns(), full.columns()):
+        np.testing.assert_array_equal(got, want[keep])
 
 
 def test_predict_csa2_refuses_ambiguous_alignment():
@@ -186,8 +243,8 @@ def test_predict_csa1_phase_profile():
     cls = CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10)
     fc = predict_csa1(cls, make_sync(), 74)
     assert not fc.counters_are_wire
-    assert [e.counter for e in fc.entries] == [25, 37, 62, 74]
-    assert all(e.channel == 10 for e in fc.entries)
+    assert fc.counters.tolist() == [25, 37, 62, 74]
+    assert fc.channels.tolist() == [10] * 4
     with pytest.raises(ConfigError):
         predict_csa1(CsaClassification(Verdict.CSA2, (), est, 10), make_sync(), 5)
 
@@ -210,12 +267,11 @@ CSA2_PARAMS = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
 
 def test_evaluate_by_counter_scores_errors():
     timeline = timeline_for(CSA2_PARAMS, 100)
-    entries = [
-        ForecastEntry(int(timeline.counters[i]), int(timeline.channels[i]),
-                      float(timeline.times_ns[i]) + err, 1000.0)
+    rows = [
+        (timeline.counters[i], timeline.channels[i], timeline.times_ns[i] + err, 1000.0)
         for i, err in ((10, 3000.0), (11, -4000.0), (12, 0.0))
     ]
-    report = evaluate(Forecast(entries), timeline, CSA2_PARAMS.interval_ns)
+    report = evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
     assert report.matched == 3
     assert report.rmse_ns == pytest.approx(np.sqrt((3000**2 + 4000**2) / 3))
     assert report.channel_mismatches == 0
@@ -226,8 +282,8 @@ def test_evaluate_by_counter_scores_errors():
 def test_evaluate_by_counter_detects_channel_mismatch():
     timeline = timeline_for(CSA2_PARAMS, 50)
     wrong = (int(timeline.channels[5]) + 1) % 37
-    entries = [ForecastEntry(5, wrong, float(timeline.times_ns[5]), 1.0)]
-    report = evaluate(Forecast(entries), timeline, CSA2_PARAMS.interval_ns)
+    rows = [(5, wrong, timeline.times_ns[5], 1.0)]
+    report = evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
     assert report.channel_mismatches == 1
 
 
@@ -240,7 +296,7 @@ def test_evaluate_by_counter_disambiguates_wraps():
     timeline = EventTimeline(CSA2_PARAMS, counters, channels, times)
     near_second = float(times[1]) + 2000.0
     report = evaluate(
-        Forecast([ForecastEntry(5, int(channels[1]), near_second, 1.0)]),
+        forecast_of([(5, channels[1], near_second, 1.0)]),
         timeline, CSA2_PARAMS.interval_ns,
     )
     assert report.rmse_ns == pytest.approx(2000.0)
@@ -248,12 +304,11 @@ def test_evaluate_by_counter_disambiguates_wraps():
 
 def test_evaluate_counts_missed_predictions():
     timeline = timeline_for(CSA2_PARAMS, 10)
-    entries = [ForecastEntry(9999, 0, 1e12, 1.0)]  # counter never occurs
+    rows = [(9999, 0, 1e12, 1.0)]  # counter never occurs
     with pytest.raises(EstimationError):
-        evaluate(Forecast(entries), timeline, CSA2_PARAMS.interval_ns)
-    entries.append(ForecastEntry(3, int(timeline.channels[3]),
-                                 float(timeline.times_ns[3]), 1.0))
-    report = evaluate(Forecast(entries), timeline, CSA2_PARAMS.interval_ns)
+        evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
+    rows.append((3, timeline.channels[3], timeline.times_ns[3], 1.0))
+    report = evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
     assert report.missed_predictions == 1
     assert report.matched == 1
 
@@ -262,26 +317,41 @@ def test_evaluate_against_trace_by_time():
     interval = 12_500_000
     obs_times = [0, 2 * interval, 5 * interval]
     trace = SniffTrace(22, obs_times, [0xB0A1CD9D] * 3, [True] * 3)
-    entries = [
-        ForecastEntry(0, 22, 0.0 + 1000, 1.0),
-        ForecastEntry(2, 22, 2.0 * interval - 500, 1.0),
-        ForecastEntry(3, 22, 3.0 * interval, 1.0),       # no matching observation
-        ForecastEntry(5, 22, 5.0 * interval + 9_000_000, 1.0),  # beyond half interval
+    rows = [
+        (0, 22, 0.0 + 1000, 1.0),
+        (2, 22, 2.0 * interval - 500, 1.0),
+        (3, 22, 3.0 * interval, 1.0),       # no matching observation
+        (5, 22, 5.0 * interval + 9_000_000, 1.0),  # beyond half interval
     ]
-    report = evaluate(Forecast(entries, counters_are_wire=False), trace, interval)
+    report = evaluate(forecast_of(rows, counters_are_wire=False), trace, interval)
     assert report.matched == 2
     assert sorted(np.round(report.abs_errors_ns).tolist()) == [500, 1000]
     assert report.missed_predictions == 2
     assert report.unmatched_references == 1
 
 
+def test_evaluate_against_trace_scores_one_connections_central_rows():
+    interval = 12_500_000
+    fc = forecast_of([(0, 22, 0.0, 1.0), (1, 22, 1.0 * interval, 1.0)],
+                     counters_are_wire=False)
+    # a peripheral reply 150 us after each central packet is not a reference
+    replies = SniffTrace(22, [0, 150_000, interval, interval + 150_000],
+                         [0xB0A1CD9D] * 4, [True, False, True, False])
+    report = evaluate(fc, replies, interval)
+    assert (report.matched, report.unmatched_references, report.rmse_ns) == (2, 0, 0.0)
+    # another connection's packets are not references either: refused
+    mixed = SniffTrace(22, [0, 5_000_000, interval], [0xB0A1CD9D, 0x53D39A21, 0xB0A1CD9D],
+                       [True] * 3)
+    with pytest.raises(ConfigError, match="mixes access addresses"):
+        evaluate(fc, mixed, interval)
+
+
 def test_evaluate_rejects_unsorted_forecast_times():
     interval = 12_500_000
     trace = SniffTrace(22, [0, interval, 2 * interval], [0xB0A1CD9D] * 3, [True] * 3)
-    entries = [ForecastEntry(k, 22, t, 1.0) for k, t in
-               enumerate([0.0, 2.0 * interval, 1.0 * interval])]
+    rows = [(k, 22, t, 1.0) for k, t in enumerate([0.0, 2.0 * interval, 1.0 * interval])]
     with pytest.raises(ConfigError, match="non-decreasing"):
-        evaluate(Forecast(entries, counters_are_wire=False), trace, interval)
+        evaluate(forecast_of(rows, counters_are_wire=False), trace, interval)
 
 
 def test_from_dict_rejects_missing_keys():
@@ -289,6 +359,9 @@ def test_from_dict_rejects_missing_keys():
         Forecast.from_dict({"counters_are_wire": True})
     with pytest.raises(ConfigError, match="'time_ns'"):
         Forecast.from_dict({"entries": [{"counter": 1, "channel": 2, "time_std_ns": 1.0}]})
+    with pytest.raises(ConfigError, match="bad forecast value"):
+        Forecast.from_dict({"entries": [{"counter": 2**70, "channel": 2, "time_ns": 0.0,
+                                         "time_std_ns": 1.0}]})
     with pytest.raises(ConfigError, match="'access_address'"):
         ReconstructionReport.from_dict({"sniff_channel": 22})
     with pytest.raises(ConfigError, match="bad report value"):
@@ -300,20 +373,16 @@ def test_from_dict_rejects_missing_keys():
 def test_evaluate_rejects_empty_inputs():
     timeline = timeline_for(CSA2_PARAMS, 5)
     with pytest.raises(EstimationError):
-        evaluate(Forecast([]), timeline, CSA2_PARAMS.interval_ns)
+        evaluate(forecast_of([]), timeline, CSA2_PARAMS.interval_ns)
     with pytest.raises(ConfigError):
-        evaluate(Forecast([ForecastEntry(0, 0, 0.0, 1.0)]), "nope",
-                 CSA2_PARAMS.interval_ns)
+        evaluate(forecast_of([(0, 0, 0.0, 1.0)]), "nope", CSA2_PARAMS.interval_ns)
 
 
 def test_eccdf_is_a_survival_curve():
     timeline = timeline_for(CSA2_PARAMS, 30)
-    entries = [
-        ForecastEntry(int(timeline.counters[i]), int(timeline.channels[i]),
-                      float(timeline.times_ns[i]) + 1000.0 * i, 1.0)
-        for i in range(10)
-    ]
-    report = evaluate(Forecast(entries), timeline, CSA2_PARAMS.interval_ns)
+    rows = [(timeline.counters[i], timeline.channels[i], timeline.times_ns[i] + 1000.0 * i, 1.0)
+            for i in range(10)]
+    report = evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
     errs = [e for e, _ in report.eccdf]
     probs = [p for _, p in report.eccdf]
     assert errs == sorted(errs)
@@ -323,10 +392,24 @@ def test_eccdf_is_a_survival_curve():
 
 
 def test_forecast_dict_round_trip():
-    fc = Forecast([ForecastEntry(5, 22, 123.0, 4.0)], counters_are_wire=False)
-    rebuilt = Forecast.from_dict(fc.to_dict())
-    assert rebuilt.entries == fc.entries
+    fc = forecast_of([(65534, 3, 1.5e9, 40.0), (65535, 22, 1.5075e9 + 0.125, 41.5),
+                      (0, 36, 1.515e9, 43.0)], counters_are_wire=False)
+    raw = fc.to_dict()
+    assert raw["entries"][1] == {"counter": 65535, "channel": 22,
+                                 "time_ns": 1.5075e9 + 0.125, "time_std_ns": 41.5}
+    assert all(type(e["counter"]) is int and type(e["channel"]) is int for e in raw["entries"])
+    rebuilt = Forecast.from_dict(json.loads(json.dumps(raw)))
     assert rebuilt.counters_are_wire is False
+    for got, want in zip(rebuilt.columns(), fc.columns()):
+        np.testing.assert_array_equal(got, want)
+    assert [col.dtype.kind for col in rebuilt.columns()] == ["i", "i", "f", "f"]
+    assert rebuilt.to_dict() == raw
+    # an empty forecast keeps typed, empty columns
+    empty = Forecast.from_dict({"entries": []})
+    assert len(empty) == 0
+    assert empty.counters_are_wire is True
+    assert [col.dtype.kind for col in empty.columns()] == ["i", "i", "f", "f"]
+    assert empty.to_dict() == {"counters_are_wire": True, "entries": []}
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +452,10 @@ def test_run_prediction_csa1_predicts_visits():
     ref_report = evaluate(run.forecast, timelines[0], params.interval_ns)
     assert ref_report.missed_predictions == 0
     assert ref_report.channel_mismatches == 0
+    # the channel filter serves CSA#1 too: every visit is on the sniffed channel
+    on_sniffed = run_prediction(trace, recon, train_ns=100 * 10**9, channel=22)
+    assert on_sniffed.forecast.to_dict() == run.forecast.to_dict()
+    assert len(run_prediction(trace, recon, train_ns=100 * 10**9, channel=10).forecast) == 0
 
 
 def test_run_prediction_horizon_and_channel_filter():
@@ -376,7 +463,7 @@ def test_run_prediction_horizon_and_channel_filter():
     _, trace = simulate_one(params, 60 * 10**9)
     recon = reconstruct_connection(trace)
     run = run_prediction(trace, recon, train_ns=20 * 10**9, horizon=300, channel=22)
-    assert all(e.channel == 22 for e in run.forecast.entries)
+    assert np.all(run.forecast.channels == 22)
     assert len(run.forecast) < 300
     full = run_prediction(trace, recon, train_ns=20 * 10**9, horizon=300)
     assert len(full.forecast) == 300
