@@ -148,7 +148,7 @@ def cmd_predict(args):
     )
     out = _out_dir(args)
     forecast_path = out / "forecast.json"
-    _write_json(forecast_path, run.forecast.to_dict())
+    _atomic_write_text(forecast_path, run.forecast.to_json())
     eval_path = out / "eval.json"
     _write_json(eval_path, run.report.to_dict())
     eccdf_path = out / "eccdf.csv"

@@ -14,6 +14,7 @@ can be forecast.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,6 +166,23 @@ class Forecast:
             ],
         }
 
+    def to_json(self):
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
+
+        The rows are written from the columns with a ``repr`` template,
+        because ``indent`` sends ``json.dumps`` to its slow pure-Python
+        encoder. ``repr`` and JSON spell nan and inf differently, so a
+        forecast with a non-finite value (or with no rows) is left to
+        ``json.dumps``.
+        """
+        if len(self) == 0 or not all(np.isfinite(col).all() for col in self.columns()):
+            return json.dumps(self.to_dict(), indent=2) + "\n"
+        values = (col.tolist() for col in self.columns())
+        row = ('    {\n      "counter": %r,\n      "channel": %r,\n'
+               '      "time_ns": %r,\n      "time_std_ns": %r\n    }')
+        return ('{\n  "counters_are_wire": %s,\n  "entries": [\n%s\n  ]\n}\n'
+                % (json.dumps(self.counters_are_wire), ",\n".join(row % e for e in zip(*values))))
+
     @classmethod
     def from_dict(cls, raw):
         with reading("forecast"):
@@ -283,7 +301,7 @@ def evaluate(forecast, reference, interval_ns):
     elif isinstance(reference, SniffTrace):
         if np.unique(reference.access_addresses).size > 1:
             raise ConfigError("trace mixes access addresses; split it by connection first")
-        ref_times = reference.timestamps()[reference.is_central].astype(float)
+        ref_times = reference.central().timestamps().astype(float)
         ref_channels = None
     else:
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
@@ -363,12 +381,14 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     observations make the evaluation report. A long-horizon forecast from
     the end-of-training anchor is returned alongside; ``horizon`` defaults
     to covering the trace and is counted in events past that anchor.
-    ``channel`` restricts that forecast to events on one channel.
+    ``channel`` restricts that forecast to events on one channel. Only the
+    central packets of the trace are observations.
     """
     if recon.error:
         raise EstimationError(f"reconstruction failed: {recon.error}")
     classification = recon.classification
     est = classification.interval
+    trace = trace.central()
     ts = trace.timestamps()
     offsets = observation_offsets(trace, est.raw_interval_ns)
     n_train = int(np.sum(ts <= ts[0] + int(train_ns)))

@@ -524,12 +524,14 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     channel selection and the single-channel view pins, at most, the hit
     phases); CSA#2 continues through counter alignment and map inference.
     An ambiguous alignment is surfaced in the report, and map inference is
-    then skipped rather than guessing a candidate.
+    then skipped rather than guessing a candidate. Only the central
+    packets are observations of the connection's events.
     """
     addresses = np.unique(trace.access_addresses).tolist()
     if len(addresses) > 1:
         raise ConfigError("trace mixes access addresses; split it by connection first")
     aa = addresses[0] if addresses else 0
+    trace = trace.central()
     report = ReconstructionReport(
         access_address=aa,
         sniff_channel=trace.sniff_channel,

@@ -76,6 +76,14 @@ class SniffTrace:
         """All observation timestamps as a read-only int64 array (ns)."""
         return self._timestamps
 
+    def central(self):
+        """The central packets only; the trace itself when every packet is central."""
+        keep = self.is_central
+        if keep.all():
+            return self
+        return SniffTrace(self.sniff_channel, self._timestamps[keep], self.access_addresses[keep],
+                          np.ones(np.count_nonzero(keep), dtype=bool))
+
     @property
     def observations(self):
         """The rows as :class:`Observation` values, built on each access."""
@@ -128,31 +136,126 @@ def load_trace(source, fmt="csv"):
     their file order). All rows must share one channel (a single-channel
     sniffer cannot produce a mixed trace); parse problems raise
     :class:`TraceParseError` with the offending row number.
+
+    A seekable CSV source is first read in bulk, chunk by chunk, on the
+    assumption that it is in the exact form :func:`save_trace` writes. On
+    any departure from that form the whole source is read again row by
+    row, so the values and every error are those of the row parser.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown trace format {fmt!r}")
-    timestamps, addresses, central = array("q"), array("I"), array("b")
-    channels = set()
     handle, owned = _open_text(source)
     try:
-        records = _csv_records(handle) if fmt == "csv" else _jsonl_records(handle)
-        for row, fields in records:
-            ts, aa, channel, is_central = _parse_row(row, *fields)
-            try:
-                timestamps.append(ts)
-            except OverflowError:
-                raise TraceParseError(row, f"timestamp_ns {ts} outside the int64 range") from None
-            addresses.append(aa)
-            central.append(is_central)
-            channels.add(channel)
+        columns = None
+        if fmt == "csv" and handle.seekable():
+            start = handle.tell()
+            columns = _read_csv_bulk(handle)
+            if columns is None:
+                handle.seek(start)
+        if columns is None:
+            columns = _read_rows(handle, fmt)
     finally:
         if owned:
             handle.close()
+    channel, *columns = columns
+    columns = [np.asarray(column) for column in columns]
+    if np.any(columns[0][1:] < columns[0][:-1]):
+        order = np.argsort(columns[0], kind="stable")
+        columns = [column[order] for column in columns]
+    return SniffTrace(channel, *columns)
+
+
+def _read_rows(handle, fmt):
+    """(channel, timestamps, addresses, central) parsed one row at a time."""
+    timestamps, addresses, central = array("q"), array("I"), array("b")
+    channels = set()
+    records = _csv_records(handle) if fmt == "csv" else _jsonl_records(handle)
+    for row, fields in records:
+        ts, aa, channel, is_central = _parse_row(row, *fields)
+        try:
+            timestamps.append(ts)
+        except OverflowError:
+            raise TraceParseError(row, f"timestamp_ns {ts} outside the int64 range") from None
+        addresses.append(aa)
+        central.append(is_central)
+        channels.add(channel)
     if len(channels) > 1:
         raise TraceParseError(0, f"mixed sniff channels in one trace: {sorted(channels)}")
-    order = np.argsort(timestamps, kind="stable")
-    columns = (np.asarray(column)[order] for column in (timestamps, addresses, central))
-    return SniffTrace(channels.pop() if channels else None, *columns)
+    return (channels.pop() if channels else None), timestamps, addresses, central
+
+
+_CHUNK_HINT = 1 << 18  # bytes of text per bulk-parsed chunk of lines
+# loadtxt truncates a longer field to its width silently, so a field that
+# fills its width is rejected: timestamps hold at most a sign and 19 digits
+_BULK_FIELDS = np.dtype([("ts", "S21"), ("aa", "S11"), ("ch", "S3"), ("central", "S6")])
+_BULK_CHANNELS = {str(ch).encode(): ch for ch in range(NUM_DATA_CHANNELS)}
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[np.frombuffer(b"0123456789", dtype=np.uint8)] = True
+_NIBBLE = np.full(256, 16, dtype=np.uint32)  # 16: not an uppercase hex digit
+_NIBBLE[np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)] = np.arange(16)
+
+
+def _read_csv_bulk(handle):
+    """(channel, timestamps, addresses, central) of CSV text written exactly
+    as :func:`save_trace` writes it, or None at the first departure from
+    that form (the handle is then left part-read)."""
+    if handle.readline() != ",".join(CSV_FIELDS) + "\n":
+        return None
+    timestamps, addresses, central = array("q"), array("I"), array("b")
+    channel = None
+    while lines := handle.readlines(_CHUNK_HINT):
+        text = "".join(lines)
+        # loadtxt skips blank lines, ends a line at "\r" and pads fields with NUL bytes
+        if text[0] == "\n" or "\n\n" in text or "\r" in text or "\0" in text:
+            return None
+        try:
+            fields = np.loadtxt(lines, dtype=_BULK_FIELDS, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+        chunk_channel = _BULK_CHANNELS.get(fields["ch"][0])
+        if (chunk_channel is None or channel not in (None, chunk_channel)
+                or np.any(fields["ch"] != fields["ch"][0])):
+            return None
+        channel = chunk_channel
+        ts = _bulk_timestamps(fields["ts"])
+        aa = _bulk_addresses(fields["aa"])
+        is_central = fields["central"] == b"true"
+        if ts is None or aa is None or not np.all(is_central | (fields["central"] == b"false")):
+            return None
+        timestamps.frombytes(ts.tobytes())
+        addresses.frombytes(aa.tobytes())
+        central.frombytes(is_central.tobytes())
+    return channel, timestamps, addresses, central
+
+
+def _byte_matrix(field):
+    """The bytes of a field of a chunk's records, one row per record."""
+    return np.ascontiguousarray(field).view(np.uint8).reshape(field.size, -1)
+
+
+def _bulk_timestamps(field):
+    """int64 values of decimal fields (an optional "-", then digits), or None."""
+    raw = _byte_matrix(field)
+    width = np.count_nonzero(raw, axis=1)
+    negative = raw[:, 0] == ord("-")
+    digits = _DIGIT[raw] | (np.arange(raw.shape[1]) >= width[:, None])
+    digits[:, 0] |= negative
+    if not (np.all(digits) and np.all(width > negative) and np.all(width < raw.shape[1])):
+        return None
+    try:
+        return field.astype(np.int64)
+    except OverflowError:
+        return None
+
+
+def _bulk_addresses(field):
+    """Values of "0x" + 8 uppercase hex digit fields, or None."""
+    raw = _byte_matrix(field)
+    nibbles = _NIBBLE[raw[:, 2:10]]
+    if not (np.all(raw[:, 0] == ord("0")) and np.all(raw[:, 1] == ord("x"))
+            and np.all(nibbles < 16) and not np.any(raw[:, 10:])):
+        return None
+    return (nibbles << np.arange(28, -1, -4, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
 
 
 def _csv_records(handle):
@@ -193,19 +296,20 @@ def save_trace(trace, dest, fmt="csv"):
     """Write a trace to a path or text stream in ``csv`` or ``jsonl`` form."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown trace format {fmt!r}")
-    rows = (
-        (ts, f"0x{aa:08X}", trace.sniff_channel, central)
-        for ts, aa, central in zip(trace.timestamps().tolist(),
-                                   trace.access_addresses.tolist(), trace.is_central.tolist())
-    )
+    columns = (trace.timestamps().tolist(), trace.access_addresses.tolist(),
+               trace.is_central.tolist())
     handle, owned = _open_text(dest, "w")
     try:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_FIELDS)
-            writer.writerows((ts, aa, ch, "true" if c else "false") for ts, aa, ch, c in rows)
+            row = (f"%d,0x%08X,{trace.sniff_channel},false\n",
+                   f"%d,0x%08X,{trace.sniff_channel},true\n")
+            handle.write(",".join(CSV_FIELDS) + "\n")
+            handle.writelines(row[central] % (ts, aa) for ts, aa, central in zip(*columns))
         else:
-            handle.writelines(json.dumps(dict(zip(CSV_FIELDS, row))) + "\n" for row in rows)
+            handle.writelines(
+                json.dumps(dict(zip(CSV_FIELDS, (ts, f"0x{aa:08X}", trace.sniff_channel, c))))
+                + "\n" for ts, aa, c in zip(*columns)
+            )
     finally:
         if owned:
             handle.close()
@@ -223,16 +327,19 @@ def split_by_connection(trace):
     part and the parts' packets union back to the central packets of the
     input.
     """
-    ts, aa = trace.timestamps(), trace.access_addresses
-    addresses, first, group = np.unique(aa, return_index=True, return_inverse=True)
-    # central rows grouped by address, in row order within each group
-    central = np.flatnonzero(trace.is_central)
-    central = central[np.argsort(group[central], kind="stable")]
-    bounds = np.searchsorted(group[central], np.arange(addresses.size + 1))
+    ts, aa, central = trace.timestamps(), trace.access_addresses, trace.is_central
+    order = np.argsort(aa, kind="stable")  # rows grouped by address, in row order
+    grouped = aa[order]
+    first_of_group = np.ones(aa.size, dtype=bool)
+    first_of_group[1:] = grouped[1:] != grouped[:-1]
+    starts = np.flatnonzero(first_of_group)
+    bounds = np.append(starts, aa.size)
     parts = {}
-    for k in np.argsort(first):
-        rows = central[bounds[k]:bounds[k + 1]]
-        parts[int(addresses[k])] = SniffTrace(
+    # each group starts with its address's first row: order the groups by it
+    for k in np.argsort(order[starts]):
+        rows = order[bounds[k]:bounds[k + 1]]
+        rows = rows[central[rows]]
+        parts[int(grouped[starts[k]])] = SniffTrace(
             trace.sniff_channel, ts[rows], aa[rows], np.ones(rows.size, dtype=bool)
         )
     return parts

@@ -412,6 +412,30 @@ def test_forecast_dict_round_trip():
     assert empty.to_dict() == {"counters_are_wire": True, "entries": []}
 
 
+def test_forecast_json_is_json_dumps_byte_for_byte():
+    def dumped(fc):
+        return json.dumps(fc.to_dict(), indent=2) + "\n"
+
+    sync = kalman_update(init_sync(0, 12_500_037.3), 12_500_090, 1)
+    align = CounterAlignment(65500, 10, 1, False, (65500,))
+    csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
+    assert 65535 in csa2.counters.tolist()
+    est = IntervalEstimate(12_500_000, 12_500_037.3, ())
+    csa1 = predict_csa1(CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10), sync, 300)
+    # repr takes exponent form for these; JSON writes floats with repr too
+    exponents = forecast_of([(1, 2, 1e16, 1e-07), (65535, 36, 1.5e22, 5e-324)])
+    empty = Forecast.from_dict({"entries": []})
+    for fc in (csa2, csa1, exponents, empty):
+        assert fc.to_json() == dumped(fc)
+    assert '"counters_are_wire": false' in csa1.to_json()
+    assert '"time_ns": 1e+16' in exponents.to_json()
+    # repr spells these nan/inf, JSON NaN/Infinity: the writer must fall back
+    for value, spelling in ((np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity")):
+        fc = forecast_of([(1, 2, 3.0, value), (2, 3, 4.0, 5.0)])
+        assert fc.to_json() == dumped(fc)
+        assert f'"time_std_ns": {spelling}' in fc.to_json()
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
@@ -456,6 +480,27 @@ def test_run_prediction_csa1_predicts_visits():
     on_sniffed = run_prediction(trace, recon, train_ns=100 * 10**9, channel=22)
     assert on_sniffed.forecast.to_dict() == run.forecast.to_dict()
     assert len(run_prediction(trace, recon, train_ns=100 * 10**9, channel=10).forecast) == 0
+
+
+def test_library_ignores_peripheral_packets():
+    # the README scenario, and the same capture with a peripheral reply
+    # 150 us after each central packet
+    params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
+    config = ScenarioConfig((ConnectionScenario(params, ImpairmentModel(
+        120 * 10**9, 50_000.0, 20.0, 0.1)),), sniff_channel=22, rng_seed=7)
+    _, clean = simulate(config)
+    ts = clean.timestamps()
+    replies = SniffTrace(clean.sniff_channel, np.stack([ts, ts + 150_000], axis=1).ravel(),
+                         np.repeat(clean.access_addresses, 2), np.tile([True, False], ts.size))
+    recon = reconstruct_connection(clean)
+    assert recon.error is None
+    assert reconstruct_connection(replies).to_dict() == recon.to_dict()
+    want = run_prediction(clean, recon, train_ns=60 * 10**9)
+    got = run_prediction(replies, recon, train_ns=60 * 10**9)
+    assert got.forecast.to_json() == want.forecast.to_json()
+    assert got.report.to_dict() == want.report.to_dict()
+    # an all-central trace is used as it is
+    assert clean.central() is clean
 
 
 def test_run_prediction_horizon_and_channel_filter():

@@ -1,10 +1,11 @@
 """Unit tests for the observation model and trace file I/O."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blehop import (
@@ -15,6 +16,7 @@ from blehop import (
     save_trace,
     split_by_connection,
 )
+from blehop import trace as trace_module
 
 
 def make_trace(sniff=22):
@@ -286,3 +288,87 @@ def test_trace_copies_its_columns():
     trace = SniffTrace(5, ts, [1, 2], [True, False])
     ts[0] = 0
     assert trace.timestamps().tolist() == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the bulk CSV reader against the row parser
+
+CSV_HEADER = "timestamp_ns,access_address_hex,channel,is_central\n"
+
+
+def csv_fields(ts, aa, channel, central):
+    return [str(ts), f"0x{aa:08X}", str(channel), "true" if central else "false"]
+
+
+# Each rewrites the fields of one row as save_trace writes it. Some results
+# are still valid for the row parser (with equal or other values), some not.
+ANOMALIES = {
+    "quotes": lambda f: [f'"{x}"' for x in f],
+    "carriage_return": lambda f: [*f[:3], f[3] + "\r"],
+    "space": lambda f: [f[0] + " ", *f[1:]],
+    "blank_lines": lambda f: ["\n\n" + f[0], *f[1:]],
+    "nul_byte": lambda f: [f[0] + "\0", *f[1:]],
+    "lowercase_hex": lambda f: [f[0], f[1].lower(), *f[2:]],
+    "odd_width_hex": lambda f: [f[0], f"0x{int(f[1], 16):X}", *f[2:]],
+    "wide_hex": lambda f: [f[0], "0x0" + f[1][2:], *f[2:]],
+    "numeric_flag": lambda f: [*f[:3], "1" if f[3] == "true" else "0"],
+    "bad_flag": lambda f: [*f[:3], "maybe"],
+    "int64_overflow": lambda f: [str(2**63 + 5), *f[1:]],
+    "int64_underflow": lambda f: [str(-(2**63) - 1), *f[1:]],
+    "leading_zeros": lambda f: ["0" * 20 + f[0], *f[1:]],
+    "bare_sign": lambda f: ["-", *f[1:]],
+    "plus_sign": lambda f: ["+" + f[0], *f[1:]],
+    "other_channel": lambda f: [*f[:2], str((int(f[2]) + 1) % 37), f[3]],
+    "padded_channel": lambda f: [*f[:2], "0" + f[2], f[3]],
+    "channel_out_of_range": lambda f: [*f[:2], "37", f[3]],
+    "missing_column": lambda f: f[:3],
+    "extra_column": lambda f: [*f, ""],
+}
+HEADERS = [CSV_HEADER, CSV_HEADER.replace("\n", "\r\n"), " " + CSV_HEADER,
+           '"timestamp_ns",access_address_hex,channel,is_central\n', "a,b,c,d\n", ""]
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, whether save_trace could have written it): rows in any
+    order, with ties and the extreme addresses, and at most one kind of
+    anomaly, in one to three rows."""
+    channel = draw(st.integers(0, 36))
+    rows = draw(st.lists(st.tuples(timestamps, addresses, st.booleans()), max_size=40))
+    fields = [csv_fields(ts, aa, channel, central) for ts, aa, central in rows]
+    anomaly = draw(st.sampled_from([None, *ANOMALIES])) if rows else None
+    if anomaly:
+        for row in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
+            fields[row] = ANOMALIES[anomaly](fields[row])
+    header = draw(st.sampled_from([CSV_HEADER] * len(HEADERS) + HEADERS))
+    text = header + "".join(",".join(f) + "\n" for f in fields)
+    if rows and draw(st.booleans()):
+        text = text[:-1]  # no newline after the last row
+    return text, header == CSV_HEADER and not anomaly
+
+
+class UnseekableText(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def load_outcome(stream):
+    try:
+        trace = load_trace(stream)
+    except TraceParseError as exc:
+        return exc.row, str(exc)
+    return trace.sniff_channel, columns(trace)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=csv_texts(), chunk_hint=st.sampled_from([1, 64, 200, 1 << 18]))
+# a chunk of blank lines only, which loadtxt reads as no rows at all
+@example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n\n6,0x00000001,7,true\n", False),
+         chunk_hint=1)
+def test_bulk_csv_reader_equals_the_row_parser(case, chunk_hint):
+    text, canonical = case
+    with mock.patch.object(trace_module, "_CHUNK_HINT", chunk_hint):
+        # an unseekable stream is read row by row only
+        assert load_outcome(io.StringIO(text)) == load_outcome(UnseekableText(text))
+        if canonical:  # the form save_trace writes never needs the row parser
+            assert trace_module._read_csv_bulk(io.StringIO(text)) is not None
