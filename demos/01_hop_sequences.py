@@ -18,8 +18,8 @@ from blehop import (
     CsaVersion,
     channel_identifier,
     channel_sequence,
-    csa1_unmapped_channel,
-    csa2_unmapped_channel,
+    csa1_unmapped_bulk,
+    csa2_unmapped_bulk,
 )
 
 # A channel map with the ten lowest data channels excluded (e.g. because
@@ -47,10 +47,7 @@ print("  ... and events 37..73 are identical: the sequence has period 37.")
 # The remap rule: an excluded unmapped channel u is replaced by the
 # (u mod n_ch)-th allowed channel — a FIXED target per excluded source.
 # The recursion always advances the *unmapped* channel, one hop per event.
-unmapped, u = [], csa1.initial_channel
-for _ in range(37):
-    u = csa1_unmapped_channel(u, csa1.hop_increment)
-    unmapped.append(u)
+unmapped = csa1_unmapped_bulk(np.arange(37), csa1.initial_channel, csa1.hop_increment).tolist()
 remapped = {u: int(m) for u, m in zip(unmapped, seq[:37]) if u not in cmap}
 print("  remapped events (unmapped -> on-air):", remapped)
 
@@ -64,12 +61,11 @@ print("  channels for event counters 0..11:", seq2.tolist())
 
 # CSA#2 remaps through the PRN as well, so one excluded source channel
 # lands on MANY different targets over time — unlike CSA#1.
-all_channels = channel_sequence(csa2, 0, 3000)
+all_channels = channel_sequence(csa2, 0, 3000).tolist()
 targets = {}
-for k in range(3000):
-    u = csa2_unmapped_channel(k, ci)
+for u, channel in zip(csa2_unmapped_bulk(np.arange(3000), ci).tolist(), all_channels):
     if u not in cmap:
-        targets.setdefault(u, set()).add(int(all_channels[k]))
+        targets.setdefault(u, set()).add(channel)
 some = sorted(targets)[0]
 print(f"  excluded channel {some} remapped onto {len(targets[some])} distinct "
       f"targets in 3000 events: {sorted(targets[some])}")

@@ -12,21 +12,15 @@ from .csa import (
     ChannelMap,
     ConnectionParams,
     CsaVersion,
-    channel_for_event,
     channel_identifier,
     channel_sequence,
     csa1_channels_bulk,
     csa1_unmapped_bulk,
-    csa1_unmapped_channel,
     csa2_channels_bulk,
     csa2_unmapped_bulk,
-    csa2_unmapped_channel,
     mam,
     perm16,
-    prn_e,
     prn_e_bulk,
-    remap_csa1,
-    remap_csa2,
 )
 from .errors import (
     AmbiguousAlignmentError,

@@ -17,7 +17,7 @@ into the map:
   excluded channel lands on varying allowed channels over time.
 
 Each rule is written once, as a NumPy function over counters or event
-indices; the scalar functions are one-element views that return ints.
+indices, and every other module calls these functions.
 All 16-bit arithmetic is done in wider intermediates and reduced mod 2**16.
 """
 
@@ -245,7 +245,7 @@ def channel_identifier(access_address):
 
 
 # ---------------------------------------------------------------------------
-# the channel-selection core, then its one-element views
+# the channel-selection core
 
 
 def perm16(x):
@@ -328,41 +328,3 @@ def channel_sequence(params, start_event, count):
     ci = channel_identifier(params.access_address)
     return csa2_channels_bulk(idx, ci, params.channel_map)
 
-
-def prn_e(k, ci):
-    """Per-event 16-bit pseudo-random number for counter ``k`` under ``ci``."""
-    return int(prn_e_bulk(k, ci))
-
-
-def csa2_unmapped_channel(k, ci):
-    return int(csa2_unmapped_bulk(k, ci))
-
-
-def remap_csa2(k, ci, channel_map):
-    """CSA#2 channel for counter ``k``: unmapped if allowed, else remapped."""
-    return int(csa2_channels_bulk(k, ci, channel_map))
-
-
-def csa1_unmapped_channel(prev_channel, hop_increment):
-    """Advance the CSA#1 unmapped channel by one event."""
-    _check_channel(prev_channel, "prev_channel")
-    if not HOP_INCREMENT_MIN <= hop_increment <= HOP_INCREMENT_MAX:
-        raise ConfigError(f"hop_increment must be in 5..16, got {hop_increment}")
-    return int(csa1_unmapped_bulk(0, prev_channel, hop_increment))
-
-
-def remap_csa1(unmapped, channel_map):
-    """CSA#1 remap: identity inside the map, else ordered[unmapped mod n_ch]."""
-    return int(channel_map.remap_table[_check_channel(unmapped, "unmapped")])
-
-
-def channel_for_event(params, event_index):
-    """Channel used at a given event index (counter, epoch-extended).
-
-    For CSA#2 only ``event_index mod 65536`` matters; for CSA#1 the index
-    counts events from the start of the connection and the result repeats
-    every 37 events.
-    """
-    if event_index < 0:
-        raise ConfigError(f"event_index must be >= 0, got {event_index}")
-    return int(channel_sequence(params, event_index, 1)[0])

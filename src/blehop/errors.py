@@ -48,12 +48,9 @@ class InsufficientDataError(EstimationError):
 class AmbiguousAlignmentError(EstimationError):
     """Counter alignment produced more than one equally good candidate."""
 
-    def __init__(self, candidates, message=None):
+    def __init__(self, candidates):
         self.candidates = tuple(int(c) for c in candidates)
-        super().__init__(
-            message
-            or f"ambiguous counter alignment: {len(self.candidates)} tied candidates"
-        )
+        super().__init__(f"ambiguous counter alignment: {len(self.candidates)} tied candidates")
 
 
 class InconsistentEvidenceError(EstimationError):

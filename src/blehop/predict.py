@@ -299,8 +299,7 @@ def evaluate(forecast, reference, interval_ns):
         ref_times = reference.times_ns.astype(float)
         ref_channels = reference.channels
     elif isinstance(reference, SniffTrace):
-        if np.unique(reference.access_addresses).size > 1:
-            raise ConfigError("trace mixes access addresses; split it by connection first")
+        reference.only_address()  # raises on a trace that mixes addresses
         ref_times = reference.central().timestamps().astype(float)
         ref_channels = None
     else:

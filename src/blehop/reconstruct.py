@@ -74,13 +74,13 @@ class IntervalEstimate:
     ``interval_ns`` is snapped to the 1.25 ms grid; ``raw_interval_ns`` is
     the unsnapped least-squares fit (it tracks the connection's clock as
     the sniffer sees it, so it is the better base for prediction).
-    ``hop_counts[i]`` is the integer number of events between observations
-    i and i+1.
+    ``offsets`` holds each observation's int64 event offset from the first
+    (``offsets[0]`` is 0); as an array, it makes ``==`` on estimates ambiguous.
     """
 
     interval_ns: int
     raw_interval_ns: float
-    hop_counts: tuple
+    offsets: np.ndarray
 
     @property
     def interval_us(self):
@@ -182,7 +182,7 @@ def estimate_interval(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     return IntervalEstimate(
         interval_ns=gcd_steps * INTERVAL_STEP_NS,
         raw_interval_ns=float(raw),
-        hop_counts=tuple(int(x) for x in hop_counts),
+        offsets=np.concatenate([[0], np.cumsum(hop_counts)]),
     )
 
 
@@ -222,13 +222,13 @@ def classify_csa(trace, interval):
         corrected = IntervalEstimate(
             interval_ns=folded * INTERVAL_STEP_NS,
             raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS,
-            hop_counts=tuple(x * NUM_DATA_CHANNELS for x in interval.hop_counts),
+            offsets=interval.offsets * NUM_DATA_CHANNELS,
         )
         return CsaClassification(
             Verdict.CSA1_SINGLE_HIT, (0,), corrected, trace.sniff_channel
         )
 
-    offsets = np.concatenate([[0], np.cumsum(interval.hop_counts)])
+    offsets = interval.offsets
     span = int(offsets[-1])
     if span < 2 * NUM_DATA_CHANNELS:
         raise InsufficientDataError(
@@ -277,17 +277,13 @@ def observation_offsets(trace, interval_ns, *, tolerance_ns=DEFAULT_TOLERANCE_NS
     return np.concatenate([[0], np.cumsum(hops)])
 
 
-def build_meas_vector(trace, interval_ns, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
+def build_meas_vector(offsets):
     """Binary per-event vector: 1 where an observation occurred.
 
-    Index j corresponds to event offset j from the first observation; the
-    vector spans the whole trace, so its length is the spanned event count
-    plus one and the first entry is always 1.
+    Index j is event offset j of ``offsets`` (as :func:`observation_offsets`
+    returns them); the length is the spanned event count plus one and the
+    first entry is always 1.
     """
-    return _hit_vector(observation_offsets(trace, interval_ns, tolerance_ns=tolerance_ns))
-
-
-def _hit_vector(offsets):
     vector = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
     vector[offsets] = 1
     return vector
@@ -485,7 +481,7 @@ class ReconstructionReport:
                 interval = IntervalEstimate(
                     interval_ns=int(raw["interval_us"]) * 1000,
                     raw_interval_ns=float(raw["raw_interval_us"]) * 1000.0,
-                    hop_counts=(),
+                    offsets=np.zeros(0, dtype=np.int64),
                 )
                 report.interval = interval
                 report.classification = CsaClassification(
@@ -527,10 +523,7 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     then skipped rather than guessing a candidate. Only the central
     packets are observations of the connection's events.
     """
-    addresses = np.unique(trace.access_addresses).tolist()
-    if len(addresses) > 1:
-        raise ConfigError("trace mixes access addresses; split it by connection first")
-    aa = addresses[0] if addresses else 0
+    aa = trace.only_address() or 0  # an empty trace reports address 0
     trace = trace.central()
     report = ReconstructionReport(
         access_address=aa,
@@ -548,7 +541,7 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
                 tolerance_ns=tolerance_ns,
             )
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
-            report.alignment = align_counter(_hit_vector(offsets), reference)
+            report.alignment = align_counter(build_meas_vector(offsets), reference)
             if not report.alignment.ambiguous:
                 report.map_estimate = infer_channel_map(
                     offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel

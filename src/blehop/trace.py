@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,13 @@ class SniffTrace:
         """All observation timestamps as a read-only int64 array (ns)."""
         return self._timestamps
 
+    def only_address(self):
+        """The trace's one access address, or None if it is empty; a mix raises."""
+        aa = self.access_addresses
+        if aa.size and np.any(aa != aa[0]):
+            raise ConfigError("trace mixes access addresses; split it by connection first")
+        return int(aa[0]) if aa.size else None
+
     def central(self):
         """The central packets only; the trace itself when every packet is central."""
         keep = self.is_central
@@ -120,13 +128,24 @@ def _parse_row(row, timestamp, address, channel, is_central):
     return ts, aa, ch, is_central
 
 
+@contextmanager
 def _open_text(source, mode="r"):
+    """A text handle on a path, closed after use, or on a caller's stream, flushed
+    and left open (a byte stream's wrapper is detached, so it cannot close it)."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # byte stream: wrap without closing the caller's handle
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        with open(source, mode, newline="") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase):
+        try:
+            yield source
+        finally:
+            source.flush()
+    else:
+        handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield handle
+        finally:
+            handle.detach()
 
 
 def load_trace(source, fmt="csv"):
@@ -144,8 +163,7 @@ def load_trace(source, fmt="csv"):
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown trace format {fmt!r}")
-    handle, owned = _open_text(source)
-    try:
+    with _open_text(source) as handle:
         columns = None
         if fmt == "csv" and handle.seekable():
             start = handle.tell()
@@ -154,9 +172,6 @@ def load_trace(source, fmt="csv"):
                 handle.seek(start)
         if columns is None:
             columns = _read_rows(handle, fmt)
-    finally:
-        if owned:
-            handle.close()
     channel, *columns = columns
     columns = [np.asarray(column) for column in columns]
     if np.any(columns[0][1:] < columns[0][:-1]):
@@ -298,8 +313,7 @@ def save_trace(trace, dest, fmt="csv"):
         raise ConfigError(f"unknown trace format {fmt!r}")
     columns = (trace.timestamps().tolist(), trace.access_addresses.tolist(),
                trace.is_central.tolist())
-    handle, owned = _open_text(dest, "w")
-    try:
+    with _open_text(dest, "w") as handle:
         if fmt == "csv":
             row = (f"%d,0x%08X,{trace.sniff_channel},false\n",
                    f"%d,0x%08X,{trace.sniff_channel},true\n")
@@ -310,11 +324,6 @@ def save_trace(trace, dest, fmt="csv"):
                 json.dumps(dict(zip(CSV_FIELDS, (ts, f"0x{aa:08X}", trace.sniff_channel, c))))
                 + "\n" for ts, aa, c in zip(*columns)
             )
-    finally:
-        if owned:
-            handle.close()
-        else:
-            handle.flush()
 
 
 def split_by_connection(trace):

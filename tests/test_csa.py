@@ -1,11 +1,11 @@
 """Unit tests for the channel selection algorithms.
 
-The package writes each channel-selection rule once, as a vectorized core,
-and its scalar functions are one-element views of that core; so both forms
-are checked against straight-line re-implementations of the spec written
-independently of the package code (different structure, no shared
-helpers), plus a set of frozen known-good values so a change in behavior
-cannot slip through unnoticed.
+The package writes each channel-selection rule once, as a vectorized core
+that also takes a single counter; both forms of input are checked against
+straight-line re-implementations of the spec written independently of the
+package code (different structure, no shared helpers), plus a set of
+frozen known-good values so a change in behavior cannot slip through
+unnoticed.
 """
 
 import random
@@ -20,18 +20,14 @@ from blehop import (
     ConfigError,
     ConnectionParams,
     CsaVersion,
-    channel_for_event,
     channel_identifier,
     channel_sequence,
     csa1_channels_bulk,
-    csa1_unmapped_channel,
+    csa1_unmapped_bulk,
     csa2_channels_bulk,
     mam,
     perm16,
-    prn_e,
     prn_e_bulk,
-    remap_csa1,
-    remap_csa2,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,21 +119,21 @@ def test_mam_known_value():
 
 def test_prn_frozen_values():
     ci = 0x7D3C
-    assert prn_e(0, ci) == 8424
-    assert prn_e(1, ci) == 57644
-    assert prn_e(5, ci) == 21359
-    assert prn_e(1000, ci) == 16781
-    assert prn_e(65535, ci) == 27414
-    assert prn_e(0, 0x0000) == 0
+    assert prn_e_bulk(0, ci) == 8424
+    assert prn_e_bulk(1, ci) == 57644
+    assert prn_e_bulk(5, ci) == 21359
+    assert prn_e_bulk(1000, ci) == 16781
+    assert prn_e_bulk(65535, ci) == 27414
+    assert prn_e_bulk(0, 0x0000) == 0
 
 
 def test_prn_unmapped_frozen_values():
     ci = 0x7D3C
-    assert prn_e(0, ci) % 37 == 25
-    assert prn_e(1, ci) % 37 == 35
-    assert prn_e(5, ci) % 37 == 10
-    assert prn_e(1000, ci) % 37 == 20
-    assert prn_e(65535, ci) % 37 == 34
+    assert prn_e_bulk(0, ci) % 37 == 25
+    assert prn_e_bulk(1, ci) % 37 == 35
+    assert prn_e_bulk(5, ci) % 37 == 10
+    assert prn_e_bulk(1000, ci) % 37 == 20
+    assert prn_e_bulk(65535, ci) % 37 == 34
 
 
 def test_prn_matches_independent_oracle():
@@ -145,7 +141,7 @@ def test_prn_matches_independent_oracle():
     for _ in range(300):
         k = rng.randrange(0x10000)
         ci = rng.randrange(0x10000)
-        assert prn_e(k, ci) == oracle_prn(k, ci)
+        assert prn_e_bulk(k, ci) == oracle_prn(k, ci)
 
 
 def test_prn_bulk_matches_scalar():
@@ -155,7 +151,7 @@ def test_prn_bulk_matches_scalar():
         bulk = prn_e_bulk(counters, ci)
         assert bulk.dtype == np.uint32
         for k, value in zip(counters, bulk):
-            assert int(value) == prn_e(int(k), ci) == oracle_prn(int(k), ci)
+            assert int(value) == prn_e_bulk(int(k), ci) == oracle_prn(int(k), ci)
 
 
 def test_prn_is_a_bijection_for_sample_cis():
@@ -207,7 +203,7 @@ def test_remap_table_matches_scalar_remap():
     for cmap in (MAP_27, MAP_10, ChannelMap.full()):
         allowed = sorted(cmap.allowed)
         for u in range(37):
-            assert cmap.remap_table[u] == remap_csa1(u, cmap) == oracle_csa1_remap(u, allowed)
+            assert cmap.remap_table[u] == oracle_csa1_remap(u, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +251,22 @@ def test_params_reject_bad_access_address():
 
 
 def test_csa1_recursion_steps():
-    assert csa1_unmapped_channel(0, 13) == 13
-    assert csa1_unmapped_channel(30, 13) == 6
-    with pytest.raises(ConfigError):
-        csa1_unmapped_channel(0, 17)
+    assert csa1_unmapped_bulk(0, 0, 13) == 13
+    assert csa1_unmapped_bulk(0, 30, 13) == 6
 
 
 def test_csa1_remap_examples():
     cmap = ChannelMap.from_channels(range(11, 37))  # n_ch = 26
-    assert remap_csa1(3, cmap) == 14   # ordered[3 % 26]
-    assert remap_csa1(0, cmap) == 11   # ordered[0]
-    assert remap_csa1(20, cmap) == 20  # allowed channels pass through
+    assert cmap.remap_table[3] == 14   # ordered[3 % 26]
+    assert cmap.remap_table[0] == 11   # ordered[0]
+    assert cmap.remap_table[20] == 20  # allowed channels pass through
 
 
 def test_csa1_remap_target_is_fixed_per_source():
     # A given excluded channel remaps to the same allowed channel every time.
     cmap = MAP_27
     for u in range(10):
-        targets = {remap_csa1(u, cmap) for _ in range(5)}
+        targets = {cmap.remap_table[u] for _ in range(5)}
         assert len(targets) == 1
         assert targets.pop() == cmap.ordered[u % cmap.n_ch]
 
@@ -313,7 +307,7 @@ def test_csa1_scalar_matches_bulk():
     idx = np.arange(100)
     bulk = csa1_channels_bulk(idx, params)
     for k in idx:
-        assert channel_for_event(params, int(k)) == bulk[k] == expected[k]
+        assert channel_sequence(params, int(k), 1)[0] == bulk[k] == expected[k]
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +317,9 @@ def test_csa1_scalar_matches_bulk():
 def test_csa2_remap_example():
     # counter 0 under CI 0x7D3C: prn 8424, unmapped 25, excluded from MAP_10;
     # remap index floor(10 * 8424 / 65536) = 1 -> ordered[1] = 9.
-    assert remap_csa2(0, 0x7D3C, MAP_10) == 9
+    assert csa2_channels_bulk(0, 0x7D3C, MAP_10) == 9
     # counter 1: unmapped 35 is allowed, passes through.
-    assert remap_csa2(1, 0x7D3C, MAP_10) == 35
+    assert csa2_channels_bulk(1, 0x7D3C, MAP_10) == 35
 
 
 def test_csa2_remap_targets_vary_per_source():
@@ -360,7 +354,7 @@ def test_csa2_scalar_matches_bulk():
         bulk = csa2_channels_bulk(counters, 0x7D3C, cmap)
         for k, ch in zip(counters, bulk):
             expected = oracle_csa2_channel(int(k), 0x7D3C, allowed)
-            assert remap_csa2(int(k), 0x7D3C, cmap) == int(ch) == expected
+            assert csa2_channels_bulk(int(k), 0x7D3C, cmap) == int(ch) == expected
 
 
 def test_csa2_channels_stay_inside_the_map():
@@ -376,7 +370,7 @@ def test_csa2_channels_stay_inside_the_map():
 
 def test_csa2_counter_wraps_at_16_bits():
     params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
-    assert channel_for_event(params, 5) == channel_for_event(params, 5 + 65536)
+    assert channel_sequence(params, 5, 1)[0] == channel_sequence(params, 5 + 65536, 1)[0]
     seq = channel_sequence(params, 65530, 12)
     lo = channel_sequence(params, 0, 6)
     assert np.array_equal(seq[6:], lo)
@@ -388,7 +382,7 @@ def test_channel_sequence_matches_per_event():
     seq = channel_sequence(params, 100, 50)
     for j in range(50):
         expected = oracle_csa2_channel(100 + j, ci, sorted(MAP_10.allowed))
-        assert seq[j] == channel_for_event(params, 100 + j) == expected
+        assert seq[j] == channel_sequence(params, 100 + j, 1)[0] == expected
     with pytest.raises(ConfigError):
         channel_sequence(params, -1, 10)
 

@@ -63,7 +63,8 @@ def test_interval_from_two_gaps():
     est = estimate_interval(trace_at([0, 187_500_000, 277_500_000]))
     assert est.interval_us == 7500
     assert est.raw_interval_ns == pytest.approx(7_500_000)
-    assert est.hop_counts == (25, 12)
+    assert est.offsets.dtype == np.int64
+    assert est.offsets.tolist() == [0, 25, 37]
 
 
 def test_interval_survives_jitter():
@@ -115,7 +116,7 @@ def test_interval_gcd_above_maximum_allowed_when_37_divisible():
     gap = 37 * 120 * STEP
     est = estimate_interval(trace_at([0, gap, 3 * gap, 4 * gap]))
     assert est.interval_ns == gap
-    assert est.hop_counts == (1, 2, 1)
+    assert est.offsets.tolist() == [0, 1, 3, 4]
 
 
 def test_interval_gcd_above_maximum_rejected_otherwise():
@@ -144,7 +145,7 @@ def test_classify_single_hit_divides_by_37():
     assert cls.verdict is Verdict.CSA1_SINGLE_HIT
     assert cls.interval.interval_us == 7500
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
-    assert cls.interval.hop_counts == (37, 37, 37, 37, 37)
+    assert cls.interval.offsets.tolist() == [0, 37, 74, 111, 148, 185]
     assert cls.period_profile == (0,)
 
 
@@ -252,7 +253,7 @@ def test_observation_offsets_reject_single_far_off_grid_gap():
 
 def test_meas_vector_marks_hits():
     times = np.array([0, 3, 9]) * 7_500_000
-    vec = build_meas_vector(trace_at(times), 7_500_000)
+    vec = build_meas_vector(observation_offsets(trace_at(times), 7_500_000))
     assert vec.tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 0, 1]
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the observation model and trace file I/O."""
 
+import gc
 import io
 from unittest import mock
 
@@ -100,6 +101,22 @@ def test_round_trip_through_stream(fmt):
     save_trace(trace, buffer, fmt)
     buffer.seek(0)
     loaded = load_trace(buffer, fmt)
+    assert columns(loaded) == columns(trace)
+
+
+def test_byte_streams_are_left_open():
+    trace = make_trace()
+    written = io.BytesIO()
+    save_trace(trace, written)
+    gc.collect()
+    assert not written.closed
+    expected = io.StringIO()
+    save_trace(trace, expected)
+    assert written.getvalue() == expected.getvalue().encode()
+    source = io.BytesIO(written.getvalue())
+    loaded = load_trace(source)
+    gc.collect()
+    assert not source.closed
     assert columns(loaded) == columns(trace)
 
 
