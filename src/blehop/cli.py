@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,6 +79,14 @@ def _write_manifest(out_dir, subcommand, arguments, inputs, outputs, rng_seed=No
     _write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 
+def _scaled_int(value, scale, option):
+    """``value * scale`` truncated to an int; a non-finite product is a ConfigError."""
+    scaled = value * scale
+    if not math.isfinite(scaled):
+        raise ConfigError(f"{option} must be a finite number, got {value}")
+    return int(scaled)
+
+
 def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,9 +121,10 @@ def cmd_simulate(args):
 
 
 def cmd_reconstruct(args):
+    tolerance_ns = _scaled_int(args.tolerance_us, 1000, "--tolerance-us")
     trace = load_trace(args.trace, args.format)
     out = _out_dir(args)
-    reports = reconstruct_all(trace, tolerance_ns=int(args.tolerance_us * 1000))
+    reports = reconstruct_all(trace, tolerance_ns=tolerance_ns)
     outputs = []
     for aa, report in sorted(reports.items()):
         path = out / f"report_0x{aa:08X}.json"
@@ -142,7 +152,7 @@ def cmd_predict(args):
     trace = parts[report.access_address]
     run = run_prediction(
         trace, report,
-        train_ns=int(args.train_seconds * 1e9),
+        train_ns=_scaled_int(args.train_seconds, 1e9, "--train-seconds"),
         horizon=args.horizon,
         channel=args.channel,
     )

@@ -291,6 +291,8 @@ def evaluate(forecast, reference, interval_ns):
     one connection. Predictions left unmatched are counted as misses, not
     as errors.
     """
+    if interval_ns <= 0:
+        raise ConfigError(f"interval_ns must be positive, got {interval_ns}")
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
     if isinstance(reference, EventTimeline) and forecast.counters_are_wire:
@@ -383,6 +385,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     ``channel`` restricts that forecast to events on one channel. Only the
     central packets of the trace are observations.
     """
+    if channel is not None and not 0 <= channel < NUM_DATA_CHANNELS:
+        raise ConfigError(f"channel must be in 0..36, got {channel}")
     if recon.error:
         raise EstimationError(f"reconstruction failed: {recon.error}")
     classification = recon.classification

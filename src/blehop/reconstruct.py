@@ -523,6 +523,8 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     then skipped rather than guessing a candidate. Only the central
     packets are observations of the connection's events.
     """
+    if tolerance_ns < 0:
+        raise ConfigError(f"tolerance_ns must be >= 0, got {tolerance_ns}")
     aa = trace.only_address() or 0  # an empty trace reports address 0
     trace = trace.central()
     report = ReconstructionReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -100,24 +101,28 @@ class SniffTrace:
         return [Observation(ts, aa, self.sniff_channel, central) for ts, aa, central in rows]
 
 
+def _parse_int(row, name, value):
+    """An integer field from its text or a JSON integer (not a float or bool)."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (ValueError, TypeError):
+            pass
+    raise TraceParseError(row, f"invalid {name} {value!r}")
+
+
 def _parse_row(row, timestamp, address, channel, is_central):
     """One record's fields, parsed and checked: (timestamp, address, channel, is_central)."""
+    ts = _parse_int(row, "timestamp_ns", timestamp)
     try:
-        ts = int(timestamp)
-    except (ValueError, TypeError) as exc:
-        raise TraceParseError(row, f"invalid timestamp_ns {timestamp!r}") from exc
-    try:
-        aa = int(str(address), 16)
+        aa = int(address, 16)  # a TypeError unless address is text
     except (ValueError, TypeError) as exc:
         raise TraceParseError(row, f"invalid access_address_hex {address!r}") from exc
     try:
         check_access_address(aa)
     except ConfigError as exc:
         raise TraceParseError(row, str(exc)) from exc
-    try:
-        ch = int(channel)
-    except (ValueError, TypeError) as exc:
-        raise TraceParseError(row, f"invalid channel {channel!r}") from exc
+    ch = _parse_int(row, "channel", channel)
     if not 0 <= ch < NUM_DATA_CHANNELS:
         raise TraceParseError(row, f"channel {ch} outside 0..36")
     if not isinstance(is_central, bool):
@@ -200,12 +205,13 @@ def _read_rows(handle, fmt):
 
 
 _CHUNK_HINT = 1 << 18  # bytes of text per bulk-parsed chunk of lines
-# loadtxt truncates a longer field to its width silently, so a field that
-# fills its width is rejected: timestamps hold at most a sign and 19 digits
-_BULK_FIELDS = np.dtype([("ts", "S21"), ("aa", "S11"), ("ch", "S3"), ("central", "S6")])
-_BULK_CHANNELS = {str(ch).encode(): ch for ch in range(NUM_DATA_CHANNELS)}
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[np.frombuffer(b"0123456789", dtype=np.uint8)] = True
+# on text not refused below, loadtxt reads an integer field as int() does or raises;
+# it truncates a longer string field silently, so an address filling "S11" is rejected
+_BULK_FIELDS = np.dtype([("ts", "i8"), ("aa", "S11"), ("ch", "i8"), ("central", "S6")])
+# loadtxt skips blank lines, ends a line at "\r", pads fields with NUL bytes,
+# strips "\x1c".."\x1f" around an integer (int() refuses them) and reads some
+# non-ASCII letters as digits (U+01FE as 462): a chunk holding any is refused
+_BULK_REFUSED = ("\n\n", "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 _NIBBLE = np.full(256, 16, dtype=np.uint32)  # 16: not an uppercase hex digit
 _NIBBLE[np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)] = np.arange(16)
 
@@ -220,52 +226,35 @@ def _read_csv_bulk(handle):
     channel = None
     while lines := handle.readlines(_CHUNK_HINT):
         text = "".join(lines)
-        # loadtxt skips blank lines, ends a line at "\r" and pads fields with NUL bytes
-        if text[0] == "\n" or "\n\n" in text or "\r" in text or "\0" in text:
+        if text[0] == "\n" or not text.isascii() or any(s in text for s in _BULK_REFUSED):
             return None
         try:
-            fields = np.loadtxt(lines, dtype=_BULK_FIELDS, delimiter=",", comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # older NumPy parses an integer field via a float ("5.9" as 5) with
+                # only a DeprecationWarning; as an error it makes loadtxt raise ValueError
+                warnings.simplefilter("error", DeprecationWarning)
+                fields = np.loadtxt(lines, dtype=_BULK_FIELDS, delimiter=",", comments=None,
+                                    ndmin=1)
         except ValueError:
             return None
-        chunk_channel = _BULK_CHANNELS.get(fields["ch"][0])
-        if (chunk_channel is None or channel not in (None, chunk_channel)
-                or np.any(fields["ch"] != fields["ch"][0])):
+        chunk_channel, *others = np.unique(fields["ch"]).tolist()
+        if (others or channel not in (None, chunk_channel)
+                or not 0 <= chunk_channel < NUM_DATA_CHANNELS):
             return None
         channel = chunk_channel
-        ts = _bulk_timestamps(fields["ts"])
         aa = _bulk_addresses(fields["aa"])
         is_central = fields["central"] == b"true"
-        if ts is None or aa is None or not np.all(is_central | (fields["central"] == b"false")):
+        if aa is None or not np.all(is_central | (fields["central"] == b"false")):
             return None
-        timestamps.frombytes(ts.tobytes())
+        timestamps.frombytes(fields["ts"].tobytes())
         addresses.frombytes(aa.tobytes())
         central.frombytes(is_central.tobytes())
     return channel, timestamps, addresses, central
 
 
-def _byte_matrix(field):
-    """The bytes of a field of a chunk's records, one row per record."""
-    return np.ascontiguousarray(field).view(np.uint8).reshape(field.size, -1)
-
-
-def _bulk_timestamps(field):
-    """int64 values of decimal fields (an optional "-", then digits), or None."""
-    raw = _byte_matrix(field)
-    width = np.count_nonzero(raw, axis=1)
-    negative = raw[:, 0] == ord("-")
-    digits = _DIGIT[raw] | (np.arange(raw.shape[1]) >= width[:, None])
-    digits[:, 0] |= negative
-    if not (np.all(digits) and np.all(width > negative) and np.all(width < raw.shape[1])):
-        return None
-    try:
-        return field.astype(np.int64)
-    except OverflowError:
-        return None
-
-
 def _bulk_addresses(field):
     """Values of "0x" + 8 uppercase hex digit fields, or None."""
-    raw = _byte_matrix(field)
+    raw = np.ascontiguousarray(field).view(np.uint8).reshape(field.size, -1)
     nibbles = _NIBBLE[raw[:, 2:10]]
     if not (np.all(raw[:, 0] == ord("0")) and np.all(raw[:, 1] == ord("x"))
             and np.all(nibbles < 16) and not np.any(raw[:, 10:])):

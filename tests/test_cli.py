@@ -275,6 +275,42 @@ def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys)
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """(sim, recon, pred) dirs of one README-scenario run, shared by the module."""
+    tmp_path = tmp_path_factory.mktemp("pipeline")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    return run_pipeline(tmp_path, scenario)
+
+
+@pytest.mark.parametrize("command, option, value, needle", [
+    ("predict", "--train-seconds", "nan", "--train-seconds"),
+    ("predict", "--train-seconds", "inf", "--train-seconds"),
+    ("predict", "--channel", "99", "channel"),
+    ("predict", "--channel", "-1", "channel"),
+    ("reconstruct", "--tolerance-us", "nan", "--tolerance-us"),
+    ("reconstruct", "--tolerance-us", "inf", "--tolerance-us"),
+    ("reconstruct", "--tolerance-us", "-1", "tolerance_ns"),
+    ("evaluate", "--interval-us", "0", "interval_ns"),
+    ("evaluate", "--interval-us", "-12500", "interval_ns"),
+])
+def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
+                                                     command, option, value, needle):
+    sim, recon, pred = pipeline
+    inputs = {
+        "reconstruct": ["--trace", str(sim / "trace.csv")],
+        "predict": ["--report", str(recon / "report_0xB0A1CD9D.json"),
+                    "--trace", str(sim / "trace.csv")],
+        "evaluate": ["--forecast", str(pred / "forecast.json"),
+                     "--trace", str(connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv"))],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, option, value,
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+
+
 def test_predict_uses_the_reports_central_packets(tmp_path, capsys):
     one = tmp_path / "one.json"
     one.write_text(json.dumps({**SCENARIO, "connections": SCENARIO["connections"][:1]}))

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -199,6 +200,20 @@ def test_jsonl_errors_report_their_line():
         load_trace(io.StringIO("[1, 2]\n"), "jsonl")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("timestamp_ns", 5.9), ("timestamp_ns", 5.0), ("timestamp_ns", True),
+    ("channel", 7.9), ("channel", 7.0), ("channel", True),
+    ("access_address_hex", 10), ("access_address_hex", None),
+])
+def test_jsonl_refuses_wrongly_typed_values(field, value):
+    good = {"timestamp_ns": 1, "access_address_hex": "0x1", "channel": 7, "is_central": True}
+    text = json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n"
+    with pytest.raises(TraceParseError) as err:
+        load_trace(io.StringIO(text), "jsonl")
+    assert err.value.row == 2
+    assert field in str(err.value)
+
+
 def test_mixed_channels_rejected():
     text = (
         "timestamp_ns,access_address_hex,channel,is_central\n"
@@ -325,6 +340,16 @@ ANOMALIES = {
     "space": lambda f: [f[0] + " ", *f[1:]],
     "blank_lines": lambda f: ["\n\n" + f[0], *f[1:]],
     "nul_byte": lambda f: [f[0] + "\0", *f[1:]],
+    "nul_in_flag": lambda f: [*f[:3], f[3] + "\0"],
+    "nul_in_address": lambda f: [f[0], f[1] + "\0", *f[2:]],
+    # loadtxt strips "\x1c".."\x1f" around an integer, which int() refuses
+    "separator_control": lambda f: ["\x1c" + f[0], *f[1:]],
+    # loadtxt reads U+01FE as a digit worth 462; int() refuses it
+    "non_ascii_letter": lambda f: [f[0] + "Ǿ", *f[1:]],
+    "fullwidth_digit": lambda f: [f[0] + "５", *f[1:]],
+    "float_timestamp": lambda f: ["5.0", *f[1:]],
+    "exponent_timestamp": lambda f: ["1e3", *f[1:]],
+    "underscore_timestamp": lambda f: ["1_000", *f[1:]],
     "lowercase_hex": lambda f: [f[0], f[1].lower(), *f[2:]],
     "odd_width_hex": lambda f: [f[0], f"0x{int(f[1], 16):X}", *f[2:]],
     "wide_hex": lambda f: [f[0], "0x0" + f[1][2:], *f[2:]],
@@ -379,9 +404,14 @@ def load_outcome(stream):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(case=csv_texts(), chunk_hint=st.sampled_from([1, 64, 200, 1 << 18]))
-# a chunk of blank lines only, which loadtxt reads as no rows at all
+# chunks of blank lines only, which loadtxt reads as no rows at all
 @example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n\n6,0x00000001,7,true\n", False),
          chunk_hint=1)
+@example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n", False), chunk_hint=1)
+# a second channel in a later chunk, and a prefix other than "0x"
+@example(case=(CSV_HEADER + "5,0x00000001,7,true\n6,0x00000001,8,true\n", False),
+         chunk_hint=1)
+@example(case=(CSV_HEADER + "5,0y00000001,7,true\n", False), chunk_hint=1)
 def test_bulk_csv_reader_equals_the_row_parser(case, chunk_hint):
     text, canonical = case
     with mock.patch.object(trace_module, "_CHUNK_HINT", chunk_hint):
