@@ -17,6 +17,7 @@ from .csa import (
     csa1_channels_bulk,
     csa1_unmapped_bulk,
     csa2_channels_bulk,
+    csa2_counters_for_unmapped,
     csa2_unmapped_bulk,
     mam,
     perm16,

@@ -17,8 +17,10 @@ into the map:
   excluded channel lands on varying allowed channels over time.
 
 Each rule is written once, as a NumPy function over counters or event
-indices, and every other module calls these functions.
-All 16-bit arithmetic is done in wider intermediates and reduced mod 2**16.
+indices, and every other module calls these functions. The PRN runs in
+uint16, whose arithmetic wraps mod 2**16 by itself; every PRN stage is a
+16-bit bijection, so the PRN can also be run backwards, from the values
+whose unmapped channel is a given one to the counters that produce them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reading
 
 NUM_DATA_CHANNELS = 37
 COUNTER_PERIOD = 65536  # the connection event counter is 16 bits wide
@@ -206,24 +208,25 @@ class ConnectionParams:
     @classmethod
     def from_dict(cls, raw):
         """Parse the JSON form used by scenario and params files."""
-        version = raw.get("csa_version")
-        if version in (1, "1", "CSA1"):
-            version = CsaVersion.CSA1
-        elif version in (2, "2", "CSA2"):
-            version = CsaVersion.CSA2
-        else:
-            raise ConfigError(f"csa_version must be 1 or 2, got {version!r}")
-        aa = raw.get("access_address")
-        if isinstance(aa, str):
-            aa = int(aa, 16)
-        return cls(
-            csa_version=version,
-            interval_us=int(raw["interval_us"]),
-            channel_map=ChannelMap.from_hex(raw["channel_map"]),
-            access_address=aa,
-            hop_increment=raw.get("hop_increment"),
-            initial_channel=raw.get("initial_channel"),
-        )
+        with reading("params"):
+            version = raw.get("csa_version")
+            if version in (1, "1", "CSA1"):
+                version = CsaVersion.CSA1
+            elif version in (2, "2", "CSA2"):
+                version = CsaVersion.CSA2
+            else:
+                raise ConfigError(f"csa_version must be 1 or 2, got {version!r}")
+            aa = raw.get("access_address")
+            if isinstance(aa, str):
+                aa = int(aa, 16)
+            return cls(
+                csa_version=version,
+                interval_us=int(raw["interval_us"]),
+                channel_map=ChannelMap.from_hex(raw["channel_map"]),
+                access_address=aa,
+                hop_increment=raw.get("hop_increment"),
+                initial_channel=raw.get("initial_channel"),
+            )
 
     def to_dict(self):
         out = {
@@ -258,6 +261,23 @@ def mam(x, ci):
     return (17 * x + ci) & 0xFFFF
 
 
+# One PRN round's perm16 and mam multiply fused into a single uint16 lookup:
+# a round is _ROUND[x] + ci, and the uint16 add wraps mod 2**16.
+_ROUND = mam(perm16(np.arange(COUNTER_PERIOD)), 0).astype(np.uint16)
+# mam's multiplier undone: 17 * 61681 = 1 (mod 2**16)
+_INV17 = np.uint16(61681)
+
+
+def _prn16(counters, ci):
+    # np.add, not +: on a 0-d input the operands are NumPy scalars, whose +
+    # warns on the wrap that the rule relies on
+    ci = np.uint16(ci)
+    x = np.asarray(counters, dtype=np.int64).astype(np.uint16) ^ ci
+    for _ in range(3):
+        x = np.add(_ROUND[x], ci)
+    return x ^ ci
+
+
 def prn_e_bulk(counters, ci):
     """Per-event 16-bit pseudo-random number for each counter under ``ci``.
 
@@ -266,11 +286,23 @@ def prn_e_bulk(counters, ci):
     ci. Every stage is a 16-bit bijection, so for fixed ci the map
     k -> prn is a permutation of 0..65535. Returns uint32.
     """
-    ci = int(ci)
-    x = (np.asarray(counters, dtype=np.int64) % COUNTER_PERIOD).astype(np.uint32) ^ ci
+    return _prn16(counters, ci).astype(np.uint32)
+
+
+def csa2_counters_for_unmapped(channel, ci):
+    """Counters whose CSA#2 unmapped channel is ``channel``, ascending (int64).
+
+    The PRN run backwards from every value ``channel + 37 j`` below 2**16:
+    xor with ci, then three times (subtract ci, multiply by the inverse of
+    17, ``perm16``, which is its own inverse), then xor with ci.
+    """
+    channel = _check_channel(channel)
+    ci = np.uint16(ci)
+    x = np.arange(channel, COUNTER_PERIOD, NUM_DATA_CHANNELS, dtype=np.uint16) ^ ci
     for _ in range(3):
-        x = mam(perm16(x), ci)
-    return x ^ ci
+        # the perm16 table is uint32; back to uint16 so the next round wraps
+        x = perm16(np.multiply(np.subtract(x, ci), _INV17)).astype(np.uint16)
+    return np.sort(x ^ ci).astype(np.int64)
 
 
 def _csa2_unmapped(prn):
@@ -285,18 +317,18 @@ def _csa2_remap_index(prn, n_ch):
 
 def csa2_unmapped_bulk(counters, ci):
     """CSA#2 unmapped channel (prn mod 37) for each counter."""
-    return _csa2_unmapped(prn_e_bulk(counters, ci).astype(np.int64))
+    return _csa2_unmapped(_prn16(counters, ci).astype(np.int64))
 
 
 def csa2_remap_index_bulk(counters, ci, n_ch):
     """CSA#2 remap index ``floor(n_ch * prn / 2**16)`` for each counter;
     ``n_ch`` broadcasts, so a column of map sizes gives a row per size."""
-    return _csa2_remap_index(prn_e_bulk(counters, ci).astype(np.int64), n_ch)
+    return _csa2_remap_index(_prn16(counters, ci).astype(np.int64), n_ch)
 
 
 def csa2_channels_bulk(counters, ci, channel_map):
     """CSA#2 channel for each counter: unmapped if allowed, else remapped."""
-    p = prn_e_bulk(counters, ci).astype(np.int64)
+    p = _prn16(counters, ci).astype(np.int64)
     unmapped = _csa2_unmapped(p)
     remapped = channel_map.ordered_array[_csa2_remap_index(p, channel_map.n_ch)]
     return np.where(channel_map.allowed_mask[unmapped], unmapped, remapped)

@@ -29,6 +29,7 @@ from .csa import (
     ChannelMap,
     channel_identifier,
     csa2_channels_bulk,
+    csa2_counters_for_unmapped,
     csa2_remap_index_bulk,
     csa2_unmapped_bulk,
 )
@@ -295,10 +296,12 @@ def build_ref_vector(ci, sniff_channel):
     ``ref[k] = 1`` iff the CSA#2 unmapped channel for counter ``k`` equals
     the sniffed channel. Remapped hits are deliberately absent: they land
     on the sniffed channel only for some maps, while unmapped hits are
-    map-independent.
+    map-independent. The hits come from the PRN run backwards
+    (:func:`csa2_counters_for_unmapped`), not from all 65536 counters.
     """
-    unmapped = csa2_unmapped_bulk(np.arange(COUNTER_PERIOD), ci)
-    return (unmapped == sniff_channel).astype(np.uint8)
+    ref = np.zeros(COUNTER_PERIOD, dtype=np.uint8)
+    ref[csa2_counters_for_unmapped(sniff_channel, ci)] = 1
+    return ref
 
 
 def align_counter(c_meas, c_ref):
@@ -313,7 +316,9 @@ def align_counter(c_meas, c_ref):
     Traces longer than one counter period are folded into it (positions
     OR-accumulated mod 65536) before correlating. The correlation is
     computed via FFT; both inputs are 0/1 vectors, so the scores are small
-    integers and rounding recovers them exactly.
+    integers and the FFT's float error (about 1e-14) sits far inside the
+    0.5 that separates them: the peak and the candidates are read from the
+    floats directly.
     """
     c_ref = np.asarray(c_ref)
     if c_ref.shape != (COUNTER_PERIOD,):
@@ -326,14 +331,16 @@ def align_counter(c_meas, c_ref):
     folded = np.zeros(COUNTER_PERIOD, dtype=np.float64)
     folded[positions] = 1.0
     spectrum = np.conj(np.fft.rfft(folded)) * np.fft.rfft(c_ref.astype(np.float64))
-    correlation = np.rint(np.fft.irfft(spectrum, n=COUNTER_PERIOD)).astype(np.int64)
-    peak = int(correlation.max())
-    candidates = np.flatnonzero(correlation == peak)
+    correlation = np.fft.irfft(spectrum, n=COUNTER_PERIOD)
+    top = correlation.max()
+    peak = round(float(top))
+    candidates = np.flatnonzero(correlation > top - 0.5)
     ambiguous = candidates.size > 1
     if ambiguous:
         second = peak
     else:
-        second = int(np.partition(correlation, -2)[-2])
+        correlation[candidates[0]] = -np.inf
+        second = round(float(correlation.max()))
     return CounterAlignment(
         k_init=int(candidates[0]),
         correlation_peak=peak,
@@ -366,8 +373,11 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     unmapped = csa2_unmapped_bulk(counters, ci)
     remap_mask = unmapped != sniff_channel
 
-    counts = np.bincount(unmapped[remap_mask], minlength=NUM_DATA_CHANNELS)
-    proven = frozenset(int(c) for c in np.flatnonzero(counts))
+    # ascending offsets: a channel's first index is its first sighting
+    excluded, first, counts = np.unique(
+        unmapped[remap_mask], return_index=True, return_counts=True
+    )
+    proven = frozenset(excluded.tolist())
     if NUM_DATA_CHANNELS - len(proven) < 2:
         raise InconsistentEvidenceError(
             f"{len(proven)} channels carry remap evidence; no valid map has fewer than "
@@ -382,17 +392,13 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     unexplained = int(np.sum(targets != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
-    if proven:
-        first_seen = [int(offsets[remap_mask][unmapped[remap_mask] == c][0]) for c in proven]
-        last_new = max(first_seen)
-    else:
-        last_new = 0
+    last_new = int(offsets[remap_mask][first].max()) if proven else 0
     budget = expected_reconstruction_budget(assumed.n_ch)
     converged = span > budget and (span - last_new) >= budget and unexplained == 0
     return MapEstimate(
         proven_excluded=proven,
         assumed_map=assumed,
-        evidence_count={int(c): int(counts[c]) for c in np.flatnonzero(counts)},
+        evidence_count=dict(zip(excluded.tolist(), counts.tolist())),
         converged=bool(converged),
         unexplained_remaps=unexplained,
     )

@@ -272,6 +272,15 @@ def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys)
     part = str(connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv"))
     assert main(["evaluate", "--forecast", str(unsorted), "--trace", part,
                  "--interval-us", "12500", "--out-dir", str(tmp_path / "e2")]) == EXIT_CONFIG
+    # params files without an interval, with a non-hex address, and not a dict
+    good = {"csa_version": 2, "interval_us": 7500, "channel_map": "0x1E00E00700",
+            "access_address": "0xB0A1CD9D"}
+    no_interval = {k: v for k, v in good.items() if k != "interval_us"}
+    for n, params in enumerate([no_interval, {**good, "access_address": "zz"}, [good]]):
+        path = tmp_path / f"params_{n}.json"
+        path.write_text(json.dumps(params))
+        assert main(["hopgen", "--params", str(path), "--events", "2",
+                     "--out-dir", str(tmp_path / f"h{n}")]) == EXIT_CONFIG
     capsys.readouterr()
 
 

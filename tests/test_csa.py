@@ -154,6 +154,17 @@ def test_prn_bulk_matches_scalar():
             assert int(value) == prn_e_bulk(int(k), ci) == oracle_prn(int(k), ci)
 
 
+def test_prn_reduces_any_int64_counter_mod_2_16():
+    ci = 0x7D3C
+    counters = np.array([-1, 65536, 2**63 - 1, -2**63], dtype=np.int64)
+    got = prn_e_bulk(counters, ci)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [oracle_prn(int(k) % 65536, ci) for k in counters.tolist()]
+    zero_d = prn_e_bulk(np.array(-1), ci)
+    assert zero_d.dtype == np.uint32
+    assert int(zero_d) == oracle_prn(65535, ci)
+
+
 def test_prn_is_a_bijection_for_sample_cis():
     for ci in (0x0000, 0x7D3C, 0xA5A5):
         values = prn_e_bulk(np.arange(0x10000), ci)

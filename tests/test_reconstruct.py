@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blehop import (
     ChannelMap,
@@ -25,6 +27,8 @@ from blehop import (
     channel_identifier,
     channel_sequence,
     classify_csa,
+    csa2_counters_for_unmapped,
+    csa2_unmapped_bulk,
     estimate_interval,
     expected_reconstruction_budget,
     infer_channel_map,
@@ -266,6 +270,34 @@ def test_ref_vector_population_counts():
         assert int(build_ref_vector(ci, 22).sum()) == 1771
 
 
+# the reference is built from the inverse PRN; the forward PRN over every
+# counter is its oracle
+@pytest.mark.parametrize("ci", [0x0000, 0x0001, 0x7D3C, 0xFFFF])
+def test_ref_vector_equals_forward_prn(ci):
+    unmapped = csa2_unmapped_bulk(np.arange(65536), ci)
+    for ch in range(37):
+        ref = build_ref_vector(ci, ch)
+        assert ref.dtype == np.uint8
+        assert np.array_equal(ref, unmapped == ch)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ci=st.integers(0, 0xFFFF), ch=st.integers(0, 36))
+def test_ref_vector_equals_forward_prn_for_any_ci(ci, ch):
+    unmapped = csa2_unmapped_bulk(np.arange(65536), ci)
+    assert np.array_equal(build_ref_vector(ci, ch), unmapped == ch)
+
+
+def test_counters_for_unmapped_are_sorted_and_complete():
+    for ci in (0x0000, 0x7D3C, 0xFFFF):
+        for ch in range(37):
+            counters = csa2_counters_for_unmapped(ch, ci)
+            assert counters.size == (1772 if ch < 9 else 1771)
+            assert np.all(np.diff(counters) > 0)
+    with pytest.raises(ConfigError):
+        csa2_counters_for_unmapped(37, 0x7D3C)
+
+
 # ---------------------------------------------------------------------------
 # counter alignment
 
@@ -329,6 +361,10 @@ def test_alignment_matches_direct_correlation():
         result = align_counter(meas, ref)
         assert result.correlation_peak == peak
         assert result.candidates == tuple(np.flatnonzero(correlation == peak).tolist())
+        # the largest score once the candidates are left out, or the peak on a tie
+        rest = np.delete(correlation, result.candidates)
+        second = peak if result.ambiguous else int(rest.max())
+        assert result.second_peak == second
 
 
 def test_alignment_rejects_bad_inputs():
