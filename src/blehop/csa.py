@@ -326,12 +326,46 @@ def csa2_remap_index_bulk(counters, ci, n_ch):
     return _csa2_remap_index(_prn16(counters, ci).astype(np.int64), n_ch)
 
 
-def csa2_channels_bulk(counters, ci, channel_map):
-    """CSA#2 channel for each counter: unmapped if allowed, else remapped."""
+def _csa2_channels(counters, ci, channel_map):
     p = _prn16(counters, ci).astype(np.int64)
     unmapped = _csa2_unmapped(p)
     remapped = channel_map.ordered_array[_csa2_remap_index(p, channel_map.n_ch)]
     return np.where(channel_map.allowed_mask[unmapped], unmapped, remapped)
+
+
+def _csa2_channel_table(ci, channel_map):
+    # a connection's whole channel sequence, one channel per 16-bit counter;
+    # uint8 keeps it at 64 KB (as int64 it raised the benchmark's peak RSS by
+    # about 2 MB, four times its own size)
+    return _csa2_channels(np.arange(COUNTER_PERIOD), ci, channel_map).astype(np.uint8)
+
+
+# (ci, channel map) of the last csa2_channels_bulk request, and that
+# connection's channel table once it has been asked about twice in a row;
+# one tuple, replaced whole, so a table is always read with its own key
+_last = (None, None)
+
+
+def csa2_channels_bulk(counters, ci, channel_map):
+    """CSA#2 channel for each counter: unmapped if allowed, else remapped.
+
+    The first request for a connection computes its channels directly. A
+    second request in a row for the same ``(ci, channel_map)`` builds the
+    connection's 65536-entry channel table, which then answers every
+    request until one for another connection replaces it.
+    """
+    global _last
+    key = (int(ci), channel_map)
+    last_key, table = _last
+    if key != last_key:
+        _last = (key, None)
+        return _csa2_channels(counters, *key)
+    if table is None:
+        table = _csa2_channel_table(*key)
+        _last = (key, table)
+    # a 0-d index gives a NumPy scalar; asarray makes it the 0-d int64 array
+    # that the direct computation returns
+    return np.asarray(table[np.asarray(counters, dtype=np.int64) & 0xFFFF], dtype=np.int64)
 
 
 def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):

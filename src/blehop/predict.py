@@ -15,7 +15,7 @@ can be forecast.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,12 +96,8 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
     innovation = float(measured_time_ns) - time_pred
     gain_denominator = p00 + MEASUREMENT_NOISE_VAR
     if innovation * innovation > gate_sigma**2 * gain_denominator:
-        return replace(
-            sync,
-            anchor_time_ns=time_pred,
-            covariance=(p00, p01, p11),
-            anchor_offset=sync.anchor_offset + int(hops_since_last),
-        )
+        return SyncState(time_pred, sync.interval_ns, (p00, p01, p11),
+                         sync.anchor_offset + int(hops_since_last), sync.nominal_interval_ns)
     k0 = p00 / gain_denominator
     k1 = p01 / gain_denominator
     new_interval = sync.interval_ns + k1 * innovation
@@ -116,13 +112,8 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
             f"tracked interval {new_interval / 1e6:.6f} ms diverged more than 0.1 % "
             f"from the estimate {guard / 1e6:.6f} ms"
         )
-    return replace(
-        sync,
-        anchor_time_ns=time_pred + k0 * innovation,
-        interval_ns=new_interval,
-        covariance=(q00, q01, q11),
-        anchor_offset=sync.anchor_offset + int(hops_since_last),
-    )
+    return SyncState(time_pred + k0 * innovation, new_interval, (q00, q01, q11),
+                     sync.anchor_offset + int(hops_since_last), sync.nominal_interval_ns)
 
 
 def predict_event_time(sync, event_offset):

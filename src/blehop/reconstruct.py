@@ -28,7 +28,6 @@ from .csa import (
     NUM_DATA_CHANNELS,
     ChannelMap,
     channel_identifier,
-    csa2_channels_bulk,
     csa2_counters_for_unmapped,
     csa2_remap_index_bulk,
     csa2_unmapped_bulk,
@@ -387,9 +386,9 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
 
     assumed = ChannelMap.from_channels(set(range(NUM_DATA_CHANNELS)) - proven)
     # every remap observation's unmapped channel is proven excluded, so its
-    # CSA#2 channel under the assumed map is its remap target
-    targets = csa2_channels_bulk(counters[remap_mask], ci, assumed)
-    unexplained = int(np.sum(targets != sniff_channel))
+    # CSA#2 channel under the assumed map is the allowed channel at its remap index
+    remap_index = csa2_remap_index_bulk(counters[remap_mask], ci, assumed.n_ch)
+    unexplained = int(np.sum(assumed.ordered_array[remap_index] != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
     last_new = int(offsets[remap_mask][first].max()) if proven else 0
@@ -498,6 +497,9 @@ class ReconstructionReport:
                 )
             if "channel_identifier" in raw:
                 report.channel_id = int(raw["channel_identifier"], 16)
+                if not 0 <= report.channel_id <= 0xFFFF:
+                    raise ConfigError(f"channel_identifier {raw['channel_identifier']!r} "
+                                      "does not fit in 16 bits")
             if "k_init" in raw:
                 align = raw.get("alignment", {})
                 report.alignment = CounterAlignment(

@@ -237,8 +237,8 @@ def _read_csv_bulk(handle):
                                     ndmin=1)
         except ValueError:
             return None
-        chunk_channel, *others = np.unique(fields["ch"]).tolist()
-        if (others or channel not in (None, chunk_channel)
+        chunk_channel, chunk_max = int(fields["ch"].min()), int(fields["ch"].max())
+        if (chunk_max != chunk_channel or channel not in (None, chunk_channel)
                 or not 0 <= chunk_channel < NUM_DATA_CHANNELS):
             return None
         channel = chunk_channel

@@ -258,6 +258,14 @@ def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys)
     no_address.write_text(json.dumps(report))
     assert main(["predict", "--report", str(no_address), "--trace", trace,
                  "--out-dir", str(tmp_path / "p")]) == EXIT_CONFIG
+    # a report whose channel identifier does not fit in 16 bits
+    for n, ci in enumerate(["0x1FFFF", "-0x1"]):
+        wide = json.loads((recon / "report_0xB0A1CD9D.json").read_text())
+        wide["channel_identifier"] = ci
+        wide_ci = tmp_path / f"wide_ci_{n}.json"
+        wide_ci.write_text(json.dumps(wide))
+        assert main(["predict", "--report", str(wide_ci), "--trace", trace,
+                     "--out-dir", str(tmp_path / f"pw{n}")]) == EXIT_CONFIG
     # a forecast without entries
     no_entries = tmp_path / "no_entries.json"
     no_entries.write_text(json.dumps({"counters_are_wire": True}))

@@ -29,6 +29,7 @@ from blehop import (
     perm16,
     prn_e_bulk,
 )
+from blehop import csa
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -437,3 +438,66 @@ def test_channel_sequence_equals_oracle(aa, allowed, start, count, csa1, hop, in
         ci = (aa >> 16) ^ (aa & 0xFFFF)
         expected = [oracle_csa2_channel(start + j, ci, allowed) for j in range(count)]
     assert channel_sequence(params, start, count).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# repeated requests: the last connection's channel table
+
+# counters anywhere in int64, in every form csa2_channels_bulk takes
+int64_counters = st.one_of(
+    counters,
+    st.integers(-3 * 65536, -1),
+    st.sampled_from([65535, 65536, 2**63 - 1, -(2**63)]),
+)
+counter_inputs = st.one_of(
+    int64_counters,
+    int64_counters.map(lambda k: np.array(k, dtype=np.int64)),
+    st.lists(int64_counters, max_size=6),
+    st.lists(int64_counters, max_size=6).map(lambda ks: np.array(ks, dtype=np.int64)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(st.tuples(st.integers(0, 0xFFFF), maps), min_size=2, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 2), counter_inputs), min_size=1, max_size=12))
+def test_repeated_requests_equal_the_oracle(pool, calls):
+    # keys from a small pool: repeats, alternations and rebuilds all occur
+    for which, ks in calls:
+        ci, allowed = pool[which % len(pool)]
+        got = csa2_channels_bulk(ks, ci, ChannelMap.from_channels(allowed))
+        assert type(got) is np.ndarray
+        assert got.dtype == np.int64
+        assert got.shape == np.shape(ks)
+        expected = [oracle_csa2_channel(int(k), ci, allowed) for k in np.ravel(ks)]
+        assert got.ravel().tolist() == expected
+
+
+def test_channel_table_is_built_on_the_second_request_in_a_row(monkeypatch):
+    builds = []
+    build = csa._csa2_channel_table
+    monkeypatch.setattr(csa, "_csa2_channel_table",
+                        lambda *key: builds.append(key) or build(*key))
+    csa2_channels_bulk(0, 0x0001, ChannelMap.full())  # forget the last connection
+    a, b = (0x7D3C, MAP_10), (0x7D3C, MAP_27)
+    for key, builds_so_far in [(a, 0), (a, 1), (a, 1), (b, 1), (a, 1), (b, 1), (a, 1),
+                               (b, 1), (b, 2), (b, 2), (a, 2), (a, 3)]:
+        ks = np.arange(65530, 65545)
+        got = csa2_channels_bulk(ks, *key)
+        assert got.tolist() == [oracle_csa2_channel(int(k), key[0], sorted(key[1].allowed))
+                                for k in ks]
+        assert len(builds) == builds_so_far
+    assert builds == [a, b, a]
+
+
+def test_returned_channels_are_the_callers_own():
+    ks = np.arange(100)
+    expected = [oracle_csa2_channel(k, 0x7D3C, sorted(MAP_10.allowed)) for k in range(100)]
+    csa2_channels_bulk(0, 0x0001, ChannelMap.full())  # forget the last connection
+    # the first request is computed directly, every later one read from the table
+    for _ in range(3):
+        got = csa2_channels_bulk(ks, 0x7D3C, MAP_10)
+        assert got.tolist() == expected
+        got[:] = 99
+        one = csa2_channels_bulk(5, 0x7D3C, MAP_10)
+        assert one.tolist() == expected[5]
+        one[...] = 99

@@ -38,6 +38,7 @@ from blehop import (
     reconstruct_connection,
     simulate,
 )
+from blehop import csa
 
 MAP_27 = ChannelMap.from_hex("0x1FFFFFFC00")
 MAP_10 = ChannelMap.from_hex("0x1E00E00700")
@@ -411,6 +412,24 @@ def test_map_inference_is_sound_when_truncated():
     assert not est.converged
 
 
+def test_map_inference_counts_unexplained_remaps_when_truncated():
+    ci, sniff, k_init = channel_identifier(0xB0A1CD9D), 22, 777
+    offsets = _csa2_observation_offsets(MAP_10, ci, k_init, 1500, sniff)
+    est = infer_channel_map(offsets, k_init, ci, sniff)
+    assert est.assumed_map.n_ch == 12  # two excluded channels not proven yet
+    # each remap observation's channel under the assumed (too large) map,
+    # from the PRN and the spec's remap formula: some land on the sniffed
+    # channel, the rest are unexplained
+    p = prn_e_bulk((k_init + offsets) % 65536, ci).astype(np.int64)
+    remap = p % 37 != sniff
+    assumed = est.assumed_map
+    channels = assumed.ordered_array[(assumed.n_ch * p[remap]) >> 16]
+    expected = int(np.sum(channels != sniff))
+    assert est.unexplained_remaps == expected == 19
+    assert int(remap.sum()) == 109
+    assert not est.converged
+
+
 def test_map_inference_full_map_converges_immediately():
     cmap = ChannelMap.full()
     ci, sniff, k_init = channel_identifier(0x53D39A21), 17, 100
@@ -459,6 +478,22 @@ def test_reconstruct_csa2_end_to_end():
     assert not report.alignment.ambiguous
     assert report.map_estimate.assumed_map.allowed == MAP_10.allowed
     assert report.map_estimate.converged
+
+
+def test_simulate_then_reconstruct_builds_no_channel_table(monkeypatch):
+    # both ask for the channels of the same CSA#2 connection once each; a
+    # one-shot caller never pays for a 65536-entry table
+    builds = []
+    build = csa._csa2_channel_table
+    monkeypatch.setattr(csa, "_csa2_channel_table",
+                        lambda *key: builds.append(key) or build(*key))
+    csa.csa2_channels_bulk(0, 0x0001, ChannelMap.full())  # forget the last connection
+    params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_10, 0xB0A1CD9D)
+    _, trace = simulate_one(params, 200 * 10**9, initial_counter=60000)
+    report = reconstruct_connection(trace)
+    assert report.map_estimate.converged
+    assert report.map_estimate.assumed_map == MAP_10
+    assert builds == []
 
 
 def test_reconstruct_csa1_stops_after_classification():
