@@ -53,7 +53,6 @@ from .reconstruct import (
     ReconstructionReport,
     Verdict,
     align_counter,
-    build_meas_vector,
     build_ref_vector,
     classify_csa,
     estimate_interval,

@@ -176,15 +176,26 @@ class Forecast:
 
     @classmethod
     def from_dict(cls, raw):
+        """Read the JSON form; counters and channels must be JSON integers
+        (channels in 0..36), and times finite JSON numbers."""
         with reading("forecast"):
             entries = raw["entries"]
-            columns = (("counter", int, np.int64), ("channel", int, np.int64),
-                       ("time_ns", float, np.float64), ("time_std_ns", float, np.float64))
-            return cls(
-                *(np.fromiter((kind(e[key]) for e in entries), dtype, len(entries))
-                  for key, kind, dtype in columns),
-                counters_are_wire=bool(raw.get("counters_are_wire", True)),
-            )
+            if type(entries) is not list:
+                raise ConfigError(f"forecast entries must be a list, got {entries!r:.40}")
+            columns = []
+            for key, kinds, dtype in (("counter", {int}, np.int64), ("channel", {int}, np.int64),
+                                      ("time_ns", {int, float}, np.float64),
+                                      ("time_std_ns", {int, float}, np.float64)):
+                values = [e[key] for e in entries]
+                if not set(map(type, values)) <= kinds:
+                    raise ConfigError(f"forecast {key} values must be JSON "
+                                      f"{'integers' if dtype is np.int64 else 'numbers'}")
+                columns.append(np.array(values, dtype))
+            counters, channels, times, stds = columns
+            if not (np.all((channels >= 0) & (channels < NUM_DATA_CHANNELS))
+                    and np.isfinite(times).all() and np.isfinite(stds).all()):
+                raise ConfigError("forecast channels must be in 0..36 and its times finite")
+            return cls(*columns, counters_are_wire=bool(raw.get("counters_are_wire", True)))
 
 
 def predict_csa1(classification, sync, horizon):
@@ -397,6 +408,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
             raise EstimationError("no counter alignment available for a CSA#2 forecast")
         if recon.alignment.ambiguous:
             raise AmbiguousAlignmentError(recon.alignment.candidates)
+        if recon.channel_id is None:
+            raise EstimationError("no channel identifier available for a CSA#2 forecast")
         if recon.map_estimate is None:
             raise EstimationError("no channel map estimate available for a CSA#2 forecast")
 

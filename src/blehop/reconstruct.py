@@ -25,6 +25,9 @@ import numpy as np
 
 from .csa import (
     COUNTER_PERIOD,
+    INTERVAL_MAX_US,
+    INTERVAL_MIN_US,
+    INTERVAL_STEP_US,
     NUM_DATA_CHANNELS,
     ChannelMap,
     channel_identifier,
@@ -150,10 +153,8 @@ def estimate_interval(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
             f"interval estimation needs at least 3 observations, got {ts.size}"
         )
     gaps = np.diff(ts)
-    steps = np.rint(gaps / INTERVAL_STEP_NS).astype(np.int64)
-    if np.any(steps < 1):
-        raise EstimationError("observations closer than the 1.25 ms grid")
-    residuals = gaps - steps * INTERVAL_STEP_NS
+    steps, residuals = _grid_fit(gaps, INTERVAL_STEP_NS,
+                                 "observations closer than the 1.25 ms grid")
     accepted = np.abs(residuals) <= tolerance_ns
     if accepted.sum() < 2 or accepted.mean() < 0.5:
         raise EstimationError(
@@ -173,23 +174,46 @@ def estimate_interval(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
                 f"gap GCD {gcd_steps * 1.25:.2f} ms is above the 4 s maximum interval"
             )
 
-    # least-squares common divisor, accepted gaps only, refined twice
-    raw = _fit_interval(gaps[accepted], steps[accepted] // gcd_steps)
-    raw = _fit_interval(gaps[accepted], np.rint(gaps[accepted] / raw).astype(np.int64))
-    hop_counts = np.rint(gaps / raw).astype(np.int64)
-    if np.any(hop_counts < 1):
-        raise EstimationError("a gap collapses to zero events under the fitted interval")
+    # least-squares common divisor, accepted gaps only, refined twice (the
+    # first hops are >= 1: accepted steps are multiples of their GCD)
+    collapse = "a gap collapses to zero events under the fitted interval"
+    gaps_in, hops = gaps[accepted], steps[accepted] // gcd_steps
+    raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
+    hops, _ = _grid_fit(gaps_in, raw, collapse)
+    raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
+    hop_counts, _ = _grid_fit(gaps, raw, collapse)
     return IntervalEstimate(
         interval_ns=gcd_steps * INTERVAL_STEP_NS,
-        raw_interval_ns=float(raw),
+        raw_interval_ns=raw,
         offsets=np.concatenate([[0], np.cumsum(hop_counts)]),
     )
 
 
-def _fit_interval(gaps, hops):
+def _grid_fit(gaps, unit_ns, zero_hop_message):
+    """(int64 hops, residuals) of ``gaps`` rounded onto the ``unit_ns`` grid;
+    a gap that rounds to zero hops raises with ``zero_hop_message``."""
+    hops = np.rint(gaps / unit_ns).astype(np.int64)
     if np.any(hops < 1):
-        raise EstimationError("a gap collapses to zero events under the fitted interval")
-    return float(np.dot(gaps, hops) / np.dot(hops, hops))
+        raise EstimationError(zero_hop_message)
+    return hops, gaps - hops * unit_ns
+
+
+def _check_on_grid(residuals, interval_ns, tolerance_ns):
+    """Reject an interval when off-grid gaps are common or one is far out.
+
+    Under the right interval the residuals are pure timing noise, so gaps
+    beyond ``tolerance_ns`` are rare outliers whose rounding is still
+    unambiguous; under a wrong interval most gaps land far off-grid.
+    """
+    residuals = np.abs(residuals)
+    off_grid = int(np.count_nonzero(residuals > tolerance_ns))
+    worst = float(residuals.max(initial=0.0))
+    if off_grid > 0.05 * residuals.size or worst > 4 * tolerance_ns:
+        raise EstimationError(
+            f"{off_grid} of {residuals.size} gaps are more than {tolerance_ns / 1e3:.0f} us "
+            f"off-grid (worst {worst / 1e3:.0f} us) for an interval of "
+            f"{interval_ns / 1e6:.4f} ms; wrong interval or excessive timing noise"
+        )
 
 
 def classify_csa(trace, interval):
@@ -250,43 +274,17 @@ def classify_csa(trace, interval):
 def observation_offsets(trace, interval_ns, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     """Integer event offset of each observation relative to the first.
 
-    ``interval_ns`` may be the raw (unsnapped) estimate. Under the right
-    interval the gap residuals against the grid are pure timing noise, so
-    off-grid gaps (beyond ``tolerance_ns``) are rare outliers whose
-    rounding is still unambiguous; under a wrong interval most gaps land
-    far off-grid. The hypothesis is rejected when off-grid gaps are common
-    or any single gap sits too far out for its rounding to be trusted.
+    ``interval_ns`` may be the raw (unsnapped) estimate; it is rejected
+    when more than 5 % of gaps sit beyond ``tolerance_ns`` off its grid, or
+    any gap beyond 4x that.
     """
     ts = trace.timestamps()
     if ts.size == 0:
         raise InsufficientDataError("empty trace")
-    gaps = np.diff(ts)
-    hops = np.rint(gaps / interval_ns).astype(np.int64)
-    if np.any(hops < 1):
-        raise EstimationError("two observations fall inside one connection event")
-    residuals = np.abs(gaps - hops * interval_ns)
-    if gaps.size:
-        off_grid = int(np.count_nonzero(residuals > tolerance_ns))
-        worst = float(residuals.max())
-        if off_grid > 0.05 * gaps.size or worst > 4 * tolerance_ns:
-            raise EstimationError(
-                f"{off_grid} of {gaps.size} gaps are more than {tolerance_ns / 1e3:.0f} us "
-                f"off-grid (worst {worst / 1e3:.0f} us) for an interval of "
-                f"{interval_ns / 1e6:.4f} ms; wrong interval or excessive timing noise"
-            )
+    hops, residuals = _grid_fit(np.diff(ts), interval_ns,
+                                "two observations fall inside one connection event")
+    _check_on_grid(residuals, interval_ns, tolerance_ns)
     return np.concatenate([[0], np.cumsum(hops)])
-
-
-def build_meas_vector(offsets):
-    """Binary per-event vector: 1 where an observation occurred.
-
-    Index j is event offset j of ``offsets`` (as :func:`observation_offsets`
-    returns them); the length is the spanned event count plus one and the
-    first entry is always 1.
-    """
-    vector = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
-    vector[offsets] = 1
-    return vector
 
 
 def build_ref_vector(ci, sniff_channel):
@@ -303,32 +301,30 @@ def build_ref_vector(ci, sniff_channel):
     return ref
 
 
-def align_counter(c_meas, c_ref):
+def align_counter(offsets, c_ref):
     """Find the event counter of the first observation by circular correlation.
 
+    With ``c_meas`` the 0/1 indicator of the observations' event ``offsets``
+    (as :func:`observation_offsets` returns them) folded mod 65536,
     ``r[k] = sum_m c_ref[(m + k) mod 65536] * c_meas[m]`` peaks where the
     shift k lines the observed hits up with the reference, i.e. at the
     counter value of observation 0. Ties are reported, never silently
     broken: ``ambiguous`` is true iff the peak is not unique, and all tied
     candidates are returned.
 
-    Traces longer than one counter period are folded into it (positions
-    OR-accumulated mod 65536) before correlating. The correlation is
-    computed via FFT; both inputs are 0/1 vectors, so the scores are small
-    integers and the FFT's float error (about 1e-14) sits far inside the
-    0.5 that separates them: the peak and the candidates are read from the
-    floats directly.
+    The correlation is computed via FFT; both inputs are 0/1 vectors, so
+    the scores are small integers and the FFT's float error (about 1e-14)
+    sits far inside the 0.5 that separates them: the peak and the
+    candidates are read from the floats directly.
     """
     c_ref = np.asarray(c_ref)
     if c_ref.shape != (COUNTER_PERIOD,):
         raise ConfigError(f"reference vector must have length {COUNTER_PERIOD}")
-    positions = np.flatnonzero(np.asarray(c_meas))
-    if positions.size == 0:
-        raise EstimationError("measurement vector contains no observations")
-    if positions.size and int(positions[-1]) >= COUNTER_PERIOD:
-        positions = np.unique(positions % COUNTER_PERIOD)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size == 0:
+        raise EstimationError("no observation offsets to align")
     folded = np.zeros(COUNTER_PERIOD, dtype=np.float64)
-    folded[positions] = 1.0
+    folded[offsets % COUNTER_PERIOD] = 1.0
     spectrum = np.conj(np.fft.rfft(folded)) * np.fft.rfft(c_ref.astype(np.float64))
     correlation = np.fft.irfft(spectrum, n=COUNTER_PERIOD)
     top = correlation.max()
@@ -482,18 +478,35 @@ class ReconstructionReport:
                 observation_count=raw.get("observation_count", 0),
                 error=raw.get("error"),
             )
+            if report.sniff_channel is not None:
+                _json_int(report.sniff_channel, "sniff_channel", NUM_DATA_CHANNELS - 1)
             if "verdict" in raw:
+                interval_us, raw_us = raw["interval_us"], raw["raw_interval_us"]
+                if (type(interval_us) is not int or interval_us % INTERVAL_STEP_US
+                        or not INTERVAL_MIN_US <= interval_us <= INTERVAL_MAX_US):
+                    raise ConfigError(
+                        f"interval_us must be a multiple of {INTERVAL_STEP_US} in "
+                        f"{INTERVAL_MIN_US}..{INTERVAL_MAX_US}, got {interval_us!r}")
+                # a fitted interval lies within the gap tolerance of the snapped one;
+                # a far smaller one would stretch a forecast over millions of events
+                if (type(raw_us) not in (int, float)
+                        or not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2):
+                    raise ConfigError(f"raw_interval_us must be a number within "
+                                      f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
+                profile = tuple(_json_int(p, "period_profile entry", NUM_DATA_CHANNELS - 1)
+                                for p in raw.get("period_profile", ()))
+                if len(set(profile)) < len(profile) or report.sniff_channel is None:
+                    raise ConfigError("a verdict needs a sniff_channel and distinct "
+                                      f"period_profile phases, got {report.sniff_channel!r} "
+                                      f"and {list(profile)}")
                 interval = IntervalEstimate(
-                    interval_ns=int(raw["interval_us"]) * 1000,
-                    raw_interval_ns=float(raw["raw_interval_us"]) * 1000.0,
+                    interval_ns=interval_us * 1000,
+                    raw_interval_ns=float(raw_us) * 1000.0,
                     offsets=np.zeros(0, dtype=np.int64),
                 )
                 report.interval = interval
                 report.classification = CsaClassification(
-                    Verdict(raw["verdict"]),
-                    tuple(raw.get("period_profile", ())),
-                    interval,
-                    raw.get("sniff_channel"),
+                    Verdict(raw["verdict"]), profile, interval, report.sniff_channel
                 )
             if "channel_identifier" in raw:
                 report.channel_id = int(raw["channel_identifier"], 16)
@@ -501,13 +514,15 @@ class ReconstructionReport:
                     raise ConfigError(f"channel_identifier {raw['channel_identifier']!r} "
                                       "does not fit in 16 bits")
             if "k_init" in raw:
+                k_init = _json_int(raw["k_init"], "k_init", COUNTER_PERIOD - 1)
                 align = raw.get("alignment", {})
                 report.alignment = CounterAlignment(
-                    k_init=int(raw["k_init"]),
+                    k_init=k_init,
                     correlation_peak=align.get("correlation_peak", 0),
                     second_peak=align.get("second_peak", 0),
                     ambiguous=align.get("ambiguous", False),
-                    candidates=tuple(align.get("candidates", (raw["k_init"],))),
+                    candidates=tuple(_json_int(c, "alignment candidate", COUNTER_PERIOD - 1)
+                                     for c in align.get("candidates", (k_init,))),
                 )
             if "channel_map" in raw:
                 evidence = {int(k): v for k, v in raw.get("evidence_count", {}).items()}
@@ -518,7 +533,16 @@ class ReconstructionReport:
                     converged=raw.get("converged", False),
                     unexplained_remaps=raw.get("unexplained_remaps", 0),
                 )
+            if not report.error and report.classification is None:
+                raise ConfigError("report holds neither an error nor a verdict")
             return report
+
+
+def _json_int(value, what, high):
+    """``value`` if it is a JSON integer (not a float or bool) in 0..``high``."""
+    if type(value) is not int or not 0 <= value <= high:
+        raise ConfigError(f"{what} must be an integer in 0..{high}, got {value!r}")
+    return value
 
 
 def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
@@ -545,16 +569,14 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
         report.classification = classify_csa(trace, report.interval)
         if report.classification.verdict is Verdict.CSA2:
             report.channel_id = channel_identifier(aa)
-            offsets = observation_offsets(
-                trace,
-                report.classification.interval.raw_interval_ns,
-                tolerance_ns=tolerance_ns,
-            )
+            est = report.interval  # classification.interval, for a CSA#2 verdict
+            residuals = np.diff(trace.timestamps()) - np.diff(est.offsets) * est.raw_interval_ns
+            _check_on_grid(residuals, est.raw_interval_ns, tolerance_ns)
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
-            report.alignment = align_counter(build_meas_vector(offsets), reference)
+            report.alignment = align_counter(est.offsets, reference)
             if not report.alignment.ambiguous:
                 report.map_estimate = infer_channel_map(
-                    offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel
+                    est.offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel
                 )
     except EstimationError as exc:
         report.error = str(exc)

@@ -1,14 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blehop import SniffTrace, load_trace, save_trace, split_by_connection
+from blehop import Forecast, SniffTrace, load_trace, save_trace, split_by_connection
 from blehop.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CONFIG,
@@ -241,6 +247,15 @@ def test_predict_exit_codes(tmp_path, scenario_file, capsys):
                  "--trace", str(sim / "trace.csv"),
                  "--out-dir", str(tmp_path / "p1")]) == EXIT_AMBIGUOUS
 
+    # a CSA#2 report without its channel identifier cannot forecast channels
+    report = json.loads(report_path.read_text())
+    del report["channel_identifier"]
+    no_ci_path = tmp_path / "no_ci.json"
+    no_ci_path.write_text(json.dumps(report))
+    assert main(["predict", "--report", str(no_ci_path),
+                 "--trace", str(sim / "trace.csv"),
+                 "--out-dir", str(tmp_path / "p0")]) == EXIT_ESTIMATION
+
     # training window swallowing the whole trace -> estimation error
     assert main(["predict", "--report", str(report_path),
                  "--trace", str(sim / "trace.csv"), "--train-seconds", "9999",
@@ -326,6 +341,145 @@ def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
     assert main([command, *inputs, option, value,
                  "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
+
+
+CSA2_REPORT = "report_0xB0A1CD9D.json"
+CSA1_REPORT = "report_0x53D39A21.json"
+DROP = object()
+
+
+def _mutated(doc, path, value):
+    """A copy of the JSON ``doc`` with the item at ``path`` set to ``value`` or dropped."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    if value is DROP:
+        del owner[key]
+    else:
+        owner[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("report_name, path, value, needle", [
+    (CSA2_REPORT, ("k_init",), 10**30, "k_init"),
+    (CSA2_REPORT, ("k_init",), -5, "k_init"),
+    (CSA2_REPORT, ("k_init",), 1.5, "k_init"),
+    (CSA2_REPORT, ("k_init",), True, "k_init"),
+    (CSA2_REPORT, ("alignment", "candidates"), [70000], "alignment candidate"),
+    (CSA1_REPORT, ("sniff_channel",), 99, "sniff_channel"),
+    (CSA1_REPORT, ("period_profile",), "ab", "period_profile"),
+    (CSA1_REPORT, ("period_profile",), [0, 0], "period_profile"),
+    (CSA1_REPORT, ("period_profile",), [37], "period_profile"),
+    (CSA2_REPORT, ("raw_interval_us",), -1, "raw_interval_us"),
+    (CSA2_REPORT, ("raw_interval_us",), "nan", "raw_interval_us"),
+    (CSA2_REPORT, ("raw_interval_us",), float("nan"), "raw_interval_us"),
+    (CSA2_REPORT, ("raw_interval_us",), 100, "raw_interval_us"),
+    (CSA2_REPORT, ("interval_us",), 12000, "interval_us"),
+    (CSA2_REPORT, ("interval_us",), 5_000_000, "interval_us"),
+    (CSA2_REPORT, ("interval_us",), 12500.0, "interval_us"),
+    (CSA2_REPORT, ("verdict",), DROP, "neither an error nor a verdict"),
+])
+def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
+                                                          report_name, path, value, needle):
+    sim, recon, _ = pipeline
+    report = _mutated(json.loads((recon / report_name).read_text()), path, value)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["predict", "--report", str(report_path), "--trace", str(sim / "trace.csv"),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("entries", 0, "counter"), 1.5), (("entries", 0, "counter"), True),
+    (("entries", 0, "channel"), 99), (("entries", 0, "channel"), -1),
+    (("entries", 0, "channel"), 2.0), (("entries", 0, "time_ns"), "nan"),
+    (("entries", 0, "time_ns"), float("nan")), (("entries", 0, "time_ns"), False),
+    (("entries", 0, "time_std_ns"), float("inf")), (("entries",), {}),
+])
+def test_bad_forecast_values_exit_with_config_error(tmp_path, pipeline, capsys, path, value):
+    sim, _, pred = pipeline
+    forecast = _mutated(json.loads((pred / "forecast.json").read_text()), path, value)
+    forecast_path = tmp_path / "forecast.json"
+    forecast_path.write_text(json.dumps(forecast))
+    part = connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv")
+    capsys.readouterr()
+    assert main(["evaluate", "--forecast", str(forecast_path), "--trace", str(part),
+                 "--interval-us", "12500", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "forecast" in capsys.readouterr().err
+
+
+# A short capture, so that each mutated input runs the CLI in milliseconds
+SHORT_SCENARIO = {"sniff_channel": 22, "rng_seed": 5, "connections": [
+    {**SCENARIO["connections"][0], "impairments": {**SCENARIO["connections"][0]["impairments"],
+                                                   "duration_us": 30_000_000}}]}
+BAD_VALUES = [DROP, None, True, False, 0, -1, 1.5, 10**30, -10**30, float("nan"),
+              float("inf"), "", "x", "0x1", [], [1, 2], {}]
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """(trace path, report dict, forecast dict, work dir) of one short CSA#2 capture."""
+    tmp_path = tmp_path_factory.mktemp("short")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SHORT_SCENARIO))
+    sim, recon, pred = tmp_path / "sim", tmp_path / "recon", tmp_path / "pred"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == EXIT_OK
+        assert main(["reconstruct", "--trace", str(sim / "trace.csv"),
+                     "--out-dir", str(recon)]) == EXIT_OK
+        assert main(["predict", "--report", str(recon / CSA2_REPORT),
+                     "--trace", str(sim / "trace.csv"), "--train-seconds", "15",
+                     "--out-dir", str(pred)]) == EXIT_OK
+    return (sim / "trace.csv", json.loads((recon / CSA2_REPORT).read_text()),
+            json.loads((pred / "forecast.json").read_text()), tmp_path)
+
+
+def _run_on(work_dir, option, doc, argv):
+    """``blehop <argv> <option> <doc written to a file>`` in a fresh out dir; its
+    exit code (checked to be one the CLI documents) and that out dir."""
+    run_dir = Path(tempfile.mkdtemp(dir=work_dir))
+    path = run_dir / "input.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, option, str(path), "--out-dir", str(run_dir / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_AMBIGUOUS, EXIT_IO, EXIT_ESTIMATION)
+    return code, run_dir / "out"
+
+
+REPORT_PATHS = [(key,) for key in (
+    "access_address", "sniff_channel", "observation_count", "error", "interval_us",
+    "raw_interval_us", "verdict", "period_profile", "channel_identifier", "k_init",
+    "alignment", "channel_map", "proven_excluded", "evidence_count", "converged",
+    "unexplained_remaps")] + [("alignment", key) for key in (
+        "correlation_peak", "second_peak", "ambiguous", "candidates")]
+FORECAST_PATHS = [("counters_are_wire",), ("entries",)] + [
+    ("entries", row, key) for row in (0, 1, -1)
+    for key in ("counter", "channel", "time_ns", "time_std_ns")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(REPORT_PATHS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_report_never_escapes_the_cli(short_run, path, value):
+    trace, report, _, work_dir = short_run
+    code, out = _run_on(work_dir, "--report", _mutated(report, path, value),
+                        ["predict", "--trace", str(trace), "--train-seconds", "15"])
+    if code == EXIT_OK:
+        Forecast.from_dict(json.loads((out / "forecast.json").read_text()))
+        json.loads((out / "eval.json").read_text())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(FORECAST_PATHS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_forecast_never_escapes_the_cli(short_run, path, value):
+    trace, _, forecast, work_dir = short_run
+    code, out = _run_on(work_dir, "--forecast", _mutated(forecast, path, value),
+                        ["evaluate", "--trace", str(trace), "--interval-us", "7500"])
+    if code == EXIT_OK:
+        json.loads((out / "eval.json").read_text())
 
 
 def test_predict_uses_the_reports_central_packets(tmp_path, capsys):

@@ -22,7 +22,6 @@ from blehop import (
     SniffTrace,
     Verdict,
     align_counter,
-    build_meas_vector,
     build_ref_vector,
     channel_identifier,
     channel_sequence,
@@ -256,12 +255,6 @@ def test_observation_offsets_reject_single_far_off_grid_gap():
         observation_offsets(trace_at(times), 12_500_000, tolerance_ns=300_000)
 
 
-def test_meas_vector_marks_hits():
-    times = np.array([0, 3, 9]) * 7_500_000
-    vec = build_meas_vector(observation_offsets(trace_at(times), 7_500_000))
-    assert vec.tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 0, 1]
-
-
 def test_ref_vector_population_counts():
     # 65536 = 37 * 1771 + 9, so residues 0..8 occur 1772 times, 9..36 occur
     # 1771 times; the PRN is a bijection, making these counts exact.
@@ -312,9 +305,7 @@ def test_alignment_recovers_known_shift():
     ref = build_ref_vector(0x7D3C, 22)
     for k_init in (0, 5000, 65535):
         offsets = _offsets_from_reference(ref, k_init, 4000)
-        meas = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
-        meas[offsets] = 1
-        result = align_counter(meas, ref)
+        result = align_counter(offsets, ref)
         assert result.k_init == k_init
         assert not result.ambiguous
         assert result.correlation_peak == len(offsets)
@@ -325,20 +316,19 @@ def test_alignment_folds_traces_longer_than_a_period():
     ref = build_ref_vector(0x7D3C, 22)
     k_init = 1234
     offsets = _offsets_from_reference(ref, k_init, 70_000)
-    meas = np.zeros(int(offsets[-1]) + 1, dtype=np.uint8)
-    meas[offsets] = 1
-    result = align_counter(meas, ref)
+    assert offsets[-1] >= 65536  # some offsets fold onto earlier ones
+    result = align_counter(offsets, ref)
     assert result.k_init == k_init
     assert not result.ambiguous
+    # folding ORs the offsets that agree mod 65536
+    assert result == align_counter(np.unique(offsets % 65536), ref)
 
 
 def test_two_observations_are_ambiguous():
     # with hits at offsets {0, d} every k with ref[k] and ref[k+d] set ties
     ref = build_ref_vector(0x7D3C, 22)
     d = 37
-    meas = np.zeros(d + 1, dtype=np.uint8)
-    meas[[0, d]] = 1
-    result = align_counter(meas, ref)
+    result = align_counter(np.array([0, d]), ref)
     expected = np.flatnonzero((ref == 1) & (np.roll(ref, -d) == 1))
     assert result.ambiguous
     assert result.correlation_peak == 2
@@ -353,13 +343,11 @@ def test_alignment_matches_direct_correlation():
     doubled = np.concatenate([ref, ref]).astype(np.int64)
     for n in (3, 40, 500):
         positions = np.sort(rng.choice(65536, size=n, replace=False))
-        meas = np.zeros(int(positions[-1]) + 1, dtype=np.uint8)
-        meas[positions] = 1
         correlation = np.zeros(65536, dtype=np.int64)
         for m in positions:
             correlation += doubled[m:m + 65536]
         peak = int(correlation.max())
-        result = align_counter(meas, ref)
+        result = align_counter(positions, ref)
         assert result.correlation_peak == peak
         assert result.candidates == tuple(np.flatnonzero(correlation == peak).tolist())
         # the largest score once the candidates are left out, or the peak on a tie
@@ -371,9 +359,9 @@ def test_alignment_matches_direct_correlation():
 def test_alignment_rejects_bad_inputs():
     ref = build_ref_vector(0x7D3C, 22)
     with pytest.raises(EstimationError):
-        align_counter(np.zeros(100, dtype=np.uint8), ref)
+        align_counter(np.zeros(0, dtype=np.int64), ref)
     with pytest.raises(ConfigError):
-        align_counter(np.ones(10, dtype=np.uint8), ref[:100])
+        align_counter(np.arange(10), ref[:100])
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +495,26 @@ def test_reconstruct_csa1_stops_after_classification():
     assert report.classification.interval.interval_us == 18750
     assert report.alignment is None
     assert report.map_estimate is None
+
+
+def test_off_grid_gate_refuses_csa2_verdicts_only():
+    # at 150 us jitter about one gap in six lands beyond the 300 us tolerance
+    csa2 = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
+    _, trace = simulate_one(csa2, 120 * 10**9, seed=1, jitter=150_000.0)
+    report = reconstruct_connection(trace)
+    assert report.error == (
+        "101 of 610 gaps are more than 300 us off-grid (worst 731 us) for an interval of "
+        "7.4999 ms; wrong interval or excessive timing noise")
+    assert report.classification.verdict is Verdict.CSA2
+    assert report.alignment is None
+    # a CSA#1 verdict stops before the gate, so the same jitter still gets one
+    full = ChannelMap.from_channels(range(37))
+    csa1 = ConnectionParams(CsaVersion.CSA1, 7500, full, 0x53D39A21,
+                            hop_increment=7, initial_channel=3)
+    _, trace = simulate_one(csa1, 120 * 10**9, seed=1, jitter=150_000.0)
+    report = reconstruct_connection(trace)
+    assert report.error is None
+    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
 
 
 def test_reconstruct_captures_estimation_errors():
