@@ -221,7 +221,7 @@ class ConnectionParams:
                 aa = int(aa, 16)
             return cls(
                 csa_version=version,
-                interval_us=int(raw["interval_us"]),
+                interval_us=raw["interval_us"],  # as read: __post_init__ refuses a bool, float or str
                 channel_map=ChannelMap.from_hex(raw["channel_map"]),
                 access_address=aa,
                 hop_increment=raw.get("hop_increment"),

@@ -493,12 +493,15 @@ class ReconstructionReport:
                         or not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2):
                     raise ConfigError(f"raw_interval_us must be a number within "
                                       f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
+                verdict = Verdict(raw["verdict"])
                 profile = tuple(_json_int(p, "period_profile entry", NUM_DATA_CHANNELS - 1)
                                 for p in raw.get("period_profile", ()))
-                if len(set(profile)) < len(profile) or report.sniff_channel is None:
+                # a CSA#1 forecast visits the sniffed channel at the profile's phases only
+                if (len(set(profile)) < len(profile) or report.sniff_channel is None
+                        or (verdict is not Verdict.CSA2 and not profile)):
                     raise ConfigError("a verdict needs a sniff_channel and distinct "
-                                      f"period_profile phases, got {report.sniff_channel!r} "
-                                      f"and {list(profile)}")
+                                      "period_profile phases (at least one for CSA#1), got "
+                                      f"{report.sniff_channel!r} and {list(profile)}")
                 interval = IntervalEstimate(
                     interval_ns=interval_us * 1000,
                     raw_interval_ns=float(raw_us) * 1000.0,
@@ -506,7 +509,7 @@ class ReconstructionReport:
                 )
                 report.interval = interval
                 report.classification = CsaClassification(
-                    Verdict(raw["verdict"]), profile, interval, report.sniff_channel
+                    verdict, profile, interval, report.sniff_channel
                 )
             if "channel_identifier" in raw:
                 report.channel_id = int(raw["channel_identifier"], 16)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -204,16 +203,22 @@ def _read_rows(handle, fmt):
     return (channels.pop() if channels else None), timestamps, addresses, central
 
 
-_CHUNK_HINT = 1 << 18  # bytes of text per bulk-parsed chunk of lines
-# on text not refused below, loadtxt reads an integer field as int() does or raises;
-# it truncates a longer string field silently, so an address filling "S11" is rejected
-_BULK_FIELDS = np.dtype([("ts", "i8"), ("aa", "S11"), ("ch", "i8"), ("central", "S6")])
-# loadtxt skips blank lines, ends a line at "\r", pads fields with NUL bytes,
-# strips "\x1c".."\x1f" around an integer (int() refuses them) and reads some
-# non-ASCII letters as digits (U+01FE as 462): a chunk holding any is refused
-_BULK_REFUSED = ("\n\n", "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
-_NIBBLE = np.full(256, 16, dtype=np.uint32)  # 16: not an uppercase hex digit
-_NIBBLE[np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)] = np.arange(16)
+_CHUNK_HINT = 1 << 18  # characters of text per bulk-parsed chunk of lines
+_PAD = 24  # zero bytes on each side of a chunk, so every word read below is in range
+_CHANNELS = {str(k): k for k in range(NUM_DATA_CHANNELS)}  # the canonical channel texts
+# the byte value of two uppercase hex digits, keyed by their little-endian
+# uint16; 256 where the key is not two such digits
+_HEX_PAIRS = np.full(1 << 16, 256, dtype=np.uint16)
+_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8).astype(np.uint16)
+_HEX_PAIRS[_HEX_DIGITS[:, None] | _HEX_DIGITS << np.uint16(8)] = np.arange(256).reshape(16, 16)
+_FIRST = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # a word's first k bytes
+_LAST = ~_FIRST[::-1]  # a word's last k bytes
+_INT64_MAX = np.uint64(2**63 - 1)
+
+
+def _word(text):
+    """The first (up to 8) bytes of ASCII text as a little-endian word."""
+    return np.uint64(int.from_bytes(text.encode("ascii"), "little"))
 
 
 def _read_csv_bulk(handle):
@@ -224,42 +229,83 @@ def _read_csv_bulk(handle):
         return None
     timestamps, addresses, central = array("q"), array("I"), array("b")
     channel = None
-    while lines := handle.readlines(_CHUNK_HINT):
-        text = "".join(lines)
-        if text[0] == "\n" or not text.isascii() or any(s in text for s in _BULK_REFUSED):
+    while text := handle.read(_CHUNK_HINT):
+        if not text.endswith("\n"):
+            text += handle.readline()
+        if channel is None:
+            fields = text.partition("\n")[0].split(",")
+            channel = _CHANNELS.get(fields[2]) if len(fields) == 4 else None
+            if channel is None:
+                return None
+        columns = _match_chunk(text, str(channel))
+        if columns is None:
             return None
-        try:
-            with warnings.catch_warnings():
-                # older NumPy parses an integer field via a float ("5.9" as 5) with
-                # only a DeprecationWarning; as an error it makes loadtxt raise ValueError
-                warnings.simplefilter("error", DeprecationWarning)
-                fields = np.loadtxt(lines, dtype=_BULK_FIELDS, delimiter=",", comments=None,
-                                    ndmin=1)
-        except ValueError:
-            return None
-        chunk_channel, chunk_max = int(fields["ch"].min()), int(fields["ch"].max())
-        if (chunk_max != chunk_channel or channel not in (None, chunk_channel)
-                or not 0 <= chunk_channel < NUM_DATA_CHANNELS):
-            return None
-        channel = chunk_channel
-        aa = _bulk_addresses(fields["aa"])
-        is_central = fields["central"] == b"true"
-        if aa is None or not np.all(is_central | (fields["central"] == b"false")):
-            return None
-        timestamps.frombytes(fields["ts"].tobytes())
-        addresses.frombytes(aa.tobytes())
-        central.frombytes(is_central.tobytes())
+        for column, values in zip((timestamps, addresses, central), columns):
+            column.frombytes(values.view(np.uint8))
     return channel, timestamps, addresses, central
 
 
-def _bulk_addresses(field):
-    """Values of "0x" + 8 uppercase hex digit fields, or None."""
-    raw = np.ascontiguousarray(field).view(np.uint8).reshape(field.size, -1)
-    nibbles = _NIBBLE[raw[:, 2:10]]
-    if not (np.all(raw[:, 0] == ord("0")) and np.all(raw[:, 1] == ord("x"))
-            and np.all(nibbles < 16) and not np.any(raw[:, 10:])):
+def _match_chunk(text, channel):
+    """(timestamps, addresses, central) of whole lines each written exactly
+    ``-?digits,0x<8 uppercase hex>,<channel>,true|false`` and ended by a
+    newline (or by the end of the text), or None.
+
+    Every byte of every line is checked: the line's end fixes where each
+    field after the timestamp lies, and the timestamp fills the rest.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    try:
+        buf = np.frombuffer(bytes(_PAD) + text.encode("ascii") + bytes(_PAD), dtype=np.uint8)
+    except UnicodeEncodeError:
         return None
-    return (nibbles << np.arange(28, -1, -4, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = _PAD, ends[:-1] + 1
+    # a line ends ",<channel>,true\n" or ",<channel>,false\n": the flag's
+    # second-last letter tells which, and so where the commas before it lie
+    is_central = buf[ends - 2] == ord("u")
+    flag_at = ends - 6 + is_central
+    channel_at = flag_at - 1 - len(channel)
+    address_at = channel_at - 11
+    negative = buf[starts] == ord("-")
+    digits = address_at - starts - negative
+    if digits.min() < 1 or digits.max() > 19:
+        return None
+    # the 8 bytes from every offset of the chunk, each read as one little-endian word
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    flags = np.where(is_central, _word(",true\n"), _word(",false"))
+    if not (np.all(words[flag_at] & _FIRST[6] == flags)
+            and np.all(words[channel_at] & _FIRST[1 + len(channel)] == _word("," + channel))
+            and np.all(words[address_at] & _FIRST[3] == _word(",0x"))):
+        return None
+    address_bytes = _HEX_PAIRS.take(words[address_at + 3].view("<u2"))
+    if address_bytes.max() > 255:
+        return None
+    addresses = address_bytes.astype(np.uint8).view(">u4").astype(np.uint32)
+    values = np.zeros(ends.size, dtype=np.uint64)
+    for k in range((int(digits.max()) + 7) // 8):  # 8 digits at a time, from the last
+        parsed = _parse_digits(words[address_at - 8 * (k + 1)], np.clip(digits - 8 * k, 0, 8))
+        if parsed is None:
+            return None
+        values += parsed * np.uint64(10 ** (8 * k))
+    if np.any(values > _INT64_MAX + negative.astype(np.uint64)):
+        return None
+    timestamps = np.where(negative, np.uint64(0) - values, values).view(np.int64)
+    return timestamps, addresses, is_central
+
+
+def _parse_digits(words, count):
+    """The values of the last ``count`` bytes of each word, read as decimal
+    digits (the first byte most significant), or None if one is not a digit."""
+    # "0".."9" XOR "0" is 0..9, and any other byte is above 9; bytes before the digits read 0
+    words = (words ^ np.uint64(0x3030303030303030)) & _LAST[count]
+    if np.any((words | (words + np.uint64(0x7676767676767676))) & np.uint64(0x8080808080808080)):
+        return None
+    # one digit per byte; merge them into pairs, fours and eights
+    words = (words * np.uint64(10) + (words >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    words = (words * np.uint64(100) + (words >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    return (words * np.uint64(10000) + (words >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
 
 
 def _csv_records(handle):

@@ -204,6 +204,23 @@ def test_hopgen_csa2_with_start_counter(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("interval_us", [True, 12500.9, "12500"])
+def test_params_interval_must_be_a_json_integer(tmp_path, capsys, interval_us):
+    params = {**SCENARIO["connections"][0]["params"], "interval_us": interval_us}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params))
+    assert main(["hopgen", "--params", str(params_path), "--events", "3",
+                 "--out-dir", str(tmp_path / "hops")]) == EXIT_CONFIG
+    assert "interval_us" in capsys.readouterr().err
+    scenario = {**SCENARIO, "connections": [{**SCENARIO["connections"][0], "params": params}]}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path / "sim")]) == EXIT_CONFIG
+    assert "interval_us" in capsys.readouterr().err
+    assert not (tmp_path / "hops").exists() and not (tmp_path / "sim").exists()
+
+
 def test_exit_codes(tmp_path, scenario_file, capsys):
     # missing input file -> I/O error
     assert main(["reconstruct", "--trace", str(tmp_path / "nope.csv"),
@@ -380,6 +397,7 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("interval_us",), 5_000_000, "interval_us"),
     (CSA2_REPORT, ("interval_us",), 12500.0, "interval_us"),
     (CSA2_REPORT, ("verdict",), DROP, "neither an error nor a verdict"),
+    (CSA1_REPORT, ("period_profile",), [], "period_profile"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):

@@ -342,9 +342,9 @@ ANOMALIES = {
     "nul_byte": lambda f: [f[0] + "\0", *f[1:]],
     "nul_in_flag": lambda f: [*f[:3], f[3] + "\0"],
     "nul_in_address": lambda f: [f[0], f[1] + "\0", *f[2:]],
-    # loadtxt strips "\x1c".."\x1f" around an integer, which int() refuses
+    # int() refuses "\x1c".."\x1f" around an integer, which str.split() would strip
     "separator_control": lambda f: ["\x1c" + f[0], *f[1:]],
-    # loadtxt reads U+01FE as a digit worth 462; int() refuses it
+    # some number parsers read U+01FE as a digit worth 462; int() refuses it
     "non_ascii_letter": lambda f: [f[0] + "Ǿ", *f[1:]],
     "fullwidth_digit": lambda f: [f[0] + "５", *f[1:]],
     "float_timestamp": lambda f: ["5.0", *f[1:]],
@@ -404,7 +404,7 @@ def load_outcome(stream):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(case=csv_texts(), chunk_hint=st.sampled_from([1, 64, 200, 1 << 18]))
-# chunks of blank lines only, which loadtxt reads as no rows at all
+# chunks of blank lines only
 @example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n\n6,0x00000001,7,true\n", False),
          chunk_hint=1)
 @example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n", False), chunk_hint=1)
@@ -412,6 +412,26 @@ def load_outcome(stream):
 @example(case=(CSV_HEADER + "5,0x00000001,7,true\n6,0x00000001,8,true\n", False),
          chunk_hint=1)
 @example(case=(CSV_HEADER + "5,0y00000001,7,true\n", False), chunk_hint=1)
+# the int64 limits (save_trace form) and one past each
+@example(case=(CSV_HEADER + f"{2**63 - 1},0x00000001,7,true\n", True), chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + f"{-(2**63)},0x00000001,7,false\n", True), chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + f"{2**63},0x00000001,7,true\n", False), chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + f"{-(2**63) - 1},0x00000001,7,true\n", False), chunk_hint=1 << 18)
+# 20 digits, which wrap in uint64 to 5
+@example(case=(CSV_HEADER + f"{2**64 + 5},0x00000001,7,true\n", False), chunk_hint=1 << 18)
+# integers int() reads that save_trace does not write, a lowercase address and
+# a padded channel
+@example(case=(CSV_HEADER + "-0,0x00000001,7,true\n007,0x00000001,7,true\n", False),
+         chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + "5,0x0000abcd,7,true\n", False), chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + "5,0x00000001,07,true\n", False), chunk_hint=1 << 18)
+# a line with 4 commas then one with 2: six commas in two lines
+@example(case=(CSV_HEADER + "5,0x00000001,7,true,\n6,0x00000001,7\n", False),
+         chunk_hint=1 << 18)
+# a last line without its newline
+@example(case=(CSV_HEADER + "5,0x00000001,7,true\n6,0x00000002,7,false", True),
+         chunk_hint=1 << 18)
+@example(case=(CSV_HEADER + "5,0x00000001,7,true\n6,0x00000002,7,false", True), chunk_hint=1)
 def test_bulk_csv_reader_equals_the_row_parser(case, chunk_hint):
     text, canonical = case
     with mock.patch.object(trace_module, "_CHUNK_HINT", chunk_hint):
