@@ -100,9 +100,12 @@ class ChannelMap:
 
     @classmethod
     def from_hex(cls, text):
-        """Parse the 40-bit hex form, e.g. ``0x1FFFFFFC00``."""
+        """Parse the 40-bit hex form, e.g. ``0x1FFFFFFC00``; only a string is
+        accepted (a JSON integer would be read as hex digits)."""
+        if not isinstance(text, str):
+            raise ConfigError(f"channel map must be a hex string, got {text!r}")
         try:
-            value = int(str(text), 16)
+            value = int(text, 16)
         except ValueError as exc:
             raise ConfigError(f"invalid channel map hex {text!r}") from exc
         if value < 0 or value >> _MAP_BITS:
@@ -340,6 +343,11 @@ def _csa2_channel_table(ci, channel_map):
     return _csa2_channels(np.arange(COUNTER_PERIOD), ci, channel_map).astype(np.uint8)
 
 
+# the table index mask as an int64 scalar: a Python int operand is converted
+# to a NumPy scalar on every call, and a uint16 index (a cast instead of the
+# mask) is converted to intp by the lookup; both cost more
+_COUNTER_MASK = np.int64(COUNTER_PERIOD - 1)
+
 # (ci, channel map) of the last csa2_channels_bulk request, and that
 # connection's channel table once it has been asked about twice in a row;
 # one tuple, replaced whole, so a table is always read with its own key
@@ -365,7 +373,7 @@ def csa2_channels_bulk(counters, ci, channel_map):
         _last = (key, table)
     # a 0-d index gives a NumPy scalar; asarray makes it the 0-d int64 array
     # that the direct computation returns
-    return np.asarray(table[np.asarray(counters, dtype=np.int64) & 0xFFFF], dtype=np.int64)
+    return np.asarray(table[np.asarray(counters, dtype=np.int64) & _COUNTER_MASK], dtype=np.int64)
 
 
 def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):

@@ -15,7 +15,9 @@ can be forecast.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +39,7 @@ DEFAULT_GATE_SIGMA = 6.0
 INTERVAL_GUARD_FRACTION = 1e-3  # filter divergence guard: +/-0.1 % of nominal
 
 
-@dataclass(frozen=True)
-class SyncState:
+class SyncState(NamedTuple):
     """Filtered synchronization to a connection's event grid.
 
     ``anchor_time_ns`` estimates the timestamp of the event at
@@ -46,6 +47,10 @@ class SyncState:
     filter saw); ``interval_ns`` is the per-event period as measured in
     sniffer time. ``covariance`` holds the entries (p00, p01, p11) of the
     symmetric 2x2 error covariance over (anchor time, interval).
+
+    An immutable named tuple, one per tracker step (built in about a
+    third of a frozen dataclass's time). Its fields stay Python floats and
+    ints: a NumPy scalar in one would slow every later step's arithmetic.
     """
 
     anchor_time_ns: float
@@ -117,12 +122,20 @@ def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT
 
 
 def predict_event_time(sync, event_offset):
-    """Predicted timestamp and its standard deviation for an event offset
-    (an int, or an int array for one prediction per offset)."""
+    """Predicted timestamp and its standard deviation for an event offset.
+
+    An int offset (Python or NumPy) gives two Python floats, computed
+    without NumPy scalars, which cost several times more per operation in
+    a live step; an int array gives two float64 arrays whose elements
+    equal the scalar results bit for bit.
+    """
+    h = event_offset - sync.anchor_offset
     # float before cubing: int64 h**3 overflows silently past 2,097,151 events
-    h = np.float64(event_offset - sync.anchor_offset)
-    time_pred, p00, _, _ = _advance(sync, h)
-    return time_pred, np.sqrt(np.maximum(p00, 0.0))
+    if isinstance(h, np.ndarray):
+        time_pred, p00, _, _ = _advance(sync, h.astype(np.float64))
+        return time_pred, np.sqrt(np.maximum(p00, 0.0))
+    time_pred, p00, _, _ = _advance(sync, float(h))
+    return time_pred, math.sqrt(max(p00, 0.0))
 
 
 @dataclass
@@ -177,7 +190,8 @@ class Forecast:
     @classmethod
     def from_dict(cls, raw):
         """Read the JSON form; counters and channels must be JSON integers
-        (channels in 0..36), and times finite JSON numbers."""
+        (channels in 0..36), times finite JSON numbers, and
+        ``counters_are_wire`` (true if absent) a JSON bool."""
         with reading("forecast"):
             entries = raw["entries"]
             if type(entries) is not list:
@@ -195,7 +209,11 @@ class Forecast:
             if not (np.all((channels >= 0) & (channels < NUM_DATA_CHANNELS))
                     and np.isfinite(times).all() and np.isfinite(stds).all()):
                 raise ConfigError("forecast channels must be in 0..36 and its times finite")
-            return cls(*columns, counters_are_wire=bool(raw.get("counters_are_wire", True)))
+            wire = raw.get("counters_are_wire", True)
+            if type(wire) is not bool:
+                raise ConfigError(f"forecast counters_are_wire must be a JSON bool, "
+                                  f"got {wire!r:.40}")
+            return cls(*columns, counters_are_wire=wire)
 
 
 def predict_csa1(classification, sync, horizon):
@@ -342,26 +360,35 @@ def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
     if np.any(np.diff(pred_times) < 0):
         raise ConfigError("forecast times must be non-decreasing")
     half = interval_ns / 2.0
-    taken = np.zeros(pred_times.size, dtype=bool)
-    errors, mismatches, unmatched = [], 0, 0
-    for ref_idx, t in enumerate(ref_times):
-        pos = int(np.searchsorted(pred_times, t))
+    n_pred = pred_times.size
+    # each reference event's neighbours in time, looked up in one call (a
+    # clipped one is out of range and skipped); the matching itself is
+    # sequential, as a reference event may not take a prediction already taken
+    positions = np.searchsorted(pred_times, ref_times)
+    earlier = pred_times[np.maximum(positions - 1, 0)].tolist()
+    later = pred_times[np.minimum(positions, n_pred - 1)].tolist()
+    taken, matched_preds, matched_refs, errors = set(), [], [], []
+    for ref_idx, (t, pos, t_earlier, t_later) in enumerate(
+            zip(ref_times.tolist(), positions.tolist(), earlier, later)):
         best, best_gap = None, half
-        for cand in (pos - 1, pos):
-            if 0 <= cand < pred_times.size and not taken[cand]:
-                gap = abs(pred_times[cand] - t)
+        for cand, pred in ((pos - 1, t_earlier), (pos, t_later)):
+            if 0 <= cand < n_pred and cand not in taken:
+                gap = abs(pred - t)
                 if gap <= best_gap:
-                    best, best_gap = cand, gap
-        if best is None:
-            unmatched += 1
-            continue
-        taken[best] = True
-        errors.append(float(t - pred_times[best]))
-        if ref_channels is not None and int(forecast.channels[best]) != int(ref_channels[ref_idx]):
-            mismatches += 1
+                    best, best_gap, best_time = cand, gap, pred
+        if best is not None:
+            taken.add(best)
+            matched_preds.append(best)
+            matched_refs.append(ref_idx)
+            errors.append(t - best_time)
     if not errors:
         raise EstimationError("no reference event falls within half an interval of a prediction")
-    return _error_report(errors, mismatches, int(np.sum(~taken)), unmatched)
+    mismatches = 0
+    if ref_channels is not None:
+        mismatches = int(np.count_nonzero(forecast.channels[matched_preds]
+                                          != ref_channels[matched_refs]))
+    return _error_report(errors, mismatches, n_pred - len(taken),
+                         ref_times.size - len(matched_refs))
 
 
 @dataclass

@@ -204,21 +204,32 @@ def test_hopgen_csa2_with_start_counter(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("interval_us", [True, 12500.9, "12500"])
-def test_params_interval_must_be_a_json_integer(tmp_path, capsys, interval_us):
-    params = {**SCENARIO["connections"][0]["params"], "interval_us": interval_us}
+def _params_refused(tmp_path, capsys, key, value, needle):
+    """``hopgen`` on a params file and ``simulate`` on a scenario with ``key``
+    set to ``value`` both exit 2, naming ``needle``, and write nothing."""
+    params = {**SCENARIO["connections"][0]["params"], key: value}
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params))
     assert main(["hopgen", "--params", str(params_path), "--events", "3",
                  "--out-dir", str(tmp_path / "hops")]) == EXIT_CONFIG
-    assert "interval_us" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
     scenario = {**SCENARIO, "connections": [{**SCENARIO["connections"][0], "params": params}]}
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario))
     assert main(["simulate", "--scenario", str(scenario_path),
                  "--out-dir", str(tmp_path / "sim")]) == EXIT_CONFIG
-    assert "interval_us" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
     assert not (tmp_path / "hops").exists() and not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("interval_us", [True, 12500.9, "12500"])
+def test_params_interval_must_be_a_json_integer(tmp_path, capsys, interval_us):
+    _params_refused(tmp_path, capsys, "interval_us", interval_us, "interval_us")
+
+
+def test_params_channel_map_must_be_a_hex_string(tmp_path, capsys):
+    # read as hex digits, 31 would be the map 0x31: channels {0, 4, 5}
+    _params_refused(tmp_path, capsys, "channel_map", 31, "channel map")
 
 
 def test_exit_codes(tmp_path, scenario_file, capsys):
@@ -398,6 +409,7 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("interval_us",), 12500.0, "interval_us"),
     (CSA2_REPORT, ("verdict",), DROP, "neither an error nor a verdict"),
     (CSA1_REPORT, ("period_profile",), [], "period_profile"),
+    (CSA2_REPORT, ("channel_map",), 31, "channel map"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):
@@ -417,6 +429,7 @@ def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, c
     (("entries", 0, "channel"), 2.0), (("entries", 0, "time_ns"), "nan"),
     (("entries", 0, "time_ns"), float("nan")), (("entries", 0, "time_ns"), False),
     (("entries", 0, "time_std_ns"), float("inf")), (("entries",), {}),
+    (("counters_are_wire",), "false"),
 ])
 def test_bad_forecast_values_exit_with_config_error(tmp_path, pipeline, capsys, path, value):
     sim, _, pred = pipeline

@@ -187,6 +187,43 @@ def test_update_validation():
         init_sync(0, 0)
 
 
+def test_scalar_prediction_equals_the_array_element():
+    interval = 7_500_000
+    rng = np.random.default_rng(4)
+    hops = rng.integers(1, 40, size=100)
+    offsets = np.concatenate([[0], np.cumsum(hops)])
+    times = offsets * interval * (1 + 20e-6) + np.rint(rng.normal(0, 50_000, offsets.size))
+    sync = track(times, hops, interval)
+    # the last offset is past 2,097,151 events, where an int64 h**3 overflows
+    targets = [sync.anchor_offset + 1, sync.anchor_offset + 37, sync.anchor_offset + 3_000_000]
+    array_times, array_stds = predict_event_time(sync, np.array(targets))
+    for i, target in enumerate(targets):
+        for offset in (target, np.int64(target)):
+            pred, std = predict_event_time(sync, offset)
+            assert type(pred) is float and type(std) is float
+            assert pred.hex() == float(array_times[i]).hex()
+            assert std.hex() == float(array_stds[i]).hex()
+
+
+def test_update_keeps_python_scalars_in_the_state():
+    interval = 12_500_000
+    sync = init_sync(np.int64(0), np.int64(interval))
+    for j in range(1, 4):
+        sync = kalman_update(sync, np.int64(j * interval + 1_000), np.int64(1))
+    # far outside the gate: the state advances without a measurement update
+    gated = kalman_update(sync, np.int64(4 * interval + 10_000_000), np.int64(1))
+    assert gated.interval_ns == sync.interval_ns
+    for state in (sync, gated):
+        assert [type(v) for v in state] == [float, float, tuple, int, float]
+        assert [type(v) for v in state.covariance] == [float, float, float]
+
+
+def test_sync_state_is_immutable():
+    sync = init_sync(0, 12_500_000)
+    with pytest.raises(AttributeError):
+        sync.interval_ns = 1.0
+
+
 # ---------------------------------------------------------------------------
 # forecasts
 
