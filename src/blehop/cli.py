@@ -94,7 +94,8 @@ def _out_dir(args):
 
 
 def cmd_simulate(args):
-    config = ScenarioConfig.from_json(args.scenario)
+    with open(args.scenario) as handle:
+        config = ScenarioConfig.from_dict(json.load(handle))
     timelines, trace = simulate(config)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
@@ -280,29 +281,26 @@ def build_parser():
     return parser
 
 
+# failures and their exit codes, most specific first: an ambiguous
+# alignment is also an estimation error
+EXIT_CODES = (
+    (AmbiguousAlignmentError, EXIT_AMBIGUOUS),
+    (TraceParseError, EXIT_PARSE),
+    (ConfigError, EXIT_CONFIG),
+    (EstimationError, EXIT_ESTIMATION),
+    (json.JSONDecodeError, EXIT_PARSE),
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AmbiguousAlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
+        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, reading
+from .errors import ConfigError, check_int, reading
 
 NUM_DATA_CHANNELS = 37
 COUNTER_PERIOD = 65536  # the connection event counter is 16 bits wide
@@ -59,21 +59,18 @@ class CsaVersion(enum.Enum):
     CSA2 = 2
 
 
-def _check_channel(value, what="channel"):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if not 0 <= value < NUM_DATA_CHANNELS:
-        raise ConfigError(f"{what} must be in 0..36, got {value}")
-    return int(value)
-
-
 def check_access_address(value):
     """Validate a 32-bit access address and return it as an int."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"access address must be an integer, got {value!r}")
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise ConfigError(f"access address must fit in 32 bits, got {value:#x}")
-    return int(value)
+    return check_int(value, "access address (32 bits)", 0, 0xFFFFFFFF)
+
+
+def check_interval_us(value, what="interval_us"):
+    """Validate a connection interval in microseconds, an integer multiple of
+    1250 in 7500..4000000, and return it as an int."""
+    value = check_int(value, what, INTERVAL_MIN_US, INTERVAL_MAX_US)
+    if value % INTERVAL_STEP_US:
+        raise ConfigError(f"{what} must be a multiple of {INTERVAL_STEP_US}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ class ChannelMap:
     allowed: frozenset
 
     def __post_init__(self):
-        channels = frozenset(_check_channel(c) for c in self.allowed)
+        channels = frozenset(check_int(c, "channel", 0, NUM_DATA_CHANNELS - 1)
+                             for c in self.allowed)
         object.__setattr__(self, "allowed", channels)
         if len(channels) < 2:
             raise ConfigError(
@@ -178,28 +176,13 @@ class ConnectionParams:
     def __post_init__(self):
         if not isinstance(self.csa_version, CsaVersion):
             raise ConfigError(f"csa_version must be a CsaVersion, got {self.csa_version!r}")
-        iv = self.interval_us
-        if not isinstance(iv, (int, np.integer)) or isinstance(iv, bool):
-            raise ConfigError(f"interval_us must be an integer, got {iv!r}")
-        if iv % INTERVAL_STEP_US:
-            raise ConfigError(f"interval_us must be a multiple of {INTERVAL_STEP_US}, got {iv}")
-        if not INTERVAL_MIN_US <= iv <= INTERVAL_MAX_US:
-            raise ConfigError(
-                f"interval_us must be in [{INTERVAL_MIN_US}, {INTERVAL_MAX_US}], got {iv}"
-            )
+        check_interval_us(self.interval_us)
         if not isinstance(self.channel_map, ChannelMap):
             raise ConfigError("channel_map must be a ChannelMap")
         check_access_address(self.access_address)
         if self.csa_version is CsaVersion.CSA1:
-            hop = self.hop_increment
-            if hop is None or not HOP_INCREMENT_MIN <= hop <= HOP_INCREMENT_MAX:
-                raise ConfigError(
-                    f"CSA#1 needs hop_increment in "
-                    f"[{HOP_INCREMENT_MIN}, {HOP_INCREMENT_MAX}], got {hop}"
-                )
-            if self.initial_channel is None:
-                raise ConfigError("CSA#1 needs initial_channel (unmapped seed before event 0)")
-            _check_channel(self.initial_channel, "initial_channel")
+            check_int(self.hop_increment, "hop_increment", HOP_INCREMENT_MIN, HOP_INCREMENT_MAX)
+            check_int(self.initial_channel, "initial_channel", 0, NUM_DATA_CHANNELS - 1)
         else:
             if self.hop_increment is not None or self.initial_channel is not None:
                 raise ConfigError("hop_increment/initial_channel are CSA#1-only parameters")
@@ -213,12 +196,10 @@ class ConnectionParams:
         """Parse the JSON form used by scenario and params files."""
         with reading("params"):
             version = raw.get("csa_version")
-            if version in (1, "1", "CSA1"):
-                version = CsaVersion.CSA1
-            elif version in (2, "2", "CSA2"):
-                version = CsaVersion.CSA2
-            else:
+            # exact types: true and 1.0 compare equal to 1
+            if type(version) not in (int, str) or str(version) not in ("1", "2", "CSA1", "CSA2"):
                 raise ConfigError(f"csa_version must be 1 or 2, got {version!r}")
+            version = CsaVersion(int(str(version)[-1]))
             aa = raw.get("access_address")
             if isinstance(aa, str):
                 aa = int(aa, 16)
@@ -299,7 +280,7 @@ def csa2_counters_for_unmapped(channel, ci):
     xor with ci, then three times (subtract ci, multiply by the inverse of
     17, ``perm16``, which is its own inverse), then xor with ci.
     """
-    channel = _check_channel(channel)
+    channel = check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
     ci = np.uint16(ci)
     x = np.arange(channel, COUNTER_PERIOD, NUM_DATA_CHANNELS, dtype=np.uint16) ^ ci
     for _ in range(3):

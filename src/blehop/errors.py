@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class BlehopError(Exception):
     """Base class for all errors raised by this package."""
@@ -22,6 +24,23 @@ def reading(what):
     # e.g. a list where a dict belongs, or a number too large for its column
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad {what} value: {exc}") from exc
+
+
+def check_int(value, what, low, high):
+    """``value`` as an int if it is an int or a NumPy integer (not a bool) in
+    ``low``..``high``; otherwise a :class:`ConfigError` naming ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        raise ConfigError(f"{what} must be an integer in {low}..{high}, got {value!r}")
+    return int(value)
+
+
+def check_bool(value, what):
+    """``value`` if it is a bool (``"false"`` and ``0`` are not); otherwise a
+    :class:`ConfigError` naming ``what``."""
+    if type(value) is not bool:
+        raise ConfigError(f"{what} must be a JSON bool, got {value!r:.40}")
+    return value
 
 
 class TraceParseError(BlehopError):

@@ -27,6 +27,8 @@ from .errors import (
     ConfigError,
     EstimationError,
     InsufficientDataError,
+    check_bool,
+    check_int,
     reading,
 )
 from .reconstruct import Verdict, observation_offsets
@@ -209,10 +211,7 @@ class Forecast:
             if not (np.all((channels >= 0) & (channels < NUM_DATA_CHANNELS))
                     and np.isfinite(times).all() and np.isfinite(stds).all()):
                 raise ConfigError("forecast channels must be in 0..36 and its times finite")
-            wire = raw.get("counters_are_wire", True)
-            if type(wire) is not bool:
-                raise ConfigError(f"forecast counters_are_wire must be a JSON bool, "
-                                  f"got {wire!r:.40}")
+            wire = check_bool(raw.get("counters_are_wire", True), "forecast counters_are_wire")
             return cls(*columns, counters_are_wire=wire)
 
 
@@ -414,8 +413,13 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     ``channel`` restricts that forecast to events on one channel. Only the
     central packets of the trace are observations.
     """
-    if channel is not None and not 0 <= channel < NUM_DATA_CHANNELS:
-        raise ConfigError(f"channel must be in 0..36, got {channel}")
+    if channel is not None:
+        check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
+    # a trace of another connection would be forecast on this one's channels
+    aa = trace.only_address()
+    if aa is not None and aa != recon.access_address:
+        raise ConfigError(f"trace holds 0x{aa:08X}, not the report's "
+                          f"0x{recon.access_address:08X}")
     if recon.error:
         raise EstimationError(f"reconstruction failed: {recon.error}")
     classification = recon.classification

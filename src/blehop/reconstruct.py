@@ -31,6 +31,7 @@ from .csa import (
     NUM_DATA_CHANNELS,
     ChannelMap,
     channel_identifier,
+    check_interval_us,
     csa2_counters_for_unmapped,
     csa2_remap_index_bulk,
     csa2_unmapped_bulk,
@@ -40,14 +41,18 @@ from .errors import (
     EstimationError,
     InconsistentEvidenceError,
     InsufficientDataError,
+    check_bool,
+    check_int,
     reading,
 )
 from .simulate import expected_reconstruction_budget
 from .trace import split_by_connection
 
-INTERVAL_STEP_NS = 1_250_000
-INTERVAL_MIN_STEPS = 6  # 7.5 ms
-INTERVAL_MAX_STEPS = 3200  # 4 s
+INTERVAL_STEP_NS = INTERVAL_STEP_US * 1000
+INTERVAL_MIN_STEPS = INTERVAL_MIN_US // INTERVAL_STEP_US  # 6
+INTERVAL_MAX_STEPS = INTERVAL_MAX_US // INTERVAL_STEP_US  # 3200
+# counts in a report are int64 sums over observations
+_MAX_COUNT = 2**63 - 1
 DEFAULT_TOLERANCE_NS = 300_000  # grid-fit acceptance per gap
 
 # CSA#1 can hit one channel at most 1 + ceil(35/2) times per 37-event
@@ -479,14 +484,10 @@ class ReconstructionReport:
                 error=raw.get("error"),
             )
             if report.sniff_channel is not None:
-                _json_int(report.sniff_channel, "sniff_channel", NUM_DATA_CHANNELS - 1)
+                check_int(report.sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
             if "verdict" in raw:
-                interval_us, raw_us = raw["interval_us"], raw["raw_interval_us"]
-                if (type(interval_us) is not int or interval_us % INTERVAL_STEP_US
-                        or not INTERVAL_MIN_US <= interval_us <= INTERVAL_MAX_US):
-                    raise ConfigError(
-                        f"interval_us must be a multiple of {INTERVAL_STEP_US} in "
-                        f"{INTERVAL_MIN_US}..{INTERVAL_MAX_US}, got {interval_us!r}")
+                interval_us = check_interval_us(raw["interval_us"])
+                raw_us = raw["raw_interval_us"]
                 # a fitted interval lies within the gap tolerance of the snapped one;
                 # a far smaller one would stretch a forecast over millions of events
                 if (type(raw_us) not in (int, float)
@@ -494,7 +495,7 @@ class ReconstructionReport:
                     raise ConfigError(f"raw_interval_us must be a number within "
                                       f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
                 verdict = Verdict(raw["verdict"])
-                profile = tuple(_json_int(p, "period_profile entry", NUM_DATA_CHANNELS - 1)
+                profile = tuple(check_int(p, "period_profile entry", 0, NUM_DATA_CHANNELS - 1)
                                 for p in raw.get("period_profile", ()))
                 # a CSA#1 forecast visits the sniffed channel at the profile's phases only
                 if (len(set(profile)) < len(profile) or report.sniff_channel is None
@@ -512,40 +513,36 @@ class ReconstructionReport:
                     verdict, profile, interval, report.sniff_channel
                 )
             if "channel_identifier" in raw:
-                report.channel_id = int(raw["channel_identifier"], 16)
-                if not 0 <= report.channel_id <= 0xFFFF:
-                    raise ConfigError(f"channel_identifier {raw['channel_identifier']!r} "
-                                      "does not fit in 16 bits")
+                report.channel_id = check_int(int(raw["channel_identifier"], 16),
+                                              "channel_identifier", 0, 0xFFFF)
             if "k_init" in raw:
-                k_init = _json_int(raw["k_init"], "k_init", COUNTER_PERIOD - 1)
+                k_init = check_int(raw["k_init"], "k_init", 0, COUNTER_PERIOD - 1)
                 align = raw.get("alignment", {})
                 report.alignment = CounterAlignment(
                     k_init=k_init,
                     correlation_peak=align.get("correlation_peak", 0),
                     second_peak=align.get("second_peak", 0),
-                    ambiguous=align.get("ambiguous", False),
-                    candidates=tuple(_json_int(c, "alignment candidate", COUNTER_PERIOD - 1)
+                    ambiguous=check_bool(align.get("ambiguous", False), "alignment.ambiguous"),
+                    candidates=tuple(check_int(c, "alignment candidate", 0, COUNTER_PERIOD - 1)
                                      for c in align.get("candidates", (k_init,))),
                 )
             if "channel_map" in raw:
-                evidence = {int(k): v for k, v in raw.get("evidence_count", {}).items()}
                 report.map_estimate = MapEstimate(
-                    proven_excluded=frozenset(raw.get("proven_excluded", ())),
+                    proven_excluded=frozenset(
+                        check_int(c, "proven_excluded channel", 0, NUM_DATA_CHANNELS - 1)
+                        for c in raw.get("proven_excluded", ())),
                     assumed_map=ChannelMap.from_hex(raw["channel_map"]),
-                    evidence_count=evidence,
-                    converged=raw.get("converged", False),
-                    unexplained_remaps=raw.get("unexplained_remaps", 0),
+                    evidence_count={
+                        check_int(int(k), "evidence_count channel", 0, NUM_DATA_CHANNELS - 1):
+                        check_int(v, "evidence_count value", 0, _MAX_COUNT)
+                        for k, v in raw.get("evidence_count", {}).items()},
+                    converged=check_bool(raw.get("converged", False), "converged"),
+                    unexplained_remaps=check_int(raw.get("unexplained_remaps", 0),
+                                                 "unexplained_remaps", 0, _MAX_COUNT),
                 )
             if not report.error and report.classification is None:
                 raise ConfigError("report holds neither an error nor a verdict")
             return report
-
-
-def _json_int(value, what, high):
-    """``value`` if it is a JSON integer (not a float or bool) in 0..``high``."""
-    if type(value) is not int or not 0 <= value <= high:
-        raise ConfigError(f"{what} must be an integer in 0..{high}, got {value!r}")
-    return value
 
 
 def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):

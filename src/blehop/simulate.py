@@ -18,9 +18,8 @@ observations do not depend on what else shares the scenario.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +29,12 @@ from .csa import (
     ConnectionParams,
     channel_sequence,
 )
-from .errors import ConfigError, reading
+from .errors import ConfigError, check_int, reading
 from .trace import SniffTrace
 
 MAX_DRIFT_PPM = 500.0
+# scenario times are int64 nanoseconds
+_MAX_TIME_US = (2**63 - 1) // 1000
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,10 @@ class ImpairmentModel:
     def __post_init__(self):
         if self.duration_ns < 0:
             raise ConfigError(f"duration_ns must be >= 0, got {self.duration_ns}")
-        if self.jitter_sigma_ns < 0:
-            raise ConfigError(f"jitter_sigma_ns must be >= 0, got {self.jitter_sigma_ns}")
-        if abs(self.clock_drift_ppm) > MAX_DRIFT_PPM:
+        if not 0 <= self.jitter_sigma_ns < math.inf:
+            raise ConfigError(f"jitter_sigma_ns must be finite and >= 0, "
+                              f"got {self.jitter_sigma_ns}")
+        if not abs(self.clock_drift_ppm) <= MAX_DRIFT_PPM:  # nan too
             raise ConfigError(
                 f"|clock_drift_ppm| must be <= {MAX_DRIFT_PPM}, got {self.clock_drift_ppm}"
             )
@@ -79,10 +81,7 @@ class ConnectionScenario:
     def __post_init__(self):
         if self.start_offset_ns < 0:
             raise ConfigError("start_offset_ns must be >= 0")
-        if not 0 <= self.initial_counter < COUNTER_PERIOD:
-            raise ConfigError(
-                f"initial_counter must be in 0..65535, got {self.initial_counter}"
-            )
+        check_int(self.initial_counter, "initial_counter", 0, COUNTER_PERIOD - 1)
 
 
 @dataclass(frozen=True)
@@ -93,34 +92,23 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "connections", tuple(self.connections))
-        if not 0 <= self.sniff_channel < NUM_DATA_CHANNELS:
-            raise ConfigError(f"sniff_channel must be in 0..36, got {self.sniff_channel}")
-        if not 0 <= self.rng_seed < 2**63:
-            raise ConfigError("rng_seed must be a non-negative 63-bit integer")
+        check_int(self.sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
+        check_int(self.rng_seed, "rng_seed", 0, 2**63 - 1)
         addresses = [c.params.access_address for c in self.connections]
         if len(addresses) != len(set(addresses)):
             raise ConfigError("connections must have distinct access addresses")
 
     @classmethod
-    def from_json(cls, source):
-        """Load a scenario from a JSON file/stream (durations in microseconds)."""
-        if isinstance(source, (str, Path)):
-            with open(source) as handle:
-                raw = json.load(handle)
-        else:
-            raw = json.load(source)
-        return cls.from_dict(raw)
-
-    @classmethod
     def from_dict(cls, raw):
+        """Read the JSON form (times in microseconds)."""
         with reading("scenario"):
             connections = tuple(
                 _connection_from_dict(entry) for entry in raw.get("connections", [])
             )
             return cls(
                 connections=connections,
-                sniff_channel=int(raw["sniff_channel"]),
-                rng_seed=int(raw["rng_seed"]),
+                sniff_channel=raw["sniff_channel"],
+                rng_seed=raw["rng_seed"],
             )
 
     def to_dict(self):
@@ -134,7 +122,7 @@ class ScenarioConfig:
 def _connection_from_dict(raw):
     imp = raw.get("impairments", {})
     impairments = ImpairmentModel(
-        duration_ns=int(imp["duration_us"]) * 1000,
+        duration_ns=check_int(imp["duration_us"], "duration_us", 0, _MAX_TIME_US) * 1000,
         jitter_sigma_ns=float(imp.get("jitter_sigma_us", 0.0)) * 1000.0,
         clock_drift_ppm=float(imp.get("clock_drift_ppm", 0.0)),
         miss_probability=float(imp.get("miss_probability", 0.0)),
@@ -142,8 +130,9 @@ def _connection_from_dict(raw):
     return ConnectionScenario(
         params=ConnectionParams.from_dict(raw["params"]),
         impairments=impairments,
-        start_offset_ns=int(raw.get("start_offset_us", 0)) * 1000,
-        initial_counter=int(raw.get("initial_counter", 0)),
+        start_offset_ns=check_int(raw.get("start_offset_us", 0), "start_offset_us",
+                                  0, _MAX_TIME_US) * 1000,
+        initial_counter=raw.get("initial_counter", 0),
     )
 
 
@@ -236,8 +225,7 @@ def expected_reconstruction_budget(n_ch):
     uniform over the map: collecting all 37 - n_ch excluded channels on one
     target is a coupon-collector problem. Defined as 0 for a full map.
     """
-    if not 2 <= n_ch <= NUM_DATA_CHANNELS:
-        raise ConfigError(f"n_ch must be in 2..37, got {n_ch}")
+    check_int(n_ch, "n_ch", 2, NUM_DATA_CHANNELS)
     if n_ch == NUM_DATA_CHANNELS:
         return 0
     missing = NUM_DATA_CHANNELS - n_ch

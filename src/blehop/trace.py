@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .csa import NUM_DATA_CHANNELS, check_access_address
-from .errors import ConfigError, TraceParseError
+from .errors import ConfigError, TraceParseError, check_int
 
 CSV_FIELDS = ("timestamp_ns", "access_address_hex", "channel", "is_central")
 
@@ -58,8 +58,8 @@ class SniffTrace:
                    np.array(is_central, dtype=bool))
         if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
             raise ConfigError("trace columns must be 1-D and of equal length")
-        if sniff_channel is not None and not 0 <= sniff_channel < NUM_DATA_CHANNELS:
-            raise ConfigError(f"sniff_channel must be in 0..36, got {sniff_channel}")
+        if sniff_channel is not None:
+            sniff_channel = check_int(sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
         ts = columns[0]
         if ts.size and sniff_channel is None:
             raise ConfigError("non-empty trace needs a sniff_channel")
@@ -117,13 +117,12 @@ def _parse_row(row, timestamp, address, channel, is_central):
         aa = int(address, 16)  # a TypeError unless address is text
     except (ValueError, TypeError) as exc:
         raise TraceParseError(row, f"invalid access_address_hex {address!r}") from exc
+    ch = _parse_int(row, "channel", channel)
     try:
         check_access_address(aa)
+        check_int(ch, "channel", 0, NUM_DATA_CHANNELS - 1)
     except ConfigError as exc:
         raise TraceParseError(row, str(exc)) from exc
-    ch = _parse_int(row, "channel", channel)
-    if not 0 <= ch < NUM_DATA_CHANNELS:
-        raise TraceParseError(row, f"channel {ch} outside 0..36")
     if not isinstance(is_central, bool):
         norm = str(is_central).strip().lower()
         if norm not in ("true", "1", "false", "0"):

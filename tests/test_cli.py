@@ -204,16 +204,18 @@ def test_hopgen_csa2_with_start_counter(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _params_refused(tmp_path, capsys, key, value, needle):
-    """``hopgen`` on a params file and ``simulate`` on a scenario with ``key``
-    set to ``value`` both exit 2, naming ``needle``, and write nothing."""
-    params = {**SCENARIO["connections"][0]["params"], key: value}
+def _params_refused(tmp_path, capsys, key, value, needle, conn=0):
+    """``hopgen`` on the params of ``SCENARIO`` connection ``conn`` and
+    ``simulate`` on a scenario of that connection, with ``key`` set to
+    ``value``, both exit 2, naming ``needle``, and write nothing."""
+    params = {**SCENARIO["connections"][conn]["params"], key: value}
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params))
     assert main(["hopgen", "--params", str(params_path), "--events", "3",
                  "--out-dir", str(tmp_path / "hops")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
-    scenario = {**SCENARIO, "connections": [{**SCENARIO["connections"][0], "params": params}]}
+    scenario = {**SCENARIO,
+                "connections": [{**SCENARIO["connections"][conn], "params": params}]}
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario))
     assert main(["simulate", "--scenario", str(scenario_path),
@@ -230,6 +232,53 @@ def test_params_interval_must_be_a_json_integer(tmp_path, capsys, interval_us):
 def test_params_channel_map_must_be_a_hex_string(tmp_path, capsys):
     # read as hex digits, 31 would be the map 0x31: channels {0, 4, 5}
     _params_refused(tmp_path, capsys, "channel_map", 31, "channel map")
+
+
+@pytest.mark.parametrize("key, value, conn", [
+    ("hop_increment", 7.5, 1), ("hop_increment", True, 1), ("initial_channel", 1.5, 1),
+    ("csa_version", True, 0), ("csa_version", 1.0, 0), ("csa_version", "3", 0),
+])
+def test_params_protocol_integers_must_be_json_integers(tmp_path, capsys, key, value, conn):
+    # a hop increment of 7.5 used to end hopgen in an IndexError; true and
+    # 1.0 used to be read as CSA#1
+    _params_refused(tmp_path, capsys, key, value, key, conn)
+
+
+@pytest.mark.parametrize("conn, spellings", [(0, [2, "2", "CSA2"]), (1, [1, "1", "CSA1"])])
+def test_params_csa_version_spellings(tmp_path, capsys, conn, spellings):
+    hops = []
+    for n, version in enumerate(spellings):
+        params = tmp_path / f"params_{n}.json"
+        params.write_text(json.dumps({**SCENARIO["connections"][conn]["params"],
+                                      "csa_version": version}))
+        assert main(["hopgen", "--params", str(params), "--events", "40",
+                     "--out-dir", str(tmp_path / f"h{n}")]) == EXIT_OK
+        hops.append((tmp_path / f"h{n}" / "hops.csv").read_bytes())
+    assert hops[1:] == hops[:-1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("path, value, needle", [
+    (("sniff_channel",), 22.9, "sniff_channel"),
+    (("rng_seed",), True, "rng_seed"),
+    (("rng_seed",), 2**63, "rng_seed"),
+    (("connections", 0, "initial_counter"), 1.5, "initial_counter"),
+    (("connections", 0, "start_offset_us"), 1.5, "start_offset_us"),
+    (("connections", 0, "impairments", "duration_us"), "120000000", "duration_us"),
+    (("connections", 0, "impairments", "duration_us"), 10**30, "duration_us"),
+    (("connections", 0, "impairments", "jitter_sigma_us"), float("inf"), "jitter_sigma"),
+    (("connections", 0, "impairments", "clock_drift_ppm"), float("nan"), "clock_drift_ppm"),
+])
+def test_bad_scenario_values_exit_with_config_error(tmp_path, capsys, path, value, needle):
+    # each value used to be coerced (22.9 simulated channel 22, true seeded
+    # 1) or to end in a traceback (an infinite jitter, a nan drift, 10**30 us)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_mutated(SHORT_SCENARIO, path, value)))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(tmp_path / "sim")]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_exit_codes(tmp_path, scenario_file, capsys):
@@ -275,20 +324,30 @@ def test_predict_exit_codes(tmp_path, scenario_file, capsys):
                  "--trace", str(sim / "trace.csv"),
                  "--out-dir", str(tmp_path / "p1")]) == EXIT_AMBIGUOUS
 
-    # a CSA#2 report without its channel identifier cannot forecast channels
-    report = json.loads(report_path.read_text())
-    del report["channel_identifier"]
-    no_ci_path = tmp_path / "no_ci.json"
-    no_ci_path.write_text(json.dumps(report))
-    assert main(["predict", "--report", str(no_ci_path),
-                 "--trace", str(sim / "trace.csv"),
-                 "--out-dir", str(tmp_path / "p0")]) == EXIT_ESTIMATION
+    # a CSA#2 report without its channel identifier, counter alignment or
+    # channel map cannot forecast channels
+    for key, needle in (("channel_identifier", "no channel identifier"),
+                        ("k_init", "no counter alignment"),
+                        ("channel_map", "no channel map estimate")):
+        report = json.loads(report_path.read_text())
+        del report[key]
+        partial_path = tmp_path / f"no_{key}.json"
+        partial_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["predict", "--report", str(partial_path),
+                     "--trace", str(sim / "trace.csv"),
+                     "--out-dir", str(tmp_path / f"p_{key}")]) == EXIT_ESTIMATION
+        assert needle in capsys.readouterr().err
 
-    # training window swallowing the whole trace -> estimation error
-    assert main(["predict", "--report", str(report_path),
-                 "--trace", str(sim / "trace.csv"), "--train-seconds", "9999",
-                 "--out-dir", str(tmp_path / "p2")]) == EXIT_ESTIMATION
-    capsys.readouterr()
+    # training window swallowing the whole trace, or holding one observation
+    # -> estimation error
+    for seconds, needle in (("9999", "covers the whole trace"),
+                            ("0", "fewer than 2 observations")):
+        capsys.readouterr()
+        assert main(["predict", "--report", str(report_path),
+                     "--trace", str(sim / "trace.csv"), "--train-seconds", seconds,
+                     "--out-dir", str(tmp_path / f"p2_{seconds}")]) == EXIT_ESTIMATION
+        assert needle in capsys.readouterr().err
 
 
 def test_bad_json_inputs_exit_with_config_error(tmp_path, scenario_file, capsys):
@@ -354,16 +413,20 @@ def pipeline(tmp_path_factory):
     ("reconstruct", "--tolerance-us", "-1", "tolerance_ns"),
     ("evaluate", "--interval-us", "0", "interval_ns"),
     ("evaluate", "--interval-us", "-12500", "interval_ns"),
+    ("hopgen", "--events", "0", "--events"),
 ])
 def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
                                                      command, option, value, needle):
     sim, recon, pred = pipeline
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(SCENARIO["connections"][0]["params"]))
     inputs = {
         "reconstruct": ["--trace", str(sim / "trace.csv")],
         "predict": ["--report", str(recon / "report_0xB0A1CD9D.json"),
                     "--trace", str(sim / "trace.csv")],
         "evaluate": ["--forecast", str(pred / "forecast.json"),
                      "--trace", str(connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv"))],
+        "hopgen": ["--params", str(params)],
     }[command]
     capsys.readouterr()
     assert main([command, *inputs, option, value,
@@ -410,6 +473,14 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("verdict",), DROP, "neither an error nor a verdict"),
     (CSA1_REPORT, ("period_profile",), [], "period_profile"),
     (CSA2_REPORT, ("channel_map",), 31, "channel map"),
+    (CSA2_REPORT, ("alignment", "ambiguous"), "false", "alignment.ambiguous"),
+    (CSA2_REPORT, ("alignment", "ambiguous"), 0, "alignment.ambiguous"),
+    (CSA2_REPORT, ("converged",), "no", "converged"),
+    (CSA2_REPORT, ("evidence_count",), {"3": "x"}, "evidence_count"),
+    (CSA2_REPORT, ("evidence_count",), {"99": 1}, "evidence_count"),
+    (CSA2_REPORT, ("unexplained_remaps",), -5, "unexplained_remaps"),
+    (CSA2_REPORT, ("proven_excluded",), [99], "proven_excluded"),
+    (CSA2_REPORT, ("channel_identifier",), "0x1FFFF", "channel_identifier"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):
@@ -511,6 +582,42 @@ def test_mutated_forecast_never_escapes_the_cli(short_run, path, value):
                         ["evaluate", "--trace", str(trace), "--interval-us", "7500"])
     if code == EXIT_OK:
         json.loads((out / "eval.json").read_text())
+
+
+# the scenario with every key its reader takes, and the params of both algorithms
+SCENARIO_DOC = _mutated(SHORT_SCENARIO, ("connections", 0, "start_offset_us"), 2000)
+SCENARIO_PATHS = [(key,) for key in ("sniff_channel", "rng_seed", "connections")] + [
+    ("connections", 0, key) for key in ("params", "initial_counter", "start_offset_us",
+                                        "impairments")] + [
+    ("connections", 0, "impairments", key) for key in (
+        "duration_us", "jitter_sigma_us", "clock_drift_ppm", "miss_probability")] + [
+    ("connections", 0, "params", key) for key in SCENARIO["connections"][0]["params"]]
+PARAMS_PATHS = [(conn, key) for conn in (0, 1)
+                for key in SCENARIO["connections"][conn]["params"]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(SCENARIO_PATHS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_scenario_never_escapes_the_cli(short_run, path, value):
+    work_dir = short_run[-1]
+    code, out = _run_on(work_dir, "--scenario", _mutated(SCENARIO_DOC, path, value),
+                        ["simulate"])
+    if code == EXIT_OK:
+        load_trace(out / "trace.csv")
+        [json.loads(line) for line in (out / "timelines.jsonl").read_text().splitlines()]
+
+
+# 7.5 is a float inside the hop increment's and the channels' ranges
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(PARAMS_PATHS), value=st.sampled_from([*BAD_VALUES, 7.5]))
+def test_mutated_params_file_never_escapes_the_cli(short_run, path, value):
+    work_dir = short_run[-1]
+    conn, key = path
+    params = _mutated(SCENARIO["connections"][conn]["params"], (key,), value)
+    code, out = _run_on(work_dir, "--params", params, ["hopgen"])
+    if code == EXIT_OK:
+        with open(out / "hops.csv") as handle:
+            assert len(list(csv.reader(handle))) == 75
 
 
 def test_predict_uses_the_reports_central_packets(tmp_path, capsys):

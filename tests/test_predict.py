@@ -35,6 +35,7 @@ from blehop import (
     reconstruct_connection,
     run_prediction,
     simulate,
+    split_by_connection,
 )
 from blehop.predict import DEFAULT_GATE_SIGMA, MEASUREMENT_NOISE_VAR, PROCESS_NOISE
 
@@ -557,6 +558,28 @@ def test_run_prediction_needs_a_test_tail():
     recon = reconstruct_connection(trace)
     with pytest.raises(InsufficientDataError):
         run_prediction(trace, recon, train_ns=500 * 10**9)
+
+
+def test_run_prediction_refuses_another_connections_trace():
+    # two CSA#2 connections 3 ms apart on one sniffed channel
+    config = ScenarioConfig((
+        ConnectionScenario(ConnectionParams(CsaVersion.CSA2, 12500, MAP_10, 0xB0A1CD9D),
+                           ImpairmentModel(150 * 10**9, 50_000.0, 20.0, 0.1)),
+        ConnectionScenario(ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0x53D39A21),
+                           ImpairmentModel(150 * 10**9, 50_000.0, 20.0, 0.1),
+                           start_offset_ns=3_000_000),
+    ), sniff_channel=22, rng_seed=7)
+    _, merged = simulate(config)
+    parts = split_by_connection(merged)
+    recon = reconstruct_connection(parts[0xB0A1CD9D])
+    assert recon.error is None
+    assert len(run_prediction(parts[0xB0A1CD9D], recon, train_ns=60 * 10**9).forecast) > 0
+    # the other connection's timing is not forecast with this one's channels
+    with pytest.raises(ConfigError, match="trace holds 0x53D39A21, not the report's 0xB0A1CD9D"):
+        run_prediction(parts[0x53D39A21], recon, train_ns=60 * 10**9)
+    # a merged trace is refused as reconstruct_connection and evaluate refuse it
+    with pytest.raises(ConfigError, match="mixes access addresses"):
+        run_prediction(merged, recon, train_ns=60 * 10**9)
 
 
 def test_run_prediction_propagates_reconstruction_failure():

@@ -440,6 +440,15 @@ def test_map_inference_flags_wrong_alignment():
         infer_channel_map(offsets, k_init + 3, ci, sniff)
 
 
+def test_map_inference_flags_a_remap_that_fits_no_map():
+    # a wrong counter over a short capture: too few remap observations to
+    # exclude 36 channels, but one of them fits no map the evidence allows
+    ci, sniff, k_init = channel_identifier(0xB0A1CD9D), 22, 777
+    offsets = _csa2_observation_offsets(MAP_10, ci, k_init, 1000, sniff)
+    with pytest.raises(InconsistentEvidenceError, match=r"\(counter 795\) fits no channel map"):
+        infer_channel_map(offsets, k_init + 3, ci, sniff)
+
+
 def test_map_inference_needs_observations():
     with pytest.raises(InsufficientDataError):
         infer_channel_map(np.array([], dtype=np.int64), 0, 0x7D3C, 22)
