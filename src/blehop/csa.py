@@ -64,12 +64,12 @@ def check_access_address(value):
     return check_int(value, "access address (32 bits)", 0, 0xFFFFFFFF)
 
 
-def check_interval_us(value, what="interval_us"):
+def check_interval_us(value):
     """Validate a connection interval in microseconds, an integer multiple of
     1250 in 7500..4000000, and return it as an int."""
-    value = check_int(value, what, INTERVAL_MIN_US, INTERVAL_MAX_US)
+    value = check_int(value, "interval_us", INTERVAL_MIN_US, INTERVAL_MAX_US)
     if value % INTERVAL_STEP_US:
-        raise ConfigError(f"{what} must be a multiple of {INTERVAL_STEP_US}, got {value}")
+        raise ConfigError(f"interval_us must be a multiple of {INTERVAL_STEP_US}, got {value}")
     return value
 
 

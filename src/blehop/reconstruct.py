@@ -31,6 +31,7 @@ from .csa import (
     NUM_DATA_CHANNELS,
     ChannelMap,
     channel_identifier,
+    check_access_address,
     check_interval_us,
     csa2_counters_for_unmapped,
     csa2_remap_index_bulk,
@@ -478,7 +479,7 @@ class ReconstructionReport:
     def from_dict(cls, raw):
         with reading("report"):
             report = cls(
-                access_address=int(raw["access_address"], 16),
+                access_address=check_access_address(int(raw["access_address"], 16)),
                 sniff_channel=raw.get("sniff_channel"),
                 observation_count=raw.get("observation_count", 0),
                 error=raw.get("error"),

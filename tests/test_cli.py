@@ -481,6 +481,8 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("unexplained_remaps",), -5, "unexplained_remaps"),
     (CSA2_REPORT, ("proven_excluded",), [99], "proven_excluded"),
     (CSA2_REPORT, ("channel_identifier",), "0x1FFFF", "channel_identifier"),
+    (CSA2_REPORT, ("access_address",), "-0x1", "32 bits"),
+    (CSA2_REPORT, ("access_address",), "0x1B0A1CD9D", "32 bits"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):
