@@ -144,15 +144,19 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
+def _connection_trace(args, access_address):
+    """The central packets of one connection in the ``--trace`` file."""
+    parts = split_by_connection(load_trace(args.trace, args.format))
+    if access_address not in parts:
+        raise ConfigError(f"trace has no observations for 0x{access_address:08X}")
+    return parts[access_address]
+
+
 def cmd_predict(args):
     with open(args.report) as handle:
         report = ReconstructionReport.from_dict(json.load(handle))
-    parts = split_by_connection(load_trace(args.trace, args.format))
-    if report.access_address not in parts:
-        raise ConfigError(f"trace has no observations for 0x{report.access_address:08X}")
-    trace = parts[report.access_address]
     run = run_prediction(
-        trace, report,
+        _connection_trace(args, report.access_address), report,
         train_ns=_scaled_int(args.train_seconds, 1e9, "--train-seconds"),
         horizon=args.horizon,
         channel=args.channel,
@@ -181,7 +185,9 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     with open(args.forecast) as handle:
         forecast = Forecast.from_dict(json.load(handle))
-    trace = load_trace(args.trace, args.format)
+    if forecast.access_address is None:
+        raise ConfigError("forecast names no access_address")
+    trace = _connection_trace(args, forecast.access_address)
     report = evaluate(forecast, trace, int(args.interval_us) * 1000)
     out = _out_dir(args)
     eval_path = out / "eval.json"

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csa import COUNTER_PERIOD, NUM_DATA_CHANNELS, csa2_channels_bulk
+from .csa import COUNTER_PERIOD, NUM_DATA_CHANNELS, check_access_address, csa2_channels_bulk
 from .errors import (
     AmbiguousAlignmentError,
     ConfigError,
@@ -142,12 +142,15 @@ def predict_event_time(sync, event_offset):
 
 @dataclass
 class Forecast:
-    """Future events in time order, as four equal-length 1-D columns.
+    """Future events in time order, as four equal-length int64 columns.
 
     For CSA#2 forecasts ``counters`` holds the on-air 16-bit event counters
     and ``counters_are_wire`` is true; CSA#1 forecasts cannot know the
     counter (it never enters channel selection), so ``counters`` holds the
-    event offsets from the first estimation observation instead.
+    event offsets from the first estimation observation instead. Times and
+    their stds are whole nanoseconds, like the timestamps they predict (the
+    constructor rounds floats half to even). ``access_address`` names the
+    connection, if known.
     """
 
     counters: np.ndarray
@@ -155,6 +158,14 @@ class Forecast:
     times_ns: np.ndarray
     time_stds_ns: np.ndarray
     counters_are_wire: bool = True
+    access_address: int | None = None
+
+    def __post_init__(self):
+        for name in ("times_ns", "time_stds_ns"):
+            values = np.round(getattr(self, name))  # floats half to even, ints as they are
+            if not np.all(np.abs(values) < 2.0**63):
+                raise ConfigError("forecast times must be finite and within int64 ns")
+            setattr(self, name, values.astype(np.int64))
 
     def __len__(self):
         return self.counters.size
@@ -163,9 +174,16 @@ class Forecast:
         """(counters, channels, times_ns, time_stds_ns)"""
         return self.counters, self.channels, self.times_ns, self.time_stds_ns
 
+    def _head(self):
+        """The keys written before the entries."""
+        head = {} if self.access_address is None else {
+            "access_address": f"0x{self.access_address:08X}"}
+        head["counters_are_wire"] = self.counters_are_wire
+        return head
+
     def to_dict(self):
         return {
-            "counters_are_wire": self.counters_are_wire,
+            **self._head(),
             "entries": [
                 {"counter": c, "channel": ch, "time_ns": t, "time_std_ns": s}
                 for c, ch, t, s in zip(*(col.tolist() for col in self.columns()))
@@ -173,46 +191,40 @@ class Forecast:
         }
 
     def to_json(self):
-        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
-
-        The rows are written from the columns with a ``repr`` template,
-        because ``indent`` sends ``json.dumps`` to its slow pure-Python
-        encoder. ``repr`` and JSON spell nan and inf differently, so a
-        forecast with a non-finite value (or with no rows) is left to
-        ``json.dumps``.
-        """
-        if len(self) == 0 or not all(np.isfinite(col).all() for col in self.columns()):
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte,
+        with the rows written from the columns by a ``repr`` template:
+        ``indent`` sends ``json.dumps`` to its slow pure-Python encoder."""
+        if len(self) == 0:
             return json.dumps(self.to_dict(), indent=2) + "\n"
         values = (col.tolist() for col in self.columns())
         row = ('    {\n      "counter": %r,\n      "channel": %r,\n'
                '      "time_ns": %r,\n      "time_std_ns": %r\n    }')
-        return ('{\n  "counters_are_wire": %s,\n  "entries": [\n%s\n  ]\n}\n'
-                % (json.dumps(self.counters_are_wire), ",\n".join(row % e for e in zip(*values))))
+        head = json.dumps(self._head(), indent=2)[:-2]  # without its closing "\n}"
+        return ('%s,\n  "entries": [\n%s\n  ]\n}\n'
+                % (head, ",\n".join(row % e for e in zip(*values))))
 
     @classmethod
     def from_dict(cls, raw):
-        """Read the JSON form; counters and channels must be JSON integers
-        (channels in 0..36), times finite JSON numbers, and
-        ``counters_are_wire`` (true if absent) a JSON bool."""
+        """Read the JSON form; all four entry fields must be JSON integers
+        (channels in 0..36), ``counters_are_wire`` (true if absent) a JSON
+        bool and ``access_address`` (optional) a 32-bit hex string."""
         with reading("forecast"):
             entries = raw["entries"]
             if type(entries) is not list:
                 raise ConfigError(f"forecast entries must be a list, got {entries!r:.40}")
             columns = []
-            for key, kinds, dtype in (("counter", {int}, np.int64), ("channel", {int}, np.int64),
-                                      ("time_ns", {int, float}, np.float64),
-                                      ("time_std_ns", {int, float}, np.float64)):
+            for key in ("counter", "channel", "time_ns", "time_std_ns"):
                 values = [e[key] for e in entries]
-                if not set(map(type, values)) <= kinds:
-                    raise ConfigError(f"forecast {key} values must be JSON "
-                                      f"{'integers' if dtype is np.int64 else 'numbers'}")
-                columns.append(np.array(values, dtype))
-            counters, channels, times, stds = columns
-            if not (np.all((channels >= 0) & (channels < NUM_DATA_CHANNELS))
-                    and np.isfinite(times).all() and np.isfinite(stds).all()):
-                raise ConfigError("forecast channels must be in 0..36 and its times finite")
+                if not set(map(type, values)) <= {int}:
+                    raise ConfigError(f"forecast {key} values must be JSON integers")
+                columns.append(np.array(values, np.int64))
+            if not np.all((columns[1] >= 0) & (columns[1] < NUM_DATA_CHANNELS)):
+                raise ConfigError("forecast channels must be in 0..36")
             wire = check_bool(raw.get("counters_are_wire", True), "forecast counters_are_wire")
-            return cls(*columns, counters_are_wire=wire)
+            aa = raw.get("access_address")
+            if aa is not None:
+                aa = check_access_address(int(aa, 16))
+            return cls(*columns, counters_are_wire=wire, access_address=aa)
 
 
 def predict_csa1(classification, sync, horizon):
@@ -473,8 +485,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
                                 recon.map_estimate.assumed_map, anchor_sync, horizon)
     else:
         forecast = predict_csa1(classification, anchor_sync, horizon)
-    if channel is not None:
-        keep = forecast.channels == channel
-        forecast = Forecast(*(col[keep] for col in forecast.columns()),
-                            counters_are_wire=forecast.counters_are_wire)
+    keep = slice(None) if channel is None else forecast.channels == channel
+    forecast = Forecast(*(col[keep] for col in forecast.columns()),
+                        counters_are_wire=forecast.counters_are_wire,
+                        access_address=recon.access_address)
     return PredictionRun(forecast=forecast, rolling=rolling, report=report, sync=sync)

@@ -481,9 +481,13 @@ class ReconstructionReport:
             report = cls(
                 access_address=check_access_address(int(raw["access_address"], 16)),
                 sniff_channel=raw.get("sniff_channel"),
-                observation_count=raw.get("observation_count", 0),
+                observation_count=check_int(raw.get("observation_count", 0),
+                                            "observation_count", 0, _MAX_COUNT),
                 error=raw.get("error"),
             )
+            if report.error is not None and type(report.error) is not str:
+                raise ConfigError("report error must be null or a string, "
+                                  f"got {report.error!r:.40}")
             if report.sniff_channel is not None:
                 check_int(report.sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
             if "verdict" in raw:
@@ -521,8 +525,10 @@ class ReconstructionReport:
                 align = raw.get("alignment", {})
                 report.alignment = CounterAlignment(
                     k_init=k_init,
-                    correlation_peak=align.get("correlation_peak", 0),
-                    second_peak=align.get("second_peak", 0),
+                    correlation_peak=check_int(align.get("correlation_peak", 0),
+                                               "alignment.correlation_peak", 0, _MAX_COUNT),
+                    second_peak=check_int(align.get("second_peak", 0),
+                                          "alignment.second_peak", 0, _MAX_COUNT),
                     ambiguous=check_bool(align.get("ambiguous", False), "alignment.ambiguous"),
                     candidates=tuple(check_int(c, "alignment candidate", 0, COUNTER_PERIOD - 1)
                                      for c in align.get("candidates", (k_init,))),

@@ -115,10 +115,13 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
     assert rows[0] == ["abs_error_us", "prob_error_exceeds"]
     assert len(rows) == ev["matched"] + 1
 
-    # evaluate scores one connection: the merged trace is refused, its part is scored
+    # evaluate scores the connection the forecast names: in the merged
+    # trace as in that connection's part
+    assert forecast["access_address"] == "0xB0A1CD9D"
+    merged_dir = tmp_path / "ev_merged"
     assert main(["evaluate", "--forecast", str(pred / "forecast.json"),
                  "--trace", str(sim / "trace.csv"), "--interval-us", "12500",
-                 "--out-dir", str(tmp_path / "ev_merged")]) == EXIT_CONFIG
+                 "--out-dir", str(merged_dir)]) == EXIT_OK
     part = connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv")
     ev_dir = tmp_path / "ev"
     assert main(["evaluate", "--forecast", str(pred / "forecast.json"),
@@ -126,6 +129,7 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
                  "--out-dir", str(ev_dir)]) == EXIT_OK
     ev2 = json.loads((ev_dir / "eval.json").read_text())
     assert ev2["matched"] > 0
+    assert (merged_dir / "eval.json").read_bytes() == (ev_dir / "eval.json").read_bytes()
 
     for out_dir in (sim, recon, pred, ev_dir):
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
@@ -483,6 +487,12 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("channel_identifier",), "0x1FFFF", "channel_identifier"),
     (CSA2_REPORT, ("access_address",), "-0x1", "32 bits"),
     (CSA2_REPORT, ("access_address",), "0x1B0A1CD9D", "32 bits"),
+    (CSA2_REPORT, ("error",), 5, "error"),
+    (CSA2_REPORT, ("error",), [], "error"),
+    (CSA2_REPORT, ("observation_count",), "x", "observation_count"),
+    (CSA2_REPORT, ("observation_count",), -3, "observation_count"),
+    (CSA2_REPORT, ("alignment", "correlation_peak"), "x", "correlation_peak"),
+    (CSA2_REPORT, ("alignment", "second_peak"), -1, "second_peak"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):
@@ -502,7 +512,9 @@ def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, c
     (("entries", 0, "channel"), 2.0), (("entries", 0, "time_ns"), "nan"),
     (("entries", 0, "time_ns"), float("nan")), (("entries", 0, "time_ns"), False),
     (("entries", 0, "time_std_ns"), float("inf")), (("entries",), {}),
-    (("counters_are_wire",), "false"),
+    (("counters_are_wire",), "false"), (("entries", 0, "time_ns"), 1.5),
+    (("entries", 0, "time_std_ns"), 2.5), (("access_address",), DROP),
+    (("access_address",), 5),
 ])
 def test_bad_forecast_values_exit_with_config_error(tmp_path, pipeline, capsys, path, value):
     sim, _, pred = pipeline
@@ -560,7 +572,7 @@ REPORT_PATHS = [(key,) for key in (
     "alignment", "channel_map", "proven_excluded", "evidence_count", "converged",
     "unexplained_remaps")] + [("alignment", key) for key in (
         "correlation_peak", "second_peak", "ambiguous", "candidates")]
-FORECAST_PATHS = [("counters_are_wire",), ("entries",)] + [
+FORECAST_PATHS = [("access_address",), ("counters_are_wire",), ("entries",)] + [
     ("entries", row, key) for row in (0, 1, -1)
     for key in ("counter", "channel", "time_ns", "time_std_ns")]
 

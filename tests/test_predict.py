@@ -430,23 +430,28 @@ def test_eccdf_is_a_survival_curve():
 
 
 def test_forecast_dict_round_trip():
-    fc = forecast_of([(65534, 3, 1.5e9, 40.0), (65535, 22, 1.5075e9 + 0.125, 41.5),
+    fc = forecast_of([(65534, 3, 1.5e9, 40.0), (65535, 22, 1.5075e9 + 3, 41.5),
                       (0, 36, 1.515e9, 43.0)], counters_are_wire=False)
     raw = fc.to_dict()
     assert raw["entries"][1] == {"counter": 65535, "channel": 22,
-                                 "time_ns": 1.5075e9 + 0.125, "time_std_ns": 41.5}
-    assert all(type(e["counter"]) is int and type(e["channel"]) is int for e in raw["entries"])
+                                 "time_ns": 1_507_500_003, "time_std_ns": 42}
+    assert all(type(v) is int for e in raw["entries"] for v in e.values())
     rebuilt = Forecast.from_dict(json.loads(json.dumps(raw)))
     assert rebuilt.counters_are_wire is False
+    assert rebuilt.access_address is None
     for got, want in zip(rebuilt.columns(), fc.columns()):
         np.testing.assert_array_equal(got, want)
-    assert [col.dtype.kind for col in rebuilt.columns()] == ["i", "i", "f", "f"]
+    assert [col.dtype.kind for col in rebuilt.columns()] == ["i", "i", "i", "i"]
     assert rebuilt.to_dict() == raw
+    # the connection's address, when named, comes back too
+    named = Forecast(*fc.columns(), access_address=0xB0A1CD9D)
+    assert named.to_dict()["access_address"] == "0xB0A1CD9D"
+    assert Forecast.from_dict(named.to_dict()).access_address == 0xB0A1CD9D
     # an empty forecast keeps typed, empty columns
     empty = Forecast.from_dict({"entries": []})
     assert len(empty) == 0
     assert empty.counters_are_wire is True
-    assert [col.dtype.kind for col in empty.columns()] == ["i", "i", "f", "f"]
+    assert [col.dtype.kind for col in empty.columns()] == ["i", "i", "i", "i"]
     assert empty.to_dict() == {"counters_are_wire": True, "entries": []}
 
 
@@ -460,18 +465,34 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     assert 65535 in csa2.counters.tolist()
     est = IntervalEstimate(12_500_000, 12_500_037.3, ())
     csa1 = predict_csa1(CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10), sync, 300)
-    # repr takes exponent form for these; JSON writes floats with repr too
-    exponents = forecast_of([(1, 2, 1e16, 1e-07), (65535, 36, 1.5e22, 5e-324)])
+    named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
+                     np.array([0, 1]), access_address=0xB0A1CD9D)
     empty = Forecast.from_dict({"entries": []})
-    for fc in (csa2, csa1, exponents, empty):
+    for fc in (csa2, csa1, named, empty):
         assert fc.to_json() == dumped(fc)
     assert '"counters_are_wire": false' in csa1.to_json()
-    assert '"time_ns": 1e+16' in exponents.to_json()
-    # repr spells these nan/inf, JSON NaN/Infinity: the writer must fall back
-    for value, spelling in ((np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity")):
-        fc = forecast_of([(1, 2, 3.0, value), (2, 3, 4.0, 5.0)])
-        assert fc.to_json() == dumped(fc)
-        assert f'"time_std_ns": {spelling}' in fc.to_json()
+    assert named.to_json().startswith('{\n  "access_address": "0xB0A1CD9D",\n')
+
+
+def test_forecast_refuses_times_that_are_not_int64_nanoseconds():
+    for value in (np.nan, np.inf, -np.inf, 1.5e22):
+        with pytest.raises(ConfigError, match="finite"):
+            forecast_of([(1, 2, 3.0, value), (2, 3, 4.0, 5.0)])
+        with pytest.raises(ConfigError, match="finite"):
+            forecast_of([(1, 2, value, 3.0)])
+
+
+def test_forecast_times_are_predictions_rounded_half_to_even():
+    # an interval of x.5 ns puts every other event's time on a tie
+    sync = init_sync(0, 12_500_000.5)
+    align = CounterAlignment(100, 10, 1, False, (100,))
+    fc = predict_csa2(align, 0x7D3C, MAP_27, sync, 50)
+    times, stds = predict_event_time(sync, np.arange(1, 51))
+    assert fc.times_ns.dtype == fc.time_stds_ns.dtype == np.int64
+    np.testing.assert_array_equal(fc.times_ns, np.rint(times))
+    np.testing.assert_array_equal(fc.time_stds_ns, np.rint(stds))
+    assert (times[0], fc.times_ns[0]) == (12_500_000.5, 12_500_000)
+    assert (times[2], fc.times_ns[2]) == (37_500_001.5, 37_500_002)
 
 
 # ---------------------------------------------------------------------------
