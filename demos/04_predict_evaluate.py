@@ -41,7 +41,7 @@ config = ScenarioConfig(
 timelines, trace = simulate(config)
 report = reconstruct_connection(trace)
 print(f"trace: {len(trace)} observations over 300 s; reconstruction "
-      f"recovered interval {report.interval.interval_ns / 1e6:.4f} ms, "
+      f"recovered interval {report.classification.interval.interval_ns / 1e6:.4f} ms, "
       f"k_init {report.alignment.k_init}")
 
 run = run_prediction(trace, report, train_ns=60 * 10**9)

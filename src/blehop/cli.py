@@ -65,18 +65,22 @@ def _write_eccdf(path, report):
     )
 
 
-def _write_manifest(out_dir, subcommand, arguments, inputs, outputs, rng_seed=None):
+def _write_manifest(args, inputs, outputs, rng_seed=None):
+    """Record the run in ``args.out_dir``; its arguments are every parsed
+    option but the output directory, in the parser's order."""
+    arguments = {key: value for key, value in vars(args).items()
+                 if key not in ("func", "command", "out_dir")}
     manifest = {
         "tool": "blehop",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "arguments": arguments,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
     if rng_seed is not None:
         manifest["rng_seed"] = rng_seed
-    _write_json(Path(out_dir) / "run_manifest.json", manifest)
+    _write_json(Path(args.out_dir) / "run_manifest.json", manifest)
 
 
 def _scaled_int(value, scale, option):
@@ -112,20 +116,17 @@ def cmd_simulate(args):
             "times_ns": timeline.times_ns.tolist(),
         }))
     _atomic_write_text(timelines_path, "".join(line + "\n" for line in lines))
-    _write_manifest(
-        out, "simulate", {"scenario": str(args.scenario)},
-        [args.scenario], [trace_path, timelines_path], rng_seed=config.rng_seed,
-    )
+    _write_manifest(args, [args.scenario], [trace_path, timelines_path],
+                    rng_seed=config.rng_seed)
     print(f"simulated {len(config.connections)} connection(s), "
           f"{len(trace)} observation(s) -> {trace_path}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    tolerance_ns = _scaled_int(args.tolerance_us, 1000, "--tolerance-us")
     trace = load_trace(args.trace, args.format)
     out = _out_dir(args)
-    reports = reconstruct_all(trace, tolerance_ns=tolerance_ns)
+    reports = reconstruct_all(trace)
     outputs = []
     for aa, report in sorted(reports.items()):
         path = out / f"report_0x{aa:08X}.json"
@@ -136,11 +137,7 @@ def cmd_reconstruct(args):
             f"interval {report.classification.interval.interval_us} us"
         )
         print(f"0x{aa:08X}: {status}")
-    _write_manifest(
-        out, "reconstruct",
-        {"trace": str(args.trace), "format": args.format, "tolerance_us": args.tolerance_us},
-        [args.trace], outputs,
-    )
+    _write_manifest(args, [args.trace], outputs)
     return EXIT_OK
 
 
@@ -168,15 +165,7 @@ def cmd_predict(args):
     _write_json(eval_path, run.report.to_dict())
     eccdf_path = out / "eccdf.csv"
     _write_eccdf(eccdf_path, run.report)
-    _write_manifest(
-        out, "predict",
-        {
-            "report": str(args.report), "trace": str(args.trace),
-            "train_seconds": args.train_seconds, "horizon": args.horizon,
-            "channel": args.channel,
-        },
-        [args.report, args.trace], [forecast_path, eval_path, eccdf_path],
-    )
+    _write_manifest(args, [args.report, args.trace], [forecast_path, eval_path, eccdf_path])
     print(f"forecast {len(run.forecast)} event(s); one-step RMSE "
           f"{run.report.rmse_ns / 1e6:.4f} ms over {run.report.matched} prediction(s)")
     return EXIT_OK
@@ -194,12 +183,7 @@ def cmd_evaluate(args):
     _write_json(eval_path, report.to_dict())
     eccdf_path = out / "eccdf.csv"
     _write_eccdf(eccdf_path, report)
-    _write_manifest(
-        out, "evaluate",
-        {"forecast": str(args.forecast), "trace": str(args.trace),
-         "interval_us": args.interval_us},
-        [args.forecast, args.trace], [eval_path, eccdf_path],
-    )
+    _write_manifest(args, [args.forecast, args.trace], [eval_path, eccdf_path])
     print(f"RMSE {report.rmse_ns / 1e6:.4f} ms over {report.matched} matched event(s)")
     return EXIT_OK
 
@@ -225,12 +209,7 @@ def cmd_hopgen(args):
             f"{n},{counter},{int(unmapped[n])},{int(channels[n])},{n * params.interval_us}"
         )
     _atomic_write_text(hops_path, "".join(r + "\n" for r in rows))
-    _write_manifest(
-        out, "hopgen",
-        {"params": str(args.params), "events": args.events,
-         "start_counter": args.start_counter},
-        [args.params], [hops_path],
-    )
+    _write_manifest(args, [args.params], [hops_path])
     print(f"wrote {args.events} event(s) -> {hops_path}")
     return EXIT_OK
 
@@ -252,8 +231,6 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="recover connection parameters from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--tolerance-us", type=float, default=300.0,
-                   help="per-gap grid fit tolerance (default 300)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

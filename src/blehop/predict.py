@@ -89,20 +89,21 @@ def _advance(sync, h):
     return time_pred, p00, p01, p11
 
 
-def kalman_update(sync, measured_time_ns, hops_since_last, *, gate_sigma=DEFAULT_GATE_SIGMA):
+def kalman_update(sync, measured_time_ns, hops_since_last):
     """Advance the tracker by ``hops_since_last`` events and fuse one timestamp.
 
-    An innovation beyond ``gate_sigma`` standard deviations is treated as
-    an outlier: the state advances without a measurement update. A fused
-    interval drifting more than 0.1 % from the nominal interval raises —
-    that is divergence, not drift (physical clock offsets stay far below).
+    An innovation beyond ``DEFAULT_GATE_SIGMA`` standard deviations is
+    treated as an outlier: the state advances without a measurement update.
+    A fused interval drifting more than 0.1 % from the nominal interval
+    raises — that is divergence, not drift (physical clock offsets stay far
+    below).
     """
     if hops_since_last < 1:
         raise ConfigError(f"hops_since_last must be >= 1, got {hops_since_last}")
     time_pred, p00, p01, p11 = _advance(sync, float(hops_since_last))
     innovation = float(measured_time_ns) - time_pred
     gain_denominator = p00 + MEASUREMENT_NOISE_VAR
-    if innovation * innovation > gate_sigma**2 * gain_denominator:
+    if innovation * innovation > DEFAULT_GATE_SIGMA**2 * gain_denominator:
         return SyncState(time_pred, sync.interval_ns, (p00, p01, p11),
                          sync.anchor_offset + int(hops_since_last), sync.nominal_interval_ns)
     k0 = p00 / gain_denominator
@@ -407,9 +408,7 @@ class PredictionRun:
     """Output bundle of the train/predict/evaluate pipeline."""
 
     forecast: Forecast
-    rolling: Forecast
     report: EvalReport
-    sync: SyncState
 
 
 def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, channel=None):
@@ -418,12 +417,12 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     The first ``train_ns`` of observations initialize and settle the
     tracker. Over the remainder the pipeline predicts each upcoming
     observation before consuming it (staying synchronized exactly as a
-    live sniffer would) — those one-step predictions against the held-out
-    observations make the evaluation report. A long-horizon forecast from
-    the end-of-training anchor is returned alongside; ``horizon`` defaults
-    to covering the trace and is counted in events past that anchor.
-    ``channel`` restricts that forecast to events on one channel. Only the
-    central packets of the trace are observations.
+    live sniffer would); each one-step prediction, scored against the
+    observation it was made for, makes the evaluation report. A
+    long-horizon forecast from the end-of-training anchor is returned
+    alongside; ``horizon`` defaults to covering the trace and is counted in
+    events past that anchor. ``channel`` restricts that forecast to events
+    on one channel. Only the central packets of the trace are observations.
     """
     if channel is not None:
         check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
@@ -459,23 +458,16 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     # train on the head; over the held-out tail predict each observation
     # one step ahead before fusing it
     sync = init_sync(ts[0], est.raw_interval_ns, nominal_interval_ns=est.raw_interval_ns)
-    times, stds = np.empty(ts.size - n_train), np.empty(ts.size - n_train)
+    times = np.empty(ts.size - n_train)
     for j in range(1, ts.size):
         offset = int(offsets[j])
         if j == n_train:
             anchor_sync = sync
         if j >= n_train:
-            times[j - n_train], stds[j - n_train] = predict_event_time(sync, offset)
+            times[j - n_train], _ = predict_event_time(sync, offset)
         sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
-    held_out = offsets[n_train:]
-    if is_csa2:
-        counters = (recon.alignment.k_init + held_out) % COUNTER_PERIOD
-        channels = csa2_channels_bulk(counters, recon.channel_id, recon.map_estimate.assumed_map)
-    else:
-        counters = held_out
-        channels = np.full(held_out.size, classification.sniff_channel)
-    rolling = Forecast(counters, channels, times, stds, counters_are_wire=is_csa2)
-    report = _evaluate_by_time(rolling, ts[n_train:].astype(float), None, est.raw_interval_ns)
+    # whole nanoseconds, as a forecast holds them
+    report = _error_report(ts[n_train:] - np.round(times), 0, 0, 0)
 
     if horizon is None:
         span = int(offsets[-1]) - anchor_sync.anchor_offset
@@ -489,4 +481,4 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     forecast = Forecast(*(col[keep] for col in forecast.columns()),
                         counters_are_wire=forecast.counters_are_wire,
                         access_address=recon.access_address)
-    return PredictionRun(forecast=forecast, rolling=rolling, report=report, sync=sync)
+    return PredictionRun(forecast=forecast, report=report)

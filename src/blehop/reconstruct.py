@@ -144,11 +144,11 @@ class MapEstimate:
     unexplained_remaps: int
 
 
-def estimate_interval(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
+def estimate_interval(trace):
     """Estimate the connection interval from inter-observation gaps.
 
     Gaps are snapped to the 1.25 ms grid (a gap further than
-    ``tolerance_ns`` from the grid is left out of the GCD); the integer
+    ``DEFAULT_TOLERANCE_NS`` from the grid is left out of the GCD); the integer
     GCD of the accepted grid multiples gives the interval. The returned
     raw interval refines that by a least-squares fit through the origin,
     which absorbs clock drift between connection and sniffer.
@@ -161,7 +161,7 @@ def estimate_interval(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     gaps = np.diff(ts)
     steps, residuals = _grid_fit(gaps, INTERVAL_STEP_NS,
                                  "observations closer than the 1.25 ms grid")
-    accepted = np.abs(residuals) <= tolerance_ns
+    accepted = np.abs(residuals) <= DEFAULT_TOLERANCE_NS
     if accepted.sum() < 2 or accepted.mean() < 0.5:
         raise EstimationError(
             "gaps do not fit the 1.25 ms grid; timestamps too noisy or not one connection"
@@ -204,20 +204,20 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
     return hops, gaps - hops * unit_ns
 
 
-def _check_on_grid(residuals, interval_ns, tolerance_ns):
+def _check_on_grid(residuals, interval_ns):
     """Reject an interval when off-grid gaps are common or one is far out.
 
     Under the right interval the residuals are pure timing noise, so gaps
-    beyond ``tolerance_ns`` are rare outliers whose rounding is still
+    beyond ``DEFAULT_TOLERANCE_NS`` are rare outliers whose rounding is still
     unambiguous; under a wrong interval most gaps land far off-grid.
     """
     residuals = np.abs(residuals)
-    off_grid = int(np.count_nonzero(residuals > tolerance_ns))
+    off_grid = int(np.count_nonzero(residuals > DEFAULT_TOLERANCE_NS))
     worst = float(residuals.max(initial=0.0))
-    if off_grid > 0.05 * residuals.size or worst > 4 * tolerance_ns:
+    if off_grid > 0.05 * residuals.size or worst > 4 * DEFAULT_TOLERANCE_NS:
         raise EstimationError(
-            f"{off_grid} of {residuals.size} gaps are more than {tolerance_ns / 1e3:.0f} us "
-            f"off-grid (worst {worst / 1e3:.0f} us) for an interval of "
+            f"{off_grid} of {residuals.size} gaps are more than {DEFAULT_TOLERANCE_NS / 1e3:.0f} "
+            f"us off-grid (worst {worst / 1e3:.0f} us) for an interval of "
             f"{interval_ns / 1e6:.4f} ms; wrong interval or excessive timing noise"
         )
 
@@ -277,19 +277,19 @@ def classify_csa(trace, interval):
     return CsaClassification(verdict, profile, interval, trace.sniff_channel)
 
 
-def observation_offsets(trace, interval_ns, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
+def observation_offsets(trace, interval_ns):
     """Integer event offset of each observation relative to the first.
 
     ``interval_ns`` may be the raw (unsnapped) estimate; it is rejected
-    when more than 5 % of gaps sit beyond ``tolerance_ns`` off its grid, or
-    any gap beyond 4x that.
+    when more than 5 % of gaps sit beyond ``DEFAULT_TOLERANCE_NS`` off its
+    grid, or any gap beyond 4x that.
     """
     ts = trace.timestamps()
     if ts.size == 0:
         raise InsufficientDataError("empty trace")
     hops, residuals = _grid_fit(np.diff(ts), interval_ns,
                                 "two observations fall inside one connection event")
-    _check_on_grid(residuals, interval_ns, tolerance_ns)
+    _check_on_grid(residuals, interval_ns)
     return np.concatenate([[0], np.cumsum(hops)])
 
 
@@ -437,7 +437,6 @@ class ReconstructionReport:
     sniff_channel: int | None
     observation_count: int
     error: str | None = None
-    interval: IntervalEstimate | None = None
     classification: CsaClassification | None = None
     channel_id: int | None = None
     alignment: CounterAlignment | None = None
@@ -513,7 +512,6 @@ class ReconstructionReport:
                     raw_interval_ns=float(raw_us) * 1000.0,
                     offsets=np.zeros(0, dtype=np.int64),
                 )
-                report.interval = interval
                 report.classification = CsaClassification(
                     verdict, profile, interval, report.sniff_channel
                 )
@@ -552,7 +550,7 @@ class ReconstructionReport:
             return report
 
 
-def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
+def reconstruct_connection(trace):
     """Run the full single-connection pipeline, capturing estimation errors.
 
     CSA#1 verdicts stop after classification (their counter does not enter
@@ -562,8 +560,6 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     then skipped rather than guessing a candidate. Only the central
     packets are observations of the connection's events.
     """
-    if tolerance_ns < 0:
-        raise ConfigError(f"tolerance_ns must be >= 0, got {tolerance_ns}")
     aa = trace.only_address() or 0  # an empty trace reports address 0
     trace = trace.central()
     report = ReconstructionReport(
@@ -572,13 +568,12 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
         observation_count=len(trace),
     )
     try:
-        report.interval = estimate_interval(trace, tolerance_ns=tolerance_ns)
-        report.classification = classify_csa(trace, report.interval)
+        report.classification = classify_csa(trace, estimate_interval(trace))
         if report.classification.verdict is Verdict.CSA2:
             report.channel_id = channel_identifier(aa)
-            est = report.interval  # classification.interval, for a CSA#2 verdict
+            est = report.classification.interval
             residuals = np.diff(trace.timestamps()) - np.diff(est.offsets) * est.raw_interval_ns
-            _check_on_grid(residuals, est.raw_interval_ns, tolerance_ns)
+            _check_on_grid(residuals, est.raw_interval_ns)
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
             report.alignment = align_counter(est.offsets, reference)
             if not report.alignment.ambiguous:
@@ -590,9 +585,9 @@ def reconstruct_connection(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
     return report
 
 
-def reconstruct_all(trace, *, tolerance_ns=DEFAULT_TOLERANCE_NS):
+def reconstruct_all(trace):
     """Reconstruct every connection in a merged trace; one report per address."""
     return {
-        aa: reconstruct_connection(part, tolerance_ns=tolerance_ns)
+        aa: reconstruct_connection(part)
         for aa, part in split_by_connection(trace).items()
     }

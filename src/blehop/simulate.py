@@ -33,6 +33,9 @@ from .errors import ConfigError, check_int, reading
 from .trace import SniffTrace
 
 MAX_DRIFT_PPM = 500.0
+# events simulated per connection: about 21 h at the 7.5 ms minimum interval,
+# and several hundred MB of event arrays
+MAX_EVENTS = 10**7
 # scenario times are int64 nanoseconds
 _MAX_TIME_US = (2**63 - 1) // 1000
 
@@ -176,6 +179,9 @@ def _simulate_connection(conn, sniff_channel, rng):
     scale = 1.0 + imp.clock_drift_ppm * 1e-6
     step_ns = params.interval_ns * scale
     count = int(np.floor(imp.duration_ns / step_ns)) + 1
+    if count > MAX_EVENTS:
+        raise ConfigError(f"duration_us spans {count} events of 0x{params.access_address:08X}; "
+                          f"at most {MAX_EVENTS} are simulated per connection")
     counters = conn.initial_counter + np.arange(count, dtype=np.int64)
     channels = channel_sequence(params, conn.initial_counter, count)
     times = conn.start_offset_ns + np.rint(np.arange(count) * step_ns).astype(np.int64)

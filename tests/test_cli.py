@@ -272,10 +272,13 @@ def test_params_csa_version_spellings(tmp_path, capsys, conn, spellings):
     (("connections", 0, "impairments", "duration_us"), 10**30, "duration_us"),
     (("connections", 0, "impairments", "jitter_sigma_us"), float("inf"), "jitter_sigma"),
     (("connections", 0, "impairments", "clock_drift_ppm"), float("nan"), "clock_drift_ppm"),
+    # in range, but 7.2e11 events: refused before any event array is built
+    (("connections", 0, "impairments", "duration_us"), 9 * 10**15, "duration_us"),
 ])
 def test_bad_scenario_values_exit_with_config_error(tmp_path, capsys, path, value, needle):
     # each value used to be coerced (22.9 simulated channel 22, true seeded
-    # 1) or to end in a traceback (an infinite jitter, a nan drift, 10**30 us)
+    # 1) or to end in a traceback (an infinite jitter, a nan drift, 10**30 us,
+    # 9e15 us)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(_mutated(SHORT_SCENARIO, path, value)))
     capsys.readouterr()
@@ -412,9 +415,6 @@ def pipeline(tmp_path_factory):
     ("predict", "--train-seconds", "inf", "--train-seconds"),
     ("predict", "--channel", "99", "channel"),
     ("predict", "--channel", "-1", "channel"),
-    ("reconstruct", "--tolerance-us", "nan", "--tolerance-us"),
-    ("reconstruct", "--tolerance-us", "inf", "--tolerance-us"),
-    ("reconstruct", "--tolerance-us", "-1", "tolerance_ns"),
     ("evaluate", "--interval-us", "0", "interval_ns"),
     ("evaluate", "--interval-us", "-12500", "interval_ns"),
     ("hopgen", "--events", "0", "--events"),
@@ -632,6 +632,22 @@ def test_mutated_params_file_never_escapes_the_cli(short_run, path, value):
     if code == EXIT_OK:
         with open(out / "hops.csv") as handle:
             assert len(list(csv.reader(handle))) == 75
+
+
+def test_manifest_records_every_option(tmp_path, pipeline, capsys):
+    sim, recon, _ = pipeline
+    trace = tmp_path / "trace.jsonl"
+    save_trace(load_trace(sim / "trace.csv"), trace, "jsonl")
+    out = tmp_path / "pred"
+    assert main(["predict", "--report", str(recon / "report_0xB0A1CD9D.json"),
+                 "--trace", str(trace), "--format", "jsonl", "--train-seconds", "60",
+                 "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["subcommand"] == "predict"
+    assert manifest["arguments"] == {
+        "report": str(recon / "report_0xB0A1CD9D.json"), "trace": str(trace),
+        "format": "jsonl", "train_seconds": 60.0, "horizon": None, "channel": None}
+    capsys.readouterr()
 
 
 def test_predict_uses_the_reports_central_packets(tmp_path, capsys):

@@ -161,7 +161,8 @@ def test_tracker_matches_matrix_kalman_oracle():
     assert gated_steps == [120]
 
 
-def test_divergence_guard_trips():
+def test_divergence_guard_trips(monkeypatch):
+    monkeypatch.setattr("blehop.predict.DEFAULT_GATE_SIGMA", 1e9)  # fuse every measurement
     interval = 12_500_000
     sync = init_sync(0, interval)
     # measurements implying an interval 1 % long: way past the 0.1 % guard
@@ -169,7 +170,7 @@ def test_divergence_guard_trips():
         t = 0
         for k in range(1, 200):
             t = k * interval * 1.01
-            sync = kalman_update(sync, t, 1, gate_sigma=1e9)
+            sync = kalman_update(sync, t, 1)
 
 
 def test_prediction_uncertainty_grows_with_horizon():

@@ -129,11 +129,13 @@ def test_interval_gcd_above_maximum_rejected_otherwise():
         estimate_interval(trace_at([0, gap, 2 * gap]))
 
 
-def test_interval_tolerance_is_adjustable():
+def test_interval_tolerance_is_300us():
+    # two of the three gaps are 400 us off-grid: left out of the GCD, too few remain
     times = [0, 12_500_000 + 400_000, 25_000_000 + 400_000, 37_500_000]
-    with pytest.raises(EstimationError):
-        estimate_interval(trace_at(times), tolerance_ns=100_000)
-    est = estimate_interval(trace_at(times), tolerance_ns=450_000)
+    with pytest.raises(EstimationError, match="do not fit the 1.25 ms grid"):
+        estimate_interval(trace_at(times))
+    times = [0, 12_500_000 + 290_000, 25_000_000 + 290_000, 37_500_000]
+    est = estimate_interval(trace_at(times))
     assert est.interval_us == 12500
 
 
@@ -243,7 +245,7 @@ def test_observation_offsets_tolerate_rare_jitter_outlier():
     # wrong interval, and far too small to shift its rounding
     times = np.arange(41, dtype=np.int64) * 3 * 12_500_000
     times[20] += 400_000
-    offsets = observation_offsets(trace_at(times), 12_500_000, tolerance_ns=300_000)
+    offsets = observation_offsets(trace_at(times), 12_500_000)
     assert offsets.tolist() == (np.arange(41) * 3).tolist()
 
 
@@ -252,7 +254,7 @@ def test_observation_offsets_reject_single_far_off_grid_gap():
     times = np.arange(41, dtype=np.int64) * 3 * 12_500_000
     times[20] += 1_500_000
     with pytest.raises(EstimationError, match="off-grid"):
-        observation_offsets(trace_at(times), 12_500_000, tolerance_ns=300_000)
+        observation_offsets(trace_at(times), 12_500_000)
 
 
 def test_ref_vector_population_counts():
@@ -530,7 +532,7 @@ def test_reconstruct_captures_estimation_errors():
     report = reconstruct_connection(trace_at([0, 12_500_000]))
     assert report.error is not None
     assert "3 observations" in report.error
-    assert report.interval is None
+    assert report.classification is None
 
 
 def test_reconstruct_rejects_mixed_addresses():
@@ -574,6 +576,21 @@ def test_report_dict_round_trip():
     assert rebuilt.alignment.k_init == report.alignment.k_init
     assert rebuilt.map_estimate.assumed_map.allowed == \
         report.map_estimate.assumed_map.allowed
+    assert rebuilt.to_dict() == raw
+
+
+def test_report_dict_round_trip_single_hit_csa1():
+    # the gap GCD is 37 intervals; the report holds the corrected interval only
+    full = ChannelMap.from_channels(range(37))
+    params = ConnectionParams(CsaVersion.CSA1, 12500, full, 0x53D39A21,
+                              hop_increment=7, initial_channel=3)
+    _, trace = simulate_one(params, 120 * 10**9, jitter=50_000.0)
+    report = reconstruct_connection(trace)
+    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
+    raw = json.loads(json.dumps(report.to_dict()))
+    assert raw["interval_us"] == 12500
+    rebuilt = ReconstructionReport.from_dict(raw)
+    assert rebuilt.classification.interval.interval_us == 12500
     assert rebuilt.to_dict() == raw
 
 
