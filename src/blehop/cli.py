@@ -126,9 +126,10 @@ def cmd_simulate(args):
 def cmd_reconstruct(args):
     trace = load_trace(args.trace, args.format)
     out = _out_dir(args)
-    reports = reconstruct_all(trace)
     outputs = []
-    for aa, report in sorted(reports.items()):
+    # each report is written and printed as soon as it is done; the manifest
+    # comes last, so a directory without one holds an unfinished run
+    for aa, report in reconstruct_all(trace):
         path = out / f"report_0x{aa:08X}.json"
         _write_json(path, report.to_dict())
         outputs.append(path)
@@ -136,7 +137,7 @@ def cmd_reconstruct(args):
             f"{report.classification.verdict.value}, "
             f"interval {report.classification.interval.interval_us} us"
         )
-        print(f"0x{aa:08X}: {status}")
+        print(f"0x{aa:08X}: {status}", flush=True)
     _write_manifest(args, [args.trace], outputs)
     return EXIT_OK
 

@@ -264,13 +264,14 @@ def classify_csa(trace, interval):
         raise InsufficientDataError(
             f"classification needs two full 37-event periods, trace spans {span} events"
         )
-    phases = np.unique(offsets % NUM_DATA_CHANNELS)
+    phases = np.flatnonzero(np.bincount(offsets % NUM_DATA_CHANNELS,
+                                        minlength=NUM_DATA_CHANNELS))
     if phases.size >= _MAX_CSA1_PHASES:
         verdict = Verdict.CSA2
     else:
         # CSA#1 hits every profile phase in every period; count how full
         # the (period, phase) grid is.
-        expected = int(sum((span - int(p)) // NUM_DATA_CHANNELS + 1 for p in phases))
+        expected = int(np.sum((span - phases) // NUM_DATA_CHANNELS + 1))
         fill = offsets.size / expected
         verdict = Verdict.CSA1_REPEATING if fill >= _MIN_FILL_RATIO else Verdict.CSA2
     profile = tuple(int(p) for p in phases) if verdict is not Verdict.CSA2 else ()
@@ -374,10 +375,12 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     unmapped = csa2_unmapped_bulk(counters, ci)
     remap_mask = unmapped != sniff_channel
 
+    remapped = unmapped[remap_mask]
+    counts = np.bincount(remapped, minlength=NUM_DATA_CHANNELS)
+    excluded = np.flatnonzero(counts)
     # ascending offsets: a channel's first index is its first sighting
-    excluded, first, counts = np.unique(
-        unmapped[remap_mask], return_index=True, return_counts=True
-    )
+    first = np.full(NUM_DATA_CHANNELS, remapped.size)
+    np.minimum.at(first, remapped, np.arange(remapped.size))
     proven = frozenset(excluded.tolist())
     if NUM_DATA_CHANNELS - len(proven) < 2:
         raise InconsistentEvidenceError(
@@ -393,13 +396,13 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     unexplained = int(np.sum(assumed.ordered_array[remap_index] != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
-    last_new = int(offsets[remap_mask][first].max()) if proven else 0
+    last_new = int(offsets[remap_mask][first[excluded]].max()) if proven else 0
     budget = expected_reconstruction_budget(assumed.n_ch)
     converged = span > budget and (span - last_new) >= budget and unexplained == 0
     return MapEstimate(
         proven_excluded=proven,
         assumed_map=assumed,
-        evidence_count=dict(zip(excluded.tolist(), counts.tolist())),
+        evidence_count=dict(zip(excluded.tolist(), counts[excluded].tolist())),
         converged=bool(converged),
         unexplained_remaps=unexplained,
     )
@@ -418,7 +421,9 @@ def _check_reconcilable(remap_counters, ci, proven, sniff_channel):
     free_below = sum(c < sniff_channel for c in free)
     free_above = sum(c > sniff_channel for c in free)
     sizes = np.arange(2, NUM_DATA_CHANNELS - len(proven) + 1)[:, None]
-    counters = np.unique(remap_counters)
+    seen = np.zeros(COUNTER_PERIOD, dtype=bool)
+    seen[remap_counters] = True
+    counters = np.flatnonzero(seen)  # the distinct counters, ascending
     positions = csa2_remap_index_bulk(counters, ci, sizes)
     fits = (positions <= free_below) & (sizes - 1 - positions <= free_above)
     unfit = counters[~fits.any(axis=0)]
@@ -586,8 +591,14 @@ def reconstruct_connection(trace):
 
 
 def reconstruct_all(trace):
-    """Reconstruct every connection in a merged trace; one report per address."""
-    return {
-        aa: reconstruct_connection(part)
-        for aa, part in split_by_connection(trace).items()
-    }
+    """Reconstruct every connection in a merged trace, one at a time.
+
+    Yields ``(access_address, report)`` pairs in ascending address order,
+    each as soon as its report is done. An address whose packets are all
+    peripheral still gets a report (a failed one), under its own address.
+    """
+    parts = split_by_connection(trace)
+    for aa in sorted(parts):
+        report = reconstruct_connection(parts.pop(aa))
+        report.access_address = aa
+        yield aa, report

@@ -392,7 +392,7 @@ def test_criterion_10_merged_equals_isolated():
     )
     sniff, seed = 22, 424242
     _, merged = simulate(ScenarioConfig(connections, sniff, seed))
-    merged_reports = reconstruct_all(merged)
+    merged_reports = dict(reconstruct_all(merged))
     mismatched = []
     for conn in connections:
         aa = conn.params.access_address

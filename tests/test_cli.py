@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blehop import Forecast, SniffTrace, load_trace, save_trace, split_by_connection
+from blehop import Forecast, SniffTrace, load_trace, reconstruct, save_trace, split_by_connection
 from blehop.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CONFIG,
@@ -676,6 +676,49 @@ def test_predict_uses_the_reports_central_packets(tmp_path, capsys):
     assert main(["predict", "--report", str(other), "--trace", str(sim / "trace.csv"),
                  "--out-dir", str(tmp_path / "p")]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_reconstruct_writes_each_report_before_the_next_connection(
+        tmp_path, capsys, monkeypatch):
+    third = {"params": {"csa_version": 2, "interval_us": 7500,
+                        "channel_map": "0x1FFFFFFC00", "access_address": "0x2A7F10C3"},
+             "impairments": {"duration_us": 60_000_000}}
+    scenario = tmp_path / "three.json"
+    scenario.write_text(json.dumps({**SCENARIO,
+                                    "connections": [*SCENARIO["connections"], third]}))
+    sim, recon = tmp_path / "sim", tmp_path / "recon"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == EXIT_OK
+    capsys.readouterr()
+    lines, seen = [], []  # stdout so far; (files, lines) at each reconstruction
+    real = reconstruct.reconstruct_connection
+
+    def spy(trace):
+        lines.extend(capsys.readouterr().out.splitlines())
+        seen.append((sorted(p.name for p in recon.iterdir()), list(lines)))
+        return real(trace)
+
+    monkeypatch.setattr(reconstruct, "reconstruct_connection", spy)
+    assert main(["reconstruct", "--trace", str(sim / "trace.csv"),
+                 "--out-dir", str(recon)]) == EXIT_OK
+    lines.extend(capsys.readouterr().out.splitlines())
+    names = ["0x2A7F10C3", "0x53D39A21", "0xB0A1CD9D"]  # ascending, not first-seen
+    assert [line.split(":")[0] for line in lines] == names
+    # the manifest comes last: before it, the reports and lines of the
+    # connections done so far, and nothing else
+    assert seen == [([f"report_{n}.json" for n in names[:i]], lines[:i]) for i in range(3)]
+    assert (recon / "run_manifest.json").exists()
+
+
+def test_reconstruct_names_a_peripheral_only_connection(tmp_path, capsys):
+    trace = SniffTrace(22, [100, 200, 300, 400, 500], [0xC, 0xB, 0xA, 0xA, 0xC],
+                       [False, True, True, True, False])
+    save_trace(trace, tmp_path / "trace.csv")
+    assert main(["reconstruct", "--trace", str(tmp_path / "trace.csv"),
+                 "--out-dir", str(tmp_path / "recon")]) == EXIT_OK
+    report = json.loads((tmp_path / "recon" / "report_0x0000000C.json").read_text())
+    assert report["access_address"] == "0x0000000C"
+    assert report["observation_count"] == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("0x0000000C: ")
 
 
 def test_version_flag(capsys):

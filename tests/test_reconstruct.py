@@ -17,6 +17,7 @@ from blehop import (
     ImpairmentModel,
     InconsistentEvidenceError,
     InsufficientDataError,
+    IntervalEstimate,
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
@@ -451,6 +452,83 @@ def test_map_inference_flags_a_remap_that_fits_no_map():
         infer_channel_map(offsets, k_init + 3, ci, sniff)
 
 
+# The stages count with np.bincount and a seen-table; these references are
+# the np.unique readings they replaced.
+
+@st.composite
+def csa2_captures(draw):
+    """(offsets, k_init, ci, sniff) of a CSA#2 capture on one channel with misses."""
+    sniff = draw(st.integers(0, 36))
+    others = draw(st.sets(st.integers(0, 36).filter(lambda c: c != sniff),
+                          min_size=1, max_size=36))
+    cmap = ChannelMap.from_channels({sniff, *others})
+    ci, k_init = draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF))
+    n_events = draw(st.integers(1, 4 * expected_reconstruction_budget(cmap.n_ch) + 100))
+    offsets = _csa2_observation_offsets(cmap, ci, k_init, n_events, sniff)
+    while offsets.size == 0:
+        n_events *= 2
+        offsets = _csa2_observation_offsets(cmap, ci, k_init, n_events, sniff)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = offsets[rng.random(offsets.size) >= draw(st.sampled_from([0.0, 0.1, 0.5]))]
+    if kept.size == 0:
+        kept = offsets[:1]
+    return kept - kept[0], int(k_init + kept[0]) % 65536, ci, sniff
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(capture=csa2_captures())
+def test_map_inference_counts_like_unique(capture):
+    offsets, k_init, ci, sniff = capture
+    est = infer_channel_map(offsets, k_init, ci, sniff)
+    unmapped = csa2_unmapped_bulk((k_init + offsets) % 65536, ci)
+    remap = unmapped != sniff
+    excluded, first, counts = np.unique(unmapped[remap], return_index=True,
+                                        return_counts=True)
+    assert est.proven_excluded == frozenset(excluded.tolist())
+    assert est.evidence_count == dict(zip(excluded.tolist(), counts.tolist()))
+    span = int(offsets[-1])
+    last_new = int(offsets[remap][first].max()) if excluded.size else 0
+    budget = expected_reconstruction_budget(37 - excluded.size)
+    assert est.converged == (span > budget and span - last_new >= budget
+                             and est.unexplained_remaps == 0)
+
+
+@st.composite
+def ascending_offsets(draw):
+    """Event offsets from 0: random hops, or a few phases per 37-event period
+    with some hits dropped (the CSA#1 shape)."""
+    if draw(st.booleans()):
+        hops = draw(st.lists(st.integers(1, 60), min_size=2, max_size=200))
+        return np.concatenate([[0], np.cumsum(hops)])
+    phases = draw(st.sets(st.integers(1, 36), max_size=25))
+    periods = draw(st.integers(1, 40))
+    grid = (37 * np.arange(periods)[:, None] + np.array([0, *sorted(phases)])).ravel()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grid[(rng.random(grid.size) >= draw(st.floats(0.0, 0.5))) | (grid == 0)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(offsets=ascending_offsets())
+def test_classification_phases_like_unique(offsets):
+    trace = trace_at(offsets * 6 * STEP)
+    interval = IntervalEstimate(6 * STEP, 6.0 * STEP, offsets.astype(np.int64))
+    span = int(offsets[-1])
+    if span < 74:
+        with pytest.raises(InsufficientDataError):
+            classify_csa(trace, interval)
+        return
+    phases = np.unique(offsets % 37)
+    verdict = Verdict.CSA2
+    # at most 19 phases and a (period, phase) grid at least 75 % full read as CSA#1
+    if phases.size < 20:
+        expected = sum((span - int(p)) // 37 + 1 for p in phases)
+        if offsets.size / expected >= 0.75:
+            verdict = Verdict.CSA1_REPEATING
+    cls = classify_csa(trace, interval)
+    assert cls.verdict is verdict
+    assert cls.period_profile == (() if verdict is Verdict.CSA2 else tuple(phases.tolist()))
+
+
 def test_map_inference_needs_observations():
     with pytest.raises(InsufficientDataError):
         infer_channel_map(np.array([], dtype=np.int64), 0, 0x7D3C, 22)
@@ -555,12 +633,25 @@ def test_reconstruct_all_merged_trace():
         22, 8,
     )
     _, merged = simulate(config)
-    reports = reconstruct_all(merged)
-    assert set(reports) == {0xB0A1CD9D, 0x53D39A21}
+    reports = dict(reconstruct_all(merged))
+    assert list(reports) == [0x53D39A21, 0xB0A1CD9D]  # ascending address order
     assert reports[0xB0A1CD9D].classification.interval.interval_us == 12500
     assert reports[0x53D39A21].classification.interval.interval_us == 7500
     assert reports[0xB0A1CD9D].map_estimate.assumed_map.allowed == MAP_10.allowed
     assert reports[0x53D39A21].map_estimate.assumed_map.allowed == MAP_27.allowed
+
+
+def test_reconstruct_all_names_a_peripheral_only_connection():
+    # 0xC sends peripheral packets only: its part is empty, its report failed
+    trace = SniffTrace(22, [100, 200, 300, 400, 500], [0xC, 0xB, 0xA, 0xA, 0xC],
+                       [False, True, True, True, False])
+    reports = list(reconstruct_all(trace))
+    assert [aa for aa, _ in reports] == [0xA, 0xB, 0xC]
+    assert [report.access_address for _, report in reports] == [0xA, 0xB, 0xC]
+    empty = reports[2][1].to_dict()
+    assert empty["access_address"] == "0x0000000C"
+    assert empty["observation_count"] == 0
+    assert "got 0" in empty["error"]
 
 
 def test_report_dict_round_trip():
