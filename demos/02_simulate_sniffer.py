@@ -62,8 +62,8 @@ for tl in timelines:
 
 print(f"\nsniffer on channel {trace.sniff_channel} captured "
       f"{len(trace)} observations (both connections interleaved):")
-for obs in trace.observations[:5]:
-    print(f"  t={obs.timestamp_ns / 1e9:10.6f} s  aa=0x{obs.access_address:08X}")
+for t, aa in zip(trace.timestamps()[:5].tolist(), trace.access_addresses[:5].tolist()):
+    print(f"  t={t / 1e9:10.6f} s  aa=0x{aa:08X}")
 print("  ...")
 
 # Captures are fewer than ground-truth hits: miss_probability thins them.
@@ -79,5 +79,8 @@ text = buf.getvalue()
 print(f"\nCSV round-trip: {len(text.splitlines()) - 1} rows, header + first row:")
 print("  " + "\n  ".join(text.splitlines()[:2]))
 again = load_trace(io.StringIO(text), fmt="csv")
-assert again.observations == trace.observations
+assert again.sniff_channel == trace.sniff_channel
+assert np.array_equal(again.timestamps(), trace.timestamps())
+assert np.array_equal(again.access_addresses, trace.access_addresses)
+assert np.array_equal(again.is_central, trace.is_central)
 print("re-loaded trace is identical to the original.")

@@ -71,7 +71,7 @@ print(f"stage 2, algorithm: {cls.verdict.value}")
 report = reconstruct_connection(trace)
 align = report.alignment
 truth_first = int(timeline.wire_counters()[
-    np.argmin(np.abs(timeline.times_ns - trace.observations[0].timestamp_ns))])
+    np.argmin(np.abs(timeline.times_ns - trace.timestamps()[0]))])
 print(f"stage 3, counter: k_init={align.k_init} "
       f"(truth {truth_first}, correlation peak {align.correlation_peak} vs "
       f"runner-up {align.second_peak}, ambiguous={align.ambiguous})")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -313,22 +314,21 @@ def _error_report(errors, channel_mismatches, missed, unmatched):
 
 
 def evaluate(forecast, reference, interval_ns):
-    """Match a forecast against ground truth and score the timing errors.
+    """Match a forecast against a reference and score the timing errors.
 
-    A ground-truth :class:`EventTimeline` is matched by event counter when
-    the forecast carries wire counters (nearest-in-time among same-counter
-    events, which disambiguates counter wraps); otherwise, and for real
-    traces, each reference event takes the nearest prediction within half
-    an interval. A trace is scored by its central packets and must hold
-    one connection. Predictions left unmatched are counted as misses, not
-    as errors.
+    One rule for every reference: each reference event, in time order,
+    takes the nearest untaken prediction within half an interval, and
+    channels are compared when the reference has them. A ground-truth
+    :class:`EventTimeline` has them; a trace is scored by its central
+    packets, has none and must hold one connection. Predictions left
+    unmatched are counted as misses, not as errors. Forecast times must
+    not go backwards: a hand-built forecast whose times do raises
+    :class:`ConfigError`.
     """
     if interval_ns <= 0:
         raise ConfigError(f"interval_ns must be positive, got {interval_ns}")
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
-    if isinstance(reference, EventTimeline) and forecast.counters_are_wire:
-        return _evaluate_by_counter(forecast, reference)
     if isinstance(reference, EventTimeline):
         ref_times = reference.times_ns.astype(float)
         ref_channels = reference.channels
@@ -340,34 +340,6 @@ def evaluate(forecast, reference, interval_ns):
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
     if ref_times.size == 0:
         raise EstimationError("reference contains no events")
-    return _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns)
-
-
-def _evaluate_by_counter(forecast, timeline):
-    by_counter = {}
-    for idx, counter in enumerate((timeline.counters % COUNTER_PERIOD).tolist()):
-        by_counter.setdefault(counter, []).append(idx)
-    ref_times = timeline.times_ns.astype(float).tolist()
-    ref_channels = timeline.channels.tolist()
-    errors, mismatches, missed = [], 0, 0
-    for counter, channel, time_ns in zip(forecast.counters.tolist(),
-                                         forecast.channels.tolist(),
-                                         forecast.times_ns.tolist()):
-        indices = by_counter.get(counter)
-        if not indices:
-            missed += 1
-            continue
-        best = min(indices, key=lambda i: abs(ref_times[i] - time_ns))
-        errors.append(ref_times[best] - time_ns)
-        if ref_channels[best] != channel:
-            mismatches += 1
-    if not errors:
-        raise EstimationError("forecast and reference share no event counters")
-    unmatched = len(timeline) - len(errors)
-    return _error_report(errors, mismatches, missed, unmatched)
-
-
-def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
     pred_times = forecast.times_ns
     if np.any(np.diff(pred_times) < 0):
         raise ConfigError("forecast times must be non-decreasing")
@@ -379,17 +351,18 @@ def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
     positions = np.searchsorted(pred_times, ref_times)
     earlier = pred_times[np.maximum(positions - 1, 0)].tolist()
     later = pred_times[np.minimum(positions, n_pred - 1)].tolist()
-    taken, matched_preds, matched_refs, errors = set(), [], [], []
+    taken = bytearray(n_pred)
+    matched_preds, matched_refs, errors = array("q"), array("q"), array("d")
     for ref_idx, (t, pos, t_earlier, t_later) in enumerate(
             zip(ref_times.tolist(), positions.tolist(), earlier, later)):
-        best, best_gap = None, half
+        best, best_gap = -1, half
         for cand, pred in ((pos - 1, t_earlier), (pos, t_later)):
-            if 0 <= cand < n_pred and cand not in taken:
+            if 0 <= cand < n_pred and not taken[cand]:
                 gap = abs(pred - t)
                 if gap <= best_gap:
                     best, best_gap, best_time = cand, gap, pred
-        if best is not None:
-            taken.add(best)
+        if best >= 0:
+            taken[best] = 1
             matched_preds.append(best)
             matched_refs.append(ref_idx)
             errors.append(t - best_time)
@@ -397,9 +370,9 @@ def _evaluate_by_time(forecast, ref_times, ref_channels, interval_ns):
         raise EstimationError("no reference event falls within half an interval of a prediction")
     mismatches = 0
     if ref_channels is not None:
-        mismatches = int(np.count_nonzero(forecast.channels[matched_preds]
-                                          != ref_channels[matched_refs]))
-    return _error_report(errors, mismatches, n_pred - len(taken),
+        mismatches = int(np.count_nonzero(forecast.channels[np.asarray(matched_preds)]
+                                          != ref_channels[np.asarray(matched_refs)]))
+    return _error_report(errors, mismatches, n_pred - len(matched_preds),
                          ref_times.size - len(matched_refs))
 
 
@@ -431,6 +404,10 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     if aa is not None and aa != recon.access_address:
         raise ConfigError(f"trace holds 0x{aa:08X}, not the report's "
                           f"0x{recon.access_address:08X}")
+    # k_init counts from the first observation on the report's sniffed channel
+    if aa is not None and recon.sniff_channel not in (None, trace.sniff_channel):
+        raise ConfigError(f"trace was sniffed on channel {trace.sniff_channel}, not the "
+                          f"report's channel {recon.sniff_channel}")
     if recon.error:
         raise EstimationError(f"reconstruction failed: {recon.error}")
     classification = recon.classification

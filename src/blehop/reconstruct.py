@@ -204,24 +204,6 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
     return hops, gaps - hops * unit_ns
 
 
-def _check_on_grid(residuals, interval_ns):
-    """Reject an interval when off-grid gaps are common or one is far out.
-
-    Under the right interval the residuals are pure timing noise, so gaps
-    beyond ``DEFAULT_TOLERANCE_NS`` are rare outliers whose rounding is still
-    unambiguous; under a wrong interval most gaps land far off-grid.
-    """
-    residuals = np.abs(residuals)
-    off_grid = int(np.count_nonzero(residuals > DEFAULT_TOLERANCE_NS))
-    worst = float(residuals.max(initial=0.0))
-    if off_grid > 0.05 * residuals.size or worst > 4 * DEFAULT_TOLERANCE_NS:
-        raise EstimationError(
-            f"{off_grid} of {residuals.size} gaps are more than {DEFAULT_TOLERANCE_NS / 1e3:.0f} "
-            f"us off-grid (worst {worst / 1e3:.0f} us) for an interval of "
-            f"{interval_ns / 1e6:.4f} ms; wrong interval or excessive timing noise"
-        )
-
-
 def classify_csa(trace, interval):
     """Decide which hop algorithm a trace came from.
 
@@ -281,16 +263,27 @@ def classify_csa(trace, interval):
 def observation_offsets(trace, interval_ns):
     """Integer event offset of each observation relative to the first.
 
-    ``interval_ns`` may be the raw (unsnapped) estimate; it is rejected
-    when more than 5 % of gaps sit beyond ``DEFAULT_TOLERANCE_NS`` off its
-    grid, or any gap beyond 4x that.
+    ``interval_ns`` may be the raw (unsnapped) estimate. This is the one
+    off-grid gate: under the right interval the residuals are pure timing
+    noise, so gaps beyond ``DEFAULT_TOLERANCE_NS`` are rare outliers whose
+    rounding is still unambiguous; under a wrong interval most gaps land
+    far off-grid. The interval is rejected when more than 5 % of gaps sit
+    beyond that tolerance, or any gap beyond 4x it.
     """
     ts = trace.timestamps()
     if ts.size == 0:
         raise InsufficientDataError("empty trace")
     hops, residuals = _grid_fit(np.diff(ts), interval_ns,
                                 "two observations fall inside one connection event")
-    _check_on_grid(residuals, interval_ns)
+    residuals = np.abs(residuals)
+    off_grid = int(np.count_nonzero(residuals > DEFAULT_TOLERANCE_NS))
+    worst = float(residuals.max(initial=0.0))
+    if off_grid > 0.05 * residuals.size or worst > 4 * DEFAULT_TOLERANCE_NS:
+        raise EstimationError(
+            f"{off_grid} of {residuals.size} gaps are more than {DEFAULT_TOLERANCE_NS / 1e3:.0f} "
+            f"us off-grid (worst {worst / 1e3:.0f} us) for an interval of "
+            f"{interval_ns / 1e6:.4f} ms; wrong interval or excessive timing noise"
+        )
     return np.concatenate([[0], np.cumsum(hops)])
 
 
@@ -523,6 +516,12 @@ class ReconstructionReport:
             if "channel_identifier" in raw:
                 report.channel_id = check_int(int(raw["channel_identifier"], 16),
                                               "channel_identifier", 0, 0xFFFF)
+                # the forecast's channels follow from it, so a wrong one is silent there
+                expected = channel_identifier(report.access_address)
+                if report.channel_id != expected:
+                    raise ConfigError(f"channel_identifier must be 0x{expected:04X} for access "
+                                      f"address 0x{report.access_address:08X}, got "
+                                      f"0x{report.channel_id:04X}")
             if "k_init" in raw:
                 k_init = check_int(raw["k_init"], "k_init", 0, COUNTER_PERIOD - 1)
                 align = raw.get("alignment", {})
@@ -576,14 +575,13 @@ def reconstruct_connection(trace):
         report.classification = classify_csa(trace, estimate_interval(trace))
         if report.classification.verdict is Verdict.CSA2:
             report.channel_id = channel_identifier(aa)
-            est = report.classification.interval
-            residuals = np.diff(trace.timestamps()) - np.diff(est.offsets) * est.raw_interval_ns
-            _check_on_grid(residuals, est.raw_interval_ns)
+            # passes the off-grid gate; the offsets equal the interval estimate's
+            offsets = observation_offsets(trace, report.classification.interval.raw_interval_ns)
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
-            report.alignment = align_counter(est.offsets, reference)
+            report.alignment = align_counter(offsets, reference)
             if not report.alignment.ambiguous:
                 report.map_estimate = infer_channel_map(
-                    est.offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel
+                    offsets, report.alignment.k_init, report.channel_id, trace.sniff_channel
                 )
     except EstimationError as exc:
         report.error = str(exc)

@@ -62,7 +62,7 @@ def _single_connection(params, duration_ns, sniff, seed, jitter=0.0, drift=0.0,
 
 def _first_observed_counter(timeline, trace):
     """Ground-truth 16-bit counter of the first captured observation."""
-    first = trace.observations[0].timestamp_ns
+    first = trace.timestamps()[0]
     idx = int(np.argmin(np.abs(timeline.times_ns - first)))
     return int(timeline.wire_counters()[idx])
 

@@ -493,6 +493,7 @@ def _mutated(doc, path, value):
     (CSA2_REPORT, ("observation_count",), -3, "observation_count"),
     (CSA2_REPORT, ("alignment", "correlation_peak"), "x", "correlation_peak"),
     (CSA2_REPORT, ("alignment", "second_peak"), -1, "second_peak"),
+    (CSA2_REPORT, ("channel_identifier",), "0x1234", "channel_identifier"),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):

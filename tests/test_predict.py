@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blehop import (
     AmbiguousAlignmentError,
@@ -304,7 +306,7 @@ def timeline_for(params, count, initial_counter=0):
 CSA2_PARAMS = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
 
 
-def test_evaluate_by_counter_scores_errors():
+def test_evaluate_against_timeline_scores_errors():
     timeline = timeline_for(CSA2_PARAMS, 100)
     rows = [
         (timeline.counters[i], timeline.channels[i], timeline.times_ns[i] + err, 1000.0)
@@ -318,7 +320,7 @@ def test_evaluate_by_counter_scores_errors():
     assert report.unmatched_references == 97
 
 
-def test_evaluate_by_counter_detects_channel_mismatch():
+def test_evaluate_against_timeline_detects_channel_mismatch():
     timeline = timeline_for(CSA2_PARAMS, 50)
     wrong = (int(timeline.channels[5]) + 1) % 37
     rows = [(5, wrong, timeline.times_ns[5], 1.0)]
@@ -326,7 +328,7 @@ def test_evaluate_by_counter_detects_channel_mismatch():
     assert report.channel_mismatches == 1
 
 
-def test_evaluate_by_counter_disambiguates_wraps():
+def test_evaluate_against_timeline_disambiguates_wraps():
     # two events share wire counter 5 (one counter period apart); the
     # prediction must be scored against the nearer one
     counters = np.array([5, 5 + 65536], dtype=np.int64)
@@ -343,10 +345,10 @@ def test_evaluate_by_counter_disambiguates_wraps():
 
 def test_evaluate_counts_missed_predictions():
     timeline = timeline_for(CSA2_PARAMS, 10)
-    rows = [(9999, 0, 1e12, 1.0)]  # counter never occurs
+    rows = [(9999, 0, 1e12, 1.0)]  # long after the last event
     with pytest.raises(EstimationError):
         evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
-    rows.append((3, timeline.channels[3], timeline.times_ns[3], 1.0))
+    rows.insert(0, (3, timeline.channels[3], timeline.times_ns[3], 1.0))
     report = evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
     assert report.missed_predictions == 1
     assert report.matched == 1
@@ -391,6 +393,13 @@ def test_evaluate_rejects_unsorted_forecast_times():
     rows = [(k, 22, t, 1.0) for k, t in enumerate([0.0, 2.0 * interval, 1.0 * interval])]
     with pytest.raises(ConfigError, match="non-decreasing"):
         evaluate(forecast_of(rows, counters_are_wire=False), trace, interval)
+
+
+def test_evaluate_rejects_unsorted_forecast_times_against_a_timeline():
+    timeline = timeline_for(CSA2_PARAMS, 10)
+    rows = [(k, timeline.channels[k], timeline.times_ns[k], 1.0) for k in (3, 2)]
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        evaluate(forecast_of(rows), timeline, CSA2_PARAMS.interval_ns)
 
 
 def test_from_dict_rejects_missing_keys():
@@ -602,6 +611,54 @@ def test_run_prediction_refuses_another_connections_trace():
     # a merged trace is refused as reconstruct_connection and evaluate refuse it
     with pytest.raises(ConfigError, match="mixes access addresses"):
         run_prediction(merged, recon, train_ns=60 * 10**9)
+
+
+def test_run_prediction_refuses_a_trace_from_another_channel():
+    # the same connection sniffed on channel 30: the report's k_init counts
+    # from the first observation on its own channel 22
+    params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
+    _, on_22 = simulate_one(params, 150 * 10**9)
+    _, on_30 = simulate_one(params, 150 * 10**9, sniff=30)
+    recon = reconstruct_connection(on_22)
+    assert recon.error is None
+    assert len(run_prediction(on_22, recon, train_ns=60 * 10**9).forecast) > 0
+    with pytest.raises(ConfigError, match="sniffed on channel 30, not the report's channel 22"):
+        run_prediction(on_30, recon, train_ns=60 * 10**9)
+
+
+SCENARIO_PARAMS = {
+    CsaVersion.CSA1: dict(hop_increment=7, initial_channel=3),
+    CsaVersion.CSA2: {},
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(csa=st.sampled_from(list(SCENARIO_PARAMS)),
+       channel_map=st.sampled_from([ChannelMap.full(), MAP_27]),
+       interval_steps=st.integers(6, 40), jitter=st.floats(0, 150_000),
+       drift=st.floats(-50, 50), miss=st.floats(0, 0.3), seed=st.integers(0, 2**16),
+       channel=st.sampled_from([None, 22, 30]))
+def test_forecast_scored_against_its_own_timeline(csa, channel_map, interval_steps, jitter,
+                                                  drift, miss, seed, channel):
+    params = ConnectionParams(csa, interval_steps * 1250, channel_map, 0xB0A1CD9D,
+                              **SCENARIO_PARAMS[csa])
+    duration = 4000 * params.interval_ns
+    timelines, trace = simulate_one(params, duration, seed=seed, jitter=jitter,
+                                    drift=drift, miss=miss)
+    recon = reconstruct_connection(trace)
+    try:
+        forecast = run_prediction(trace, recon, train_ns=duration // 2,
+                                  channel=channel).forecast
+    except EstimationError:
+        assume(False)  # a capture that reconstruct or predict refuses has no forecast
+    assume(len(forecast) > 0)  # a CSA#1 forecast visits channel 22 only
+    report = evaluate(forecast, timelines[0], params.interval_ns)
+    assert report.matched + report.missed_predictions == len(forecast)
+    assert report.matched + report.unmatched_references == len(timelines[0])
+    assert np.all(report.abs_errors_ns < params.interval_ns / 2)
+    # a short CSA#2 capture may leave excluded channels unproven
+    if recon.map_estimate is None or recon.map_estimate.assumed_map == channel_map:
+        assert report.channel_mismatches == 0
 
 
 def test_run_prediction_propagates_reconstruction_failure():

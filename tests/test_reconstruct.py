@@ -547,7 +547,7 @@ def test_reconstruct_csa2_end_to_end():
     assert report.classification.verdict is Verdict.CSA2
     assert report.classification.interval.interval_us == 12500
     assert report.channel_id == 0x7D3C
-    first = trace.observations[0].timestamp_ns
+    first = trace.timestamps()[0]
     truth = timelines[0].wire_counters()[
         int(np.argmin(np.abs(timelines[0].times_ns - first)))
     ]

@@ -256,11 +256,8 @@ def test_split_by_connection_partitions_and_filters():
     assert len(parts[0xC]) == 0
     assert all(p.sniff_channel == sniff for p in parts.values())
     # parts union back to the central packets of the input
-    union = sorted(
-        (o for p in parts.values() for o in p.observations),
-        key=lambda o: o.timestamp_ns,
-    )
-    assert union == [o for o in trace.observations if o.is_central]
+    union = sorted(row for p in parts.values() for row in zip(*columns(p)))
+    assert union == [row for row in zip(*columns(trace)) if row[2]]
 
 
 def test_split_empty_trace():
