@@ -208,8 +208,8 @@ class Forecast:
     @classmethod
     def from_dict(cls, raw):
         """Read the JSON form; all four entry fields must be JSON integers
-        (channels in 0..36), ``counters_are_wire`` (true if absent) a JSON
-        bool and ``access_address`` (optional) a 32-bit hex string."""
+        (channels in 0..36), ``counters_are_wire`` a JSON bool and
+        ``access_address`` (optional) a 32-bit hex string."""
         with reading("forecast"):
             entries = raw["entries"]
             if type(entries) is not list:
@@ -222,7 +222,7 @@ class Forecast:
                 columns.append(np.array(values, np.int64))
             if not np.all((columns[1] >= 0) & (columns[1] < NUM_DATA_CHANNELS)):
                 raise ConfigError("forecast channels must be in 0..36")
-            wire = check_bool(raw.get("counters_are_wire", True), "forecast counters_are_wire")
+            wire = check_bool(raw["counters_are_wire"], "forecast counters_are_wire")
             aa = raw.get("access_address")
             if aa is not None:
                 aa = check_access_address(int(aa, 16))
@@ -414,6 +414,11 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     est = classification.interval
     trace = trace.central()
     ts = trace.timestamps()
+    # k_init and the period profile count events from the report's first observation
+    first = int(ts[0]) if ts.size else None
+    if first != recon.first_timestamp_ns:
+        raise ConfigError(f"trace's first central packet is at {first} ns, not the report's "
+                          f"first_timestamp_ns {recon.first_timestamp_ns}")
     offsets = observation_offsets(trace, est.raw_interval_ns)
     n_train = int(np.sum(ts <= ts[0] + int(train_ns)))
     if n_train < 2:
@@ -427,8 +432,6 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
             raise EstimationError("no counter alignment available for a CSA#2 forecast")
         if recon.alignment.ambiguous:
             raise AmbiguousAlignmentError(recon.alignment.candidates)
-        if recon.channel_id is None:
-            raise EstimationError("no channel identifier available for a CSA#2 forecast")
         if recon.map_estimate is None:
             raise EstimationError("no channel map estimate available for a CSA#2 forecast")
 

@@ -19,6 +19,7 @@ sniffed channel proves that that unmapped channel is excluded from the map
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,20 +117,32 @@ class CsaClassification:
 
 @dataclass(frozen=True)
 class CounterAlignment:
-    """Best circular alignment of observed hits against the counter period."""
+    """Best circular alignment of observed hits against the counter period.
 
-    k_init: int
+    ``candidates`` holds every counter value tied at the peak (at least
+    one); ``k_init`` is the first and ``ambiguous`` says there is more
+    than one.
+    """
+
     correlation_peak: int
     second_peak: int
-    ambiguous: bool
     candidates: tuple
+
+    @property
+    def k_init(self):
+        return self.candidates[0]
+
+    @property
+    def ambiguous(self):
+        return len(self.candidates) > 1
 
 
 @dataclass(frozen=True)
 class MapEstimate:
     """Channel map evidence gathered from remap observations.
 
-    ``proven_excluded`` holds channels with direct remap evidence (sound by
+    ``evidence_count`` counts the remap observations of each channel with
+    direct remap evidence. Those channels are ``proven_excluded`` (sound by
     construction); ``assumed_map`` is their complement, an upper bound on
     the true map. ``converged`` is a heuristic: the observation span
     exceeded the coupon-collector budget for the assumed map size, the
@@ -137,11 +150,17 @@ class MapEstimate:
     observation is explained by the assumed map.
     """
 
-    proven_excluded: frozenset
-    assumed_map: ChannelMap
     evidence_count: dict
     converged: bool
     unexplained_remaps: int
+
+    @property
+    def proven_excluded(self):
+        return frozenset(self.evidence_count)
+
+    @property
+    def assumed_map(self):
+        return ChannelMap.from_channels(set(range(NUM_DATA_CHANNELS)) - self.proven_excluded)
 
 
 def estimate_interval(trace):
@@ -330,17 +349,14 @@ def align_counter(offsets, c_ref):
     top = correlation.max()
     peak = round(float(top))
     candidates = np.flatnonzero(correlation > top - 0.5)
-    ambiguous = candidates.size > 1
-    if ambiguous:
+    if candidates.size > 1:
         second = peak
     else:
         correlation[candidates[0]] = -np.inf
         second = round(float(correlation.max()))
     return CounterAlignment(
-        k_init=int(candidates[0]),
         correlation_peak=peak,
         second_peak=second,
-        ambiguous=bool(ambiguous),
         candidates=tuple(int(c) for c in candidates),
     )
 
@@ -393,8 +409,6 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     budget = expected_reconstruction_budget(assumed.n_ch)
     converged = span > budget and (span - last_new) >= budget and unexplained == 0
     return MapEstimate(
-        proven_excluded=proven,
-        assumed_map=assumed,
         evidence_count=dict(zip(excluded.tolist(), counts[excluded].tolist())),
         converged=bool(converged),
         unexplained_remaps=unexplained,
@@ -427,24 +441,56 @@ def _check_reconcilable(remap_counters, ci, proven, sniff_channel):
         )
 
 
+# the report keys that ``to_dict`` derives from others, and what each one is
+_COPIES = {
+    ("channel_identifier",): "the access address's channel identifier under a CSA#2 verdict",
+    ("k_init",): "the first alignment candidate",
+    ("alignment", "ambiguous"): "true when more than one alignment candidate ties",
+    ("channel_map",): "the channel map without the evidence_count channels",
+    ("proven_excluded",): "the evidence_count channels",
+}
+
+
+def _written(doc, path):
+    """The JSON text of the value at ``path`` in ``doc``, or "absent"."""
+    for key in path:
+        if type(doc) is not dict or key not in doc:
+            return "absent"
+        doc = doc[key]
+    return json.dumps(doc)
+
+
 @dataclass
 class ReconstructionReport:
-    """Everything recovered for one connection, plus any estimation error."""
+    """Everything recovered for one connection, plus any estimation error.
+
+    ``first_timestamp_ns`` is the timestamp of the first central
+    observation (None without one): the event offsets behind ``k_init`` and
+    the period profile count from it. ``channel_id`` follows from the
+    access address under a CSA#2 verdict and is None otherwise.
+    """
 
     access_address: int
     sniff_channel: int | None
     observation_count: int
+    first_timestamp_ns: int | None
     error: str | None = None
     classification: CsaClassification | None = None
-    channel_id: int | None = None
     alignment: CounterAlignment | None = None
     map_estimate: MapEstimate | None = None
+
+    @property
+    def channel_id(self):
+        if self.classification is None or self.classification.verdict is not Verdict.CSA2:
+            return None
+        return channel_identifier(self.access_address)
 
     def to_dict(self):
         out = {
             "access_address": f"0x{self.access_address:08X}",
             "sniff_channel": self.sniff_channel,
             "observation_count": self.observation_count,
+            "first_timestamp_ns": self.first_timestamp_ns,
             "error": self.error,
         }
         if self.classification is not None:
@@ -474,19 +520,25 @@ class ReconstructionReport:
 
     @classmethod
     def from_dict(cls, raw):
+        """Read the JSON form. Every value that ``to_dict`` writes from the
+        report's own fields is required; each copy it derives from them
+        (the keys of ``_COPIES``) must read exactly as ``to_dict`` writes it."""
         with reading("report"):
             report = cls(
                 access_address=check_access_address(int(raw["access_address"], 16)),
-                sniff_channel=raw.get("sniff_channel"),
-                observation_count=check_int(raw.get("observation_count", 0),
+                sniff_channel=raw["sniff_channel"],
+                observation_count=check_int(raw["observation_count"],
                                             "observation_count", 0, _MAX_COUNT),
-                error=raw.get("error"),
+                first_timestamp_ns=raw["first_timestamp_ns"],
+                error=raw["error"],
             )
             if report.error is not None and type(report.error) is not str:
                 raise ConfigError("report error must be null or a string, "
                                   f"got {report.error!r:.40}")
             if report.sniff_channel is not None:
                 check_int(report.sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
+            if report.first_timestamp_ns is not None:
+                check_int(report.first_timestamp_ns, "first_timestamp_ns", -2**63, 2**63 - 1)
             if "verdict" in raw:
                 interval_us = check_interval_us(raw["interval_us"])
                 raw_us = raw["raw_interval_us"]
@@ -498,13 +550,15 @@ class ReconstructionReport:
                                       f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
                 verdict = Verdict(raw["verdict"])
                 profile = tuple(check_int(p, "period_profile entry", 0, NUM_DATA_CHANNELS - 1)
-                                for p in raw.get("period_profile", ()))
+                                for p in raw["period_profile"])
                 # a CSA#1 forecast visits the sniffed channel at the profile's phases only
                 if (len(set(profile)) < len(profile) or report.sniff_channel is None
+                        or report.first_timestamp_ns is None
                         or (verdict is not Verdict.CSA2 and not profile)):
-                    raise ConfigError("a verdict needs a sniff_channel and distinct "
-                                      "period_profile phases (at least one for CSA#1), got "
-                                      f"{report.sniff_channel!r} and {list(profile)}")
+                    raise ConfigError("a verdict needs a sniff_channel, a first_timestamp_ns and "
+                                      "distinct period_profile phases (at least one for CSA#1), "
+                                      f"got {report.sniff_channel!r}, "
+                                      f"{report.first_timestamp_ns!r} and {list(profile)}")
                 interval = IntervalEstimate(
                     interval_ns=interval_us * 1000,
                     raw_interval_ns=float(raw_us) * 1000.0,
@@ -513,44 +567,38 @@ class ReconstructionReport:
                 report.classification = CsaClassification(
                     verdict, profile, interval, report.sniff_channel
                 )
-            if "channel_identifier" in raw:
-                report.channel_id = check_int(int(raw["channel_identifier"], 16),
-                                              "channel_identifier", 0, 0xFFFF)
-                # the forecast's channels follow from it, so a wrong one is silent there
-                expected = channel_identifier(report.access_address)
-                if report.channel_id != expected:
-                    raise ConfigError(f"channel_identifier must be 0x{expected:04X} for access "
-                                      f"address 0x{report.access_address:08X}, got "
-                                      f"0x{report.channel_id:04X}")
-            if "k_init" in raw:
-                k_init = check_int(raw["k_init"], "k_init", 0, COUNTER_PERIOD - 1)
-                align = raw.get("alignment", {})
+            if "alignment" in raw:
+                align = raw["alignment"]
+                candidates = tuple(check_int(c, "alignment candidate", 0, COUNTER_PERIOD - 1)
+                                   for c in align["candidates"])
+                if not candidates:
+                    raise ConfigError("alignment candidates must hold at least one counter")
                 report.alignment = CounterAlignment(
-                    k_init=k_init,
-                    correlation_peak=check_int(align.get("correlation_peak", 0),
+                    correlation_peak=check_int(align["correlation_peak"],
                                                "alignment.correlation_peak", 0, _MAX_COUNT),
-                    second_peak=check_int(align.get("second_peak", 0),
+                    second_peak=check_int(align["second_peak"],
                                           "alignment.second_peak", 0, _MAX_COUNT),
-                    ambiguous=check_bool(align.get("ambiguous", False), "alignment.ambiguous"),
-                    candidates=tuple(check_int(c, "alignment candidate", 0, COUNTER_PERIOD - 1)
-                                     for c in align.get("candidates", (k_init,))),
+                    candidates=candidates,
                 )
-            if "channel_map" in raw:
+            if "evidence_count" in raw:
                 report.map_estimate = MapEstimate(
-                    proven_excluded=frozenset(
-                        check_int(c, "proven_excluded channel", 0, NUM_DATA_CHANNELS - 1)
-                        for c in raw.get("proven_excluded", ())),
-                    assumed_map=ChannelMap.from_hex(raw["channel_map"]),
                     evidence_count={
                         check_int(int(k), "evidence_count channel", 0, NUM_DATA_CHANNELS - 1):
-                        check_int(v, "evidence_count value", 0, _MAX_COUNT)
-                        for k, v in raw.get("evidence_count", {}).items()},
-                    converged=check_bool(raw.get("converged", False), "converged"),
-                    unexplained_remaps=check_int(raw.get("unexplained_remaps", 0),
+                        check_int(v, "evidence_count value", 1, _MAX_COUNT)
+                        for k, v in raw["evidence_count"].items()},
+                    converged=check_bool(raw["converged"], "converged"),
+                    unexplained_remaps=check_int(raw["unexplained_remaps"],
                                                  "unexplained_remaps", 0, _MAX_COUNT),
                 )
             if not report.error and report.classification is None:
                 raise ConfigError("report holds neither an error nor a verdict")
+            # a copy that disagrees would forecast from whichever one a reader takes
+            derived = report.to_dict()
+            for path, meaning in _COPIES.items():
+                want, got = _written(derived, path), _written(raw, path)
+                if got != want:
+                    raise ConfigError(f"{'.'.join(path)} is {meaning}, so it must be "
+                                      f"{want}, got {got:.40}")
             return report
 
 
@@ -570,11 +618,11 @@ def reconstruct_connection(trace):
         access_address=aa,
         sniff_channel=trace.sniff_channel,
         observation_count=len(trace),
+        first_timestamp_ns=int(trace.timestamps()[0]) if len(trace) else None,
     )
     try:
         report.classification = classify_csa(trace, estimate_interval(trace))
         if report.classification.verdict is Verdict.CSA2:
-            report.channel_id = channel_identifier(aa)
             # passes the off-grid gate; the offsets equal the interval estimate's
             offsets = observation_offsets(trace, report.classification.interval.raw_interval_ns)
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)

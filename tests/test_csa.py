@@ -457,7 +457,7 @@ counter_inputs = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(pool=st.lists(st.tuples(st.integers(0, 0xFFFF), maps), min_size=2, max_size=3),
        calls=st.lists(st.tuples(st.integers(0, 2), counter_inputs), min_size=1, max_size=12))
 def test_repeated_requests_equal_the_oracle(pool, calls):

@@ -239,8 +239,7 @@ def make_sync(interval=12_500_000, anchor_offset=0):
 
 
 def test_predict_csa2_channels_match_selection():
-    align = CounterAlignment(k_init=60000, correlation_peak=10, second_peak=1,
-                             ambiguous=False, candidates=(60000,))
+    align = CounterAlignment(correlation_peak=10, second_peak=1, candidates=(60000,))
     ci = channel_identifier(0xB0A1CD9D)
     sync = make_sync()
     fc = predict_csa2(align, ci, MAP_10, sync, 200)
@@ -253,7 +252,7 @@ def test_predict_csa2_channels_match_selection():
 
 
 def test_predict_csa2_wraps_counter():
-    align = CounterAlignment(65530, 10, 1, False, (65530,))
+    align = CounterAlignment(10, 1, (65530,))
     fc = predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
     assert fc.counters.tolist() == [65531, 65532, 65533, 65534, 65535, 0, 1, 2, 3, 4]
 
@@ -274,7 +273,7 @@ def test_predict_csa2_channel_filter():
 
 
 def test_predict_csa2_refuses_ambiguous_alignment():
-    align = CounterAlignment(5, 2, 2, True, (5, 1000))
+    align = CounterAlignment(2, 2, (5, 1000))
     with pytest.raises(AmbiguousAlignmentError):
         predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
 
@@ -414,8 +413,16 @@ def test_from_dict_rejects_missing_keys():
         ReconstructionReport.from_dict({"sniff_channel": 22})
     with pytest.raises(ConfigError, match="bad report value"):
         ReconstructionReport.from_dict({"access_address": "0xZZ"})
+    with pytest.raises(ConfigError, match="'counters_are_wire'"):
+        Forecast.from_dict({"entries": []})
+    failed = {"access_address": "0x1", "sniff_channel": 22, "observation_count": 0,
+              "first_timestamp_ns": None, "error": "no observations"}
     with pytest.raises(ConfigError, match="bad report value"):
-        ReconstructionReport.from_dict({"access_address": "0x1", "k_init": 3, "alignment": []})
+        ReconstructionReport.from_dict({**failed, "alignment": []})
+    # every value the report does not derive from another is required
+    for key in failed:
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ReconstructionReport.from_dict({k: v for k, v in failed.items() if k != key})
 
 
 def test_evaluate_rejects_empty_inputs():
@@ -458,7 +465,7 @@ def test_forecast_dict_round_trip():
     assert named.to_dict()["access_address"] == "0xB0A1CD9D"
     assert Forecast.from_dict(named.to_dict()).access_address == 0xB0A1CD9D
     # an empty forecast keeps typed, empty columns
-    empty = Forecast.from_dict({"entries": []})
+    empty = Forecast.from_dict({"counters_are_wire": True, "entries": []})
     assert len(empty) == 0
     assert empty.counters_are_wire is True
     assert [col.dtype.kind for col in empty.columns()] == ["i", "i", "i", "i"]
@@ -470,14 +477,14 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
         return json.dumps(fc.to_dict(), indent=2) + "\n"
 
     sync = kalman_update(init_sync(0, 12_500_037.3), 12_500_090, 1)
-    align = CounterAlignment(65500, 10, 1, False, (65500,))
+    align = CounterAlignment(10, 1, (65500,))
     csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
     assert 65535 in csa2.counters.tolist()
     est = IntervalEstimate(12_500_000, 12_500_037.3, ())
     csa1 = predict_csa1(CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10), sync, 300)
     named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
                      np.array([0, 1]), access_address=0xB0A1CD9D)
-    empty = Forecast.from_dict({"entries": []})
+    empty = Forecast.from_dict({"counters_are_wire": True, "entries": []})
     for fc in (csa2, csa1, named, empty):
         assert fc.to_json() == dumped(fc)
     assert '"counters_are_wire": false' in csa1.to_json()
@@ -495,7 +502,7 @@ def test_forecast_refuses_times_that_are_not_int64_nanoseconds():
 def test_forecast_times_are_predictions_rounded_half_to_even():
     # an interval of x.5 ns puts every other event's time on a tie
     sync = init_sync(0, 12_500_000.5)
-    align = CounterAlignment(100, 10, 1, False, (100,))
+    align = CounterAlignment(10, 1, (100,))
     fc = predict_csa2(align, 0x7D3C, MAP_27, sync, 50)
     times, stds = predict_event_time(sync, np.arange(1, 51))
     assert fc.times_ns.dtype == fc.time_stds_ns.dtype == np.int64
@@ -632,7 +639,7 @@ SCENARIO_PARAMS = {
 }
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(csa=st.sampled_from(list(SCENARIO_PARAMS)),
        channel_map=st.sampled_from([ChannelMap.full(), MAP_27]),
        interval_steps=st.integers(6, 40), jitter=st.floats(0, 150_000),

@@ -278,7 +278,7 @@ def test_ref_vector_equals_forward_prn(ci):
         assert np.array_equal(ref, unmapped == ch)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(ci=st.integers(0, 0xFFFF), ch=st.integers(0, 36))
 def test_ref_vector_equals_forward_prn_for_any_ci(ci, ch):
     unmapped = csa2_unmapped_bulk(np.arange(65536), ci)
@@ -475,7 +475,7 @@ def csa2_captures(draw):
     return kept - kept[0], int(k_init + kept[0]) % 65536, ci, sniff
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(capture=csa2_captures())
 def test_map_inference_counts_like_unique(capture):
     offsets, k_init, ci, sniff = capture
@@ -507,7 +507,7 @@ def ascending_offsets(draw):
     return grid[(rng.random(grid.size) >= draw(st.floats(0.0, 0.5))) | (grid == 0)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(offsets=ascending_offsets())
 def test_classification_phases_like_unique(offsets):
     trace = trace_at(offsets * 6 * STEP)
@@ -690,3 +690,22 @@ def test_report_dict_round_trip_with_error():
     rebuilt = ReconstructionReport.from_dict(report.to_dict())
     assert rebuilt.error == report.error
     assert rebuilt.classification is None
+
+
+@settings(max_examples=60)
+@given(csa=st.sampled_from(list(CsaVersion)), interval_steps=st.integers(6, 40),
+       others=st.sets(st.integers(0, 36).filter(lambda c: c != 22), min_size=1),
+       events=st.integers(0, 4000),
+       aa=st.integers(0, 2**32 - 1), miss=st.floats(0, 0.5), seed=st.integers(0, 0xFFFF))
+def test_report_json_round_trip_is_exact(csa, interval_steps, others, events, aa, miss, seed):
+    # CSA#1 and CSA#2 reports of the sniffed channel 22, with and without a
+    # verdict, an alignment or a map
+    extra = dict(hop_increment=5 + seed % 12, initial_channel=seed % 37) \
+        if csa is CsaVersion.CSA1 else {}
+    params = ConnectionParams(csa, interval_steps * 1250,
+                              ChannelMap.from_channels(others | {22}), aa, **extra)
+    _, trace = simulate_one(params, events * params.interval_ns, seed=seed, jitter=50_000.0,
+                            miss=miss, initial_counter=seed)
+    report = reconstruct_connection(trace)
+    text = json.dumps(report.to_dict())
+    assert json.dumps(ReconstructionReport.from_dict(json.loads(text)).to_dict()) == text

@@ -399,7 +399,7 @@ def load_outcome(stream):
     return trace.sniff_channel, columns(trace)
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600)
 @given(case=csv_texts(), chunk_hint=st.sampled_from([1, 64, 200, 1 << 18]))
 # chunks of blank lines only
 @example(case=(CSV_HEADER + "5,0x00000001,7,true\n\n\n6,0x00000001,7,true\n", False),
