@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blehop import (
+    ChannelMap,
     Forecast,
     ReconstructionReport,
     SniffTrace,
@@ -566,6 +567,24 @@ def test_report_copies_that_disagree_exit_with_config_error(tmp_path, pipeline, 
     assert main(["predict", "--report", str(report_path), "--trace", str(sim / "trace.csv"),
                  "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
+
+
+def test_predict_refuses_remap_evidence_on_the_sniffed_channel(tmp_path, pipeline, capsys):
+    # channel 22 as remap evidence, its copies derived to match: before it was
+    # refused, predict exited 0 with 7,192 forecast events and none on channel 22
+    sim, recon, _ = pipeline
+    report = json.loads((recon / CSA2_REPORT).read_text())
+    report["evidence_count"]["22"] = 1
+    excluded = sorted(int(channel) for channel in report["evidence_count"])
+    report["proven_excluded"] = excluded
+    report["channel_map"] = ChannelMap.from_channels(set(range(37)) - set(excluded)).to_hex()
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["predict", "--report", str(report_path), "--trace", str(sim / "trace.csv"),
+                 "--train-seconds", "60", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "evidence_count lists the sniff_channel 22" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("report_name, access_address", [

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blehop import (
@@ -38,7 +38,7 @@ from blehop import (
     reconstruct_connection,
     simulate,
 )
-from blehop import csa
+from blehop import csa, reconstruct
 
 MAP_27 = ChannelMap.from_hex("0x1FFFFFFC00")
 MAP_10 = ChannelMap.from_hex("0x1E00E00700")
@@ -339,24 +339,58 @@ def test_two_observations_are_ambiguous():
     assert len(result.candidates) > 1
 
 
-def test_alignment_matches_direct_correlation():
-    # the FFT path must reproduce the literal shifted-sum definition exactly
-    rng = np.random.default_rng(4)
-    ref = build_ref_vector(0x7D3C, 22)
-    doubled = np.concatenate([ref, ref]).astype(np.int64)
-    for n in (3, 40, 500):
-        positions = np.sort(rng.choice(65536, size=n, replace=False))
-        correlation = np.zeros(65536, dtype=np.int64)
-        for m in positions:
-            correlation += doubled[m:m + 65536]
-        peak = int(correlation.max())
-        result = align_counter(positions, ref)
-        assert result.correlation_peak == peak
-        assert result.candidates == tuple(np.flatnonzero(correlation == peak).tolist())
-        # the largest score once the candidates are left out, or the peak on a tie
-        rest = np.delete(correlation, result.candidates)
-        second = peak if result.ambiguous else int(rest.max())
-        assert result.second_peak == second
+def _pair_counts(ref, offsets, chunk=2048):
+    """The correlation align_counter computes, as integer pair counts: each
+    reference hit h and each distinct folded position m add one at
+    (h - m) mod 65536, which uint16 arithmetic wraps to."""
+    hits = np.flatnonzero(ref).astype(np.uint16)
+    positions = np.unique(np.asarray(offsets) % 65536).astype(np.uint16)
+    counts = np.zeros(65536, dtype=np.int64)
+    for start in range(0, positions.size, chunk):
+        pairs = np.subtract.outer(hits, positions[start:start + chunk])
+        counts += np.bincount(pairs.ravel(), minlength=65536)
+    return counts
+
+
+@settings(max_examples=30)
+@given(ci=st.integers(0, 0xFFFF), sniff=st.integers(0, 36), n=st.integers(1, 65536),
+       periods=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# every position observed (all 65536 counters tie), and the ~43k folded
+# positions of a long merged capture
+@example(ci=0x7D3C, sniff=22, n=65536, periods=1, seed=0)
+@example(ci=0xC9F2, sniff=5, n=43000, periods=3, seed=1)
+def test_alignment_matches_direct_correlation(ci, sniff, n, periods, seed):
+    # n distinct offsets over one to three counter periods: past 65535 they
+    # fold, and a folded position counts once however many offsets land on it
+    ref = build_ref_vector(ci, sniff)
+    offsets = np.random.default_rng(seed).choice(periods * 65536, size=n, replace=False)
+    correlation = _pair_counts(ref, offsets)
+    peak = int(correlation.max())
+    result = align_counter(offsets, ref)
+    assert result.correlation_peak == peak
+    assert result.candidates == tuple(np.flatnonzero(correlation == peak).tolist())
+    # the largest score once the candidates are left out, or the peak on a tie
+    rest = np.delete(correlation, result.candidates)
+    assert result.second_peak == (peak if result.ambiguous else int(rest.max()))
+
+
+def test_four_step_transforms_equal_numpy_fft():
+    # [k1, k2] holds bin k1 + 256*k2 of the 65536-point transform, and the
+    # inverse gives the input back; a wrong twiddle moves scores far from
+    # any peak, which the peak and candidate checks above may not see
+    rng = np.random.default_rng(11)
+    for x in (rng.random(65536), build_ref_vector(0x7D3C, 22).astype(np.float64)):
+        spectrum = reconstruct._rfft_65536(x)
+        want = np.fft.fft(x).reshape(256, 256).T[:129]
+        assert np.abs(spectrum - want).max() < 1e-9 * np.abs(want).max()
+        assert np.abs(reconstruct._irfft_65536(spectrum) - x).max() < 1e-12
+
+
+def test_alignment_twiddles_are_read_only():
+    # a module constant shared by every call: a write would corrupt later alignments
+    assert not reconstruct._TWIDDLES.flags.writeable
+    with pytest.raises(ValueError):
+        reconstruct._TWIDDLES[0, 0] = 0
 
 
 def test_alignment_rejects_bad_inputs():
@@ -639,6 +673,47 @@ def test_reconstruct_all_merged_trace():
     assert reports[0x53D39A21].classification.interval.interval_us == 7500
     assert reports[0xB0A1CD9D].map_estimate.assumed_map.allowed == MAP_10.allowed
     assert reports[0x53D39A21].map_estimate.assumed_map.allowed == MAP_27.allowed
+
+
+@st.composite
+def concurrent_connections(draw):
+    """2-4 CSA#1 and CSA#2 connections with distinct addresses, short captures;
+    a map holds the sniffed channel, or none of its events is captured."""
+    sniff = draw(st.integers(0, 36))
+    addresses = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True))
+    connections = []
+    for aa in addresses:
+        csa = draw(st.sampled_from(list(CsaVersion)))
+        extra = dict(hop_increment=draw(st.integers(5, 16)),
+                     initial_channel=draw(st.integers(0, 36))) \
+            if csa is CsaVersion.CSA1 else {}
+        channels = draw(st.sets(st.integers(0, 36), min_size=2))
+        if draw(st.booleans()):
+            channels.add(sniff)
+        params = ConnectionParams(csa, draw(st.integers(6, 40)) * 1250,
+                                  ChannelMap.from_channels(channels), aa, **extra)
+        impairments = ImpairmentModel(draw(st.integers(0, 30)) * 10**9,
+                                      draw(st.floats(0, 150_000)), draw(st.floats(-50, 50)),
+                                      draw(st.floats(0, 0.5)))
+        connections.append(ConnectionScenario(params, impairments,
+                                              start_offset_ns=draw(st.integers(0, 5 * 10**9)),
+                                              initial_counter=draw(st.integers(0, 0xFFFF))))
+    return ScenarioConfig(connections, sniff, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=60)
+@given(config=concurrent_connections())
+def test_merged_trace_reconstructs_as_isolated_traces(config):
+    # acceptance criterion 10 as a property; a connection with no captured
+    # packet is absent from the merged trace, so it has no merged report
+    _, merged = simulate(config)
+    merged_reports = {aa: report.to_dict() for aa, report in reconstruct_all(merged)}
+    isolated_reports = {}
+    for conn in config.connections:
+        _, alone = simulate(ScenarioConfig((conn,), config.sniff_channel, config.rng_seed))
+        if len(alone):
+            isolated_reports[conn.params.access_address] = reconstruct_connection(alone).to_dict()
+    assert merged_reports == isolated_reports
 
 
 def test_reconstruct_all_names_a_peripheral_only_connection():
