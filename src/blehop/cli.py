@@ -36,7 +36,7 @@ from .errors import (
 )
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
-from .simulate import ScenarioConfig, simulate
+from .simulate import MAX_EVENTS, ScenarioConfig, simulate
 from .trace import load_trace, save_trace, split_by_connection
 
 EXIT_OK = 0
@@ -57,12 +57,16 @@ def _write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_eccdf(path, report):
+def _write_eval(out, report):
+    """Write ``eval.json`` (the summary) and ``eccdf.csv`` (the error curve); their paths."""
+    eval_path, eccdf_path = out / "eval.json", out / "eccdf.csv"
+    _write_json(eval_path, report.to_dict())
     _atomic_write_text(
-        path,
+        eccdf_path,
         "abs_error_us,prob_error_exceeds\n"
         + "".join(f"{err / 1000.0:.3f},{prob:.6f}\n" for err, prob in report.eccdf),
     )
+    return [eval_path, eccdf_path]
 
 
 def _write_manifest(args, inputs, outputs, rng_seed=None):
@@ -162,11 +166,8 @@ def cmd_predict(args):
     out = _out_dir(args)
     forecast_path = out / "forecast.json"
     _atomic_write_text(forecast_path, run.forecast.to_json())
-    eval_path = out / "eval.json"
-    _write_json(eval_path, run.report.to_dict())
-    eccdf_path = out / "eccdf.csv"
-    _write_eccdf(eccdf_path, run.report)
-    _write_manifest(args, [args.report, args.trace], [forecast_path, eval_path, eccdf_path])
+    _write_manifest(args, [args.report, args.trace],
+                    [forecast_path, *_write_eval(out, run.report)])
     print(f"forecast {len(run.forecast)} event(s); one-step RMSE "
           f"{run.report.rmse_ns / 1e6:.4f} ms over {run.report.matched} prediction(s)")
     return EXIT_OK
@@ -179,12 +180,7 @@ def cmd_evaluate(args):
         raise ConfigError("forecast names no access_address")
     trace = _connection_trace(args, forecast.access_address)
     report = evaluate(forecast, trace, int(args.interval_us) * 1000)
-    out = _out_dir(args)
-    eval_path = out / "eval.json"
-    _write_json(eval_path, report.to_dict())
-    eccdf_path = out / "eccdf.csv"
-    _write_eccdf(eccdf_path, report)
-    _write_manifest(args, [args.forecast, args.trace], [eval_path, eccdf_path])
+    _write_manifest(args, [args.forecast, args.trace], _write_eval(_out_dir(args), report))
     print(f"RMSE {report.rmse_ns / 1e6:.4f} ms over {report.matched} matched event(s)")
     return EXIT_OK
 
@@ -192,8 +188,8 @@ def cmd_evaluate(args):
 def cmd_hopgen(args):
     with open(args.params) as handle:
         params = ConnectionParams.from_dict(json.load(handle))
-    if args.events < 1:
-        raise ConfigError(f"--events must be >= 1, got {args.events}")
+    if not 1 <= args.events <= MAX_EVENTS:
+        raise ConfigError(f"--events must be in 1..{MAX_EVENTS}, got {args.events}")
     start = args.start_counter
     channels = channel_sequence(params, start, args.events)
     idx = np.arange(start, start + args.events, dtype=np.int64)

@@ -265,17 +265,41 @@ def predict_csa2(alignment, ci, channel_map, sync, horizon):
 
 @dataclass
 class EvalReport:
-    """Forecast accuracy against ground truth or a held-out trace."""
+    """Forecast accuracy against ground truth or a held-out trace: the
+    matched timing errors (given signed or not, stored absolute, in ns) and
+    three counts. ``matched``, ``rmse_ns``, ``p50_ns``, ``p95_ns`` and
+    ``eccdf`` are derived from ``abs_errors_ns``; ``to_dict`` is the summary."""
 
-    rmse_ns: float
     abs_errors_ns: np.ndarray
-    eccdf: list
-    p50_ns: float
-    p95_ns: float
-    matched: int
-    missed_predictions: int
-    unmatched_references: int
-    channel_mismatches: int
+    missed_predictions: int = 0
+    unmatched_references: int = 0
+    channel_mismatches: int = 0
+
+    def __post_init__(self):
+        self.abs_errors_ns = np.abs(np.asarray(self.abs_errors_ns, dtype=float))
+
+    @property
+    def matched(self):
+        return int(self.abs_errors_ns.size)
+
+    @property
+    def rmse_ns(self):
+        return float(np.sqrt(np.mean(self.abs_errors_ns**2)))
+
+    @property
+    def p50_ns(self):
+        return float(np.percentile(self.abs_errors_ns, 50))
+
+    @property
+    def p95_ns(self):
+        return float(np.percentile(self.abs_errors_ns, 95))
+
+    @property
+    def eccdf(self):
+        """(error, P(error > threshold)) points, non-increasing in probability."""
+        ordered = np.sort(self.abs_errors_ns)
+        n = ordered.size
+        return [(float(e), float((n - i - 1) / n)) for i, e in enumerate(ordered)]
 
     def to_dict(self):
         return {
@@ -286,31 +310,7 @@ class EvalReport:
             "missed_predictions": self.missed_predictions,
             "unmatched_references": self.unmatched_references,
             "channel_mismatches": self.channel_mismatches,
-            "eccdf": [[err / 1000.0, prob] for err, prob in self.eccdf],
         }
-
-
-def _eccdf(abs_errors):
-    """(error, P(error > threshold)) points, non-increasing in probability."""
-    ordered = np.sort(abs_errors)
-    n = ordered.size
-    return [(float(e), float((n - i - 1) / n)) for i, e in enumerate(ordered)]
-
-
-def _error_report(errors, channel_mismatches, missed, unmatched):
-    errors = np.asarray(errors, dtype=float)
-    abs_errors = np.abs(errors)
-    return EvalReport(
-        rmse_ns=float(np.sqrt(np.mean(errors**2))),
-        abs_errors_ns=abs_errors,
-        eccdf=_eccdf(abs_errors),
-        p50_ns=float(np.percentile(abs_errors, 50)),
-        p95_ns=float(np.percentile(abs_errors, 95)),
-        matched=int(errors.size),
-        missed_predictions=missed,
-        unmatched_references=unmatched,
-        channel_mismatches=channel_mismatches,
-    )
 
 
 def evaluate(forecast, reference, interval_ns):
@@ -372,8 +372,8 @@ def evaluate(forecast, reference, interval_ns):
     if ref_channels is not None:
         mismatches = int(np.count_nonzero(forecast.channels[np.asarray(matched_preds)]
                                           != ref_channels[np.asarray(matched_refs)]))
-    return _error_report(errors, mismatches, n_pred - len(matched_preds),
-                         ref_times.size - len(matched_refs))
+    return EvalReport(errors, n_pred - len(matched_preds), ref_times.size - len(matched_refs),
+                      mismatches)
 
 
 @dataclass
@@ -399,6 +399,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     """
     if channel is not None:
         check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
+    if train_ns < 0:
+        raise ConfigError(f"train_ns must be >= 0, got {train_ns}")
     # a trace of another connection would be forecast on this one's channels
     aa = trace.only_address()
     if aa is not None and aa != recon.access_address:
@@ -447,7 +449,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
             times[j - n_train], _ = predict_event_time(sync, offset)
         sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
     # whole nanoseconds, as a forecast holds them
-    report = _error_report(ts[n_train:] - np.round(times), 0, 0, 0)
+    report = EvalReport(ts[n_train:] - np.round(times))
 
     if horizon is None:
         span = int(offsets[-1]) - anchor_sync.anchor_offset

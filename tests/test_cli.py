@@ -437,11 +437,14 @@ def pipeline(tmp_path_factory):
 @pytest.mark.parametrize("command, option, value, needle", [
     ("predict", "--train-seconds", "nan", "--train-seconds"),
     ("predict", "--train-seconds", "inf", "--train-seconds"),
+    ("predict", "--train-seconds", "-5", "train_ns"),
     ("predict", "--channel", "99", "channel"),
     ("predict", "--channel", "-1", "channel"),
+    ("predict", "--horizon", "-1", "horizon"),
     ("evaluate", "--interval-us", "0", "interval_ns"),
     ("evaluate", "--interval-us", "-12500", "interval_ns"),
     ("hopgen", "--events", "0", "--events"),
+    ("hopgen", "--events", "10000001", "--events"),
 ])
 def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
                                                      command, option, value, needle):
@@ -806,14 +809,20 @@ def test_predict_uses_the_reports_central_packets(tmp_path, capsys):
                      "--train-seconds", "60", "--out-dir", str(out)]) == EXIT_OK
         outputs[name] = [(out / f).read_bytes() for f in ("forecast.json", "eval.json")]
     assert outputs["replies"] == outputs["clean"]
-    # a report for an address the trace does not hold is refused
-    edited = json.loads(report.read_text())
-    edited["access_address"] = "0x12345678"
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(edited))
-    assert main(["predict", "--report", str(other), "--trace", str(sim / "trace.csv"),
-                 "--out-dir", str(tmp_path / "p")]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_predict_and_evaluate_refuse_a_trace_without_the_address(tmp_path, pipeline, capsys):
+    sim, recon, pred = pipeline
+    # the other connection's part holds no packet of 0xB0A1CD9D
+    other = str(connection_trace(sim, 0x53D39A21, tmp_path / "other.csv"))
+    for command, inputs in (
+            ("predict", ["--report", str(recon / "report_0xB0A1CD9D.json")]),
+            ("evaluate", ["--forecast", str(pred / "forecast.json"), "--interval-us", "12500"])):
+        capsys.readouterr()
+        assert main([command, *inputs, "--trace", other,
+                     "--out-dir", str(tmp_path / command)]) == EXIT_CONFIG
+        assert "trace has no observations for 0xB0A1CD9D" in capsys.readouterr().err
 
 
 def test_reconstruct_writes_each_report_before_the_next_connection(

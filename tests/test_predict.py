@@ -1,5 +1,6 @@
 """Unit tests for drift tracking, forecasting, and evaluation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from blehop import (
     CsaClassification,
     CsaVersion,
     EstimationError,
+    EvalReport,
     EventTimeline,
     Forecast,
     ImpairmentModel,
@@ -431,6 +433,11 @@ def test_evaluate_rejects_empty_inputs():
         evaluate(forecast_of([]), timeline, CSA2_PARAMS.interval_ns)
     with pytest.raises(ConfigError):
         evaluate(forecast_of([(0, 0, 0.0, 1.0)]), "nope", CSA2_PARAMS.interval_ns)
+    # a peripheral-only part of a connection has no reference event
+    replies = SniffTrace(22, [150_000, 12_650_000], [0xB0A1CD9D] * 2, [False] * 2)
+    with pytest.raises(EstimationError, match="reference contains no events"):
+        evaluate(forecast_of([(0, 22, 0.0, 1.0)], counters_are_wire=False), replies,
+                 CSA2_PARAMS.interval_ns)
 
 
 def test_eccdf_is_a_survival_curve():
@@ -444,6 +451,22 @@ def test_eccdf_is_a_survival_curve():
     assert probs == sorted(probs, reverse=True)
     assert probs[-1] == 0.0
     assert report.p50_ns <= report.p95_ns
+
+
+def test_eval_report_stores_errors_and_counts_and_derives_the_rest():
+    report = EvalReport([-3000, 1000, 0, -2000], 1, 2, 3)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "abs_errors_ns", "missed_predictions", "unmatched_references", "channel_mismatches"]
+    assert report.abs_errors_ns.tolist() == [3000.0, 1000.0, 0.0, 2000.0]
+    assert report.matched == 4
+    assert report.rmse_ns == np.sqrt(14_000_000 / 4)
+    assert report.eccdf == [(0.0, 0.75), (1000.0, 0.5), (2000.0, 0.25), (3000.0, 0.0)]
+    assert list(report.to_dict()) == ["rmse_us", "p50_us", "p95_us", "matched",
+                                      "missed_predictions", "unmatched_references",
+                                      "channel_mismatches"]
+    for name in ("matched", "rmse_ns", "p50_ns", "p95_ns", "eccdf"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
 
 
 def test_forecast_dict_round_trip():
