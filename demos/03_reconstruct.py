@@ -24,6 +24,7 @@ from blehop import (
     classify_csa,
     estimate_interval,
     expected_reconstruction_budget,
+    observation_offsets,
     reconstruct_connection,
     simulate,
 )
@@ -61,9 +62,11 @@ print(f"stage 1, interval: {est.interval_ns / 1e6:.4f} ms on-grid, "
       f"raw {est.raw_interval_ns / 1e6:.6f} ms "
       f"(drift {(est.raw_interval_ns / est.interval_ns - 1) * 1e6:+.1f} ppm)")
 
-# Stage 2 — algorithm: CSA#1 revisits a channel at a fixed phase pattern
-# mod 37; CSA#2 spreads hits over all 37 phases.
-cls = classify_csa(trace, est)
+# Stage 2 — algorithm: every gap is rounded once at the raw interval into
+# event offsets (refused if too many gaps sit off that grid); CSA#1 revisits
+# a channel at a fixed phase pattern mod 37, CSA#2 spreads hits over all 37.
+offsets = observation_offsets(trace, est.raw_interval_ns)
+cls = classify_csa(offsets, est, trace.sniff_channel)
 print(f"stage 2, algorithm: {cls.verdict.value}")
 
 # Stage 3+4 — full pipeline: counter alignment by circular correlation

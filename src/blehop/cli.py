@@ -155,6 +155,8 @@ def _connection_trace(args, access_address):
 
 
 def cmd_predict(args):
+    if args.horizon is not None and not 0 <= args.horizon <= MAX_EVENTS:
+        raise ConfigError(f"--horizon must be in 0..{MAX_EVENTS}, got {args.horizon}")
     with open(args.report) as handle:
         report = ReconstructionReport.from_dict(json.load(handle))
     run = run_prediction(
@@ -191,6 +193,8 @@ def cmd_hopgen(args):
     if not 1 <= args.events <= MAX_EVENTS:
         raise ConfigError(f"--events must be in 1..{MAX_EVENTS}, got {args.events}")
     start = args.start_counter
+    if not 0 <= start < COUNTER_PERIOD:
+        raise ConfigError(f"--start-counter must be in 0..{COUNTER_PERIOD - 1}, got {start}")
     channels = channel_sequence(params, start, args.events)
     idx = np.arange(start, start + args.events, dtype=np.int64)
     if params.csa_version is CsaVersion.CSA1:

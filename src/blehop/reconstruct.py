@@ -91,13 +91,10 @@ class IntervalEstimate:
     ``interval_ns`` is snapped to the 1.25 ms grid; ``raw_interval_ns`` is
     the unsnapped least-squares fit (it tracks the connection's clock as
     the sniffer sees it, so it is the better base for prediction).
-    ``offsets`` holds each observation's int64 event offset from the first
-    (``offsets[0]`` is 0); as an array, it makes ``==`` on estimates ambiguous.
     """
 
     interval_ns: int
     raw_interval_ns: float
-    offsets: np.ndarray
 
     @property
     def interval_us(self):
@@ -208,17 +205,11 @@ def estimate_interval(trace):
 
     # least-squares common divisor, accepted gaps only, refined twice (the
     # first hops are >= 1: accepted steps are multiples of their GCD)
-    collapse = "a gap collapses to zero events under the fitted interval"
     gaps_in, hops = gaps[accepted], steps[accepted] // gcd_steps
     raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
-    hops, _ = _grid_fit(gaps_in, raw, collapse)
+    hops, _ = _grid_fit(gaps_in, raw, "a gap collapses to zero events under the fitted interval")
     raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
-    hop_counts, _ = _grid_fit(gaps, raw, collapse)
-    return IntervalEstimate(
-        interval_ns=gcd_steps * INTERVAL_STEP_NS,
-        raw_interval_ns=raw,
-        offsets=np.concatenate([[0], np.cumsum(hop_counts)]),
-    )
+    return IntervalEstimate(interval_ns=gcd_steps * INTERVAL_STEP_NS, raw_interval_ns=raw)
 
 
 def _grid_fit(gaps, unit_ns, zero_hop_message):
@@ -230,14 +221,15 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
     return hops, gaps - hops * unit_ns
 
 
-def classify_csa(trace, interval):
+def classify_csa(offsets, interval, sniff_channel):
     """Decide which hop algorithm a trace came from.
 
-    Three cases, decided from the hop counts between observations:
+    ``offsets`` are the observations' event offsets at the estimated
+    interval, as :func:`observation_offsets` returns them. Three cases:
 
     * the gap GCD is itself divisible by 37: every gap spans whole
-      37-event periods, the single-hit CSA#1 signature, and the interval
-      estimate is corrected by dividing by 37;
+      37-event periods (each offset counts periods), the single-hit CSA#1
+      signature, and the interval estimate is corrected by dividing by 37;
     * the hit phases mod 37 form a small set that repeats every period:
       CSA#1 with a multi-hit profile;
     * otherwise the phases spread over the period: CSA#2.
@@ -252,21 +244,17 @@ def classify_csa(trace, interval):
     gcd_steps = interval.interval_ns // INTERVAL_STEP_NS
     folded = gcd_steps // NUM_DATA_CHANNELS
     if gcd_steps % NUM_DATA_CHANNELS == 0 and folded >= INTERVAL_MIN_STEPS:
-        if len(trace) < _MIN_SINGLE_HIT_OBSERVATIONS:
+        if offsets.size < _MIN_SINGLE_HIT_OBSERVATIONS:
             raise InsufficientDataError(
                 f"a single-hit CSA#1 reading needs at least {_MIN_SINGLE_HIT_OBSERVATIONS} "
-                f"observations, got {len(trace)}"
+                f"observations, got {offsets.size}"
             )
         corrected = IntervalEstimate(
             interval_ns=folded * INTERVAL_STEP_NS,
             raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS,
-            offsets=interval.offsets * NUM_DATA_CHANNELS,
         )
-        return CsaClassification(
-            Verdict.CSA1_SINGLE_HIT, (0,), corrected, trace.sniff_channel
-        )
+        return CsaClassification(Verdict.CSA1_SINGLE_HIT, (0,), corrected, sniff_channel)
 
-    offsets = interval.offsets
     span = int(offsets[-1])
     if span < 2 * NUM_DATA_CHANNELS:
         raise InsufficientDataError(
@@ -283,7 +271,7 @@ def classify_csa(trace, interval):
         fill = offsets.size / expected
         verdict = Verdict.CSA1_REPEATING if fill >= _MIN_FILL_RATIO else Verdict.CSA2
     profile = tuple(int(p) for p in phases) if verdict is not Verdict.CSA2 else ()
-    return CsaClassification(verdict, profile, interval, trace.sniff_channel)
+    return CsaClassification(verdict, profile, interval, sniff_channel)
 
 
 def observation_offsets(trace, interval_ns):
@@ -592,11 +580,7 @@ class ReconstructionReport:
                                       "distinct period_profile phases (at least one for CSA#1), "
                                       f"got {report.sniff_channel!r}, "
                                       f"{report.first_timestamp_ns!r} and {list(profile)}")
-                interval = IntervalEstimate(
-                    interval_ns=interval_us * 1000,
-                    raw_interval_ns=float(raw_us) * 1000.0,
-                    offsets=np.zeros(0, dtype=np.int64),
-                )
+                interval = IntervalEstimate(interval_us * 1000, float(raw_us) * 1000.0)
                 report.classification = CsaClassification(
                     verdict, profile, interval, report.sniff_channel
                 )
@@ -643,6 +627,9 @@ class ReconstructionReport:
 def reconstruct_connection(trace):
     """Run the full single-connection pipeline, capturing estimation errors.
 
+    The event offsets are computed once, at the raw interval estimate and
+    before classification, so every verdict passes the off-grid gate of
+    :func:`observation_offsets` that prediction applies to the same trace.
     CSA#1 verdicts stop after classification (their counter does not enter
     channel selection and the single-channel view pins, at most, the hit
     phases); CSA#2 continues through counter alignment and map inference.
@@ -659,10 +646,10 @@ def reconstruct_connection(trace):
         first_timestamp_ns=int(trace.timestamps()[0]) if len(trace) else None,
     )
     try:
-        report.classification = classify_csa(trace, estimate_interval(trace))
+        interval = estimate_interval(trace)
+        offsets = observation_offsets(trace, interval.raw_interval_ns)
+        report.classification = classify_csa(offsets, interval, trace.sniff_channel)
         if report.classification.verdict is Verdict.CSA2:
-            # passes the off-grid gate; the offsets equal the interval estimate's
-            offsets = observation_offsets(trace, report.classification.interval.raw_interval_ns)
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
             report.alignment = align_counter(offsets, reference)
             if not report.alignment.ambiguous:

@@ -28,6 +28,7 @@ from blehop import (
     estimate_interval,
     evaluate,
     expected_reconstruction_budget,
+    observation_offsets,
     prn_e_bulk,
     reconstruct_all,
     reconstruct_connection,
@@ -184,7 +185,8 @@ def test_criterion_04_interval_recovery():
         _, trace = simulate(config)
         try:
             est = estimate_interval(trace)
-            recovered = classify_csa(trace, est).interval.interval_us
+            offsets = observation_offsets(trace, est.raw_interval_ns)
+            recovered = classify_csa(offsets, est, trace.sniff_channel).interval.interval_us
         except EstimationError:
             flagged += 1
             continue

@@ -441,10 +441,15 @@ def pipeline(tmp_path_factory):
     ("predict", "--channel", "99", "channel"),
     ("predict", "--channel", "-1", "channel"),
     ("predict", "--horizon", "-1", "horizon"),
+    ("predict", "--horizon", "1000000000000000", "--horizon"),
+    ("predict", "--horizon", "1" + "0" * 21, "--horizon"),
     ("evaluate", "--interval-us", "0", "interval_ns"),
     ("evaluate", "--interval-us", "-12500", "interval_ns"),
     ("hopgen", "--events", "0", "--events"),
     ("hopgen", "--events", "10000001", "--events"),
+    ("hopgen", "--start-counter", "-5", "--start-counter"),
+    ("hopgen", "--start-counter", "65536", "--start-counter"),
+    ("hopgen", "--start-counter", "99999999999999999999", "--start-counter"),
 ])
 def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
                                                      command, option, value, needle):
@@ -463,6 +468,27 @@ def test_out_of_range_options_exit_with_config_error(tmp_path, pipeline, capsys,
     assert main([command, *inputs, option, value,
                  "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
+
+
+def test_predict_exits_6_on_a_report_refused_as_off_grid(tmp_path, capsys):
+    # a single-hit CSA#1 connection at 150 us jitter: reconstruct writes an
+    # error-only report, which predict refuses as a failed reconstruction
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"sniff_channel": 22, "rng_seed": 1, "connections": [{
+        "params": {"csa_version": 1, "interval_us": 7500, "channel_map": "0x1FFFFFFFFF",
+                   "access_address": "0x53D39A21", "hop_increment": 7, "initial_channel": 3},
+        "impairments": {"duration_us": 120_000_000, "jitter_sigma_us": 150.0}}]}))
+    sim, recon = tmp_path / "sim", tmp_path / "recon"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == EXIT_OK
+    assert main(["reconstruct", "--trace", str(sim / "trace.csv"),
+                 "--out-dir", str(recon)]) == EXIT_OK
+    report = json.loads((recon / CSA1_REPORT).read_text())
+    assert "off-grid" in report["error"] and "verdict" not in report
+    capsys.readouterr()
+    assert main(["predict", "--report", str(recon / CSA1_REPORT),
+                 "--trace", str(sim / "trace.csv"), "--train-seconds", "60",
+                 "--out-dir", str(tmp_path / "pred")]) == EXIT_ESTIMATION
+    assert "reconstruction failed" in capsys.readouterr().err
 
 
 CSA2_REPORT = "report_0xB0A1CD9D.json"

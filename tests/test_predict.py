@@ -281,7 +281,7 @@ def test_predict_csa2_refuses_ambiguous_alignment():
 
 
 def test_predict_csa1_phase_profile():
-    est = IntervalEstimate(12_500_000, 12_500_000.0, ())
+    est = IntervalEstimate(12_500_000, 12_500_000.0)
     cls = CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10)
     fc = predict_csa1(cls, make_sync(), 74)
     assert not fc.counters_are_wire
@@ -503,7 +503,7 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     align = CounterAlignment(10, 1, (65500,))
     csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
     assert 65535 in csa2.counters.tolist()
-    est = IntervalEstimate(12_500_000, 12_500_037.3, ())
+    est = IntervalEstimate(12_500_000, 12_500_037.3)
     csa1 = predict_csa1(CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10), sync, 300)
     named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
                      np.array([0, 1]), access_address=0xB0A1CD9D)
@@ -697,3 +697,28 @@ def test_run_prediction_propagates_reconstruction_failure():
     assert recon.error
     with pytest.raises(EstimationError, match="reconstruction failed"):
         run_prediction(bad, recon)
+
+
+@settings(max_examples=150)
+@given(csa=st.sampled_from(list(SCENARIO_PARAMS)), interval_steps=st.integers(6, 24),
+       others=st.sets(st.integers(0, 36).filter(lambda c: c != 22), min_size=1),
+       hop_increment=st.integers(5, 16), initial_channel=st.integers(0, 36),
+       jitter=st.floats(0, 150_000), drift=st.floats(-50, 50), miss=st.floats(0, 0.3),
+       seed=st.integers(0, 2**16))
+def test_predict_never_refuses_an_accepted_report_as_off_grid(
+        csa, interval_steps, others, hop_increment, initial_channel, jitter, drift, miss, seed):
+    # reconstruct and predict round the same trace at the same interval, so a
+    # report written without an error passes predict's off-grid gate too
+    extra = dict(hop_increment=hop_increment, initial_channel=initial_channel) \
+        if csa is CsaVersion.CSA1 else {}
+    params = ConnectionParams(csa, interval_steps * 1250, ChannelMap.from_channels(others | {22}),
+                              0xB0A1CD9D, **extra)
+    _, trace = simulate_one(params, 60 * 10**9, seed=seed, jitter=jitter, drift=drift,
+                            miss=miss)
+    report = reconstruct_connection(trace)
+    assume(report.error is None)
+    recon = ReconstructionReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    try:
+        run_prediction(trace, recon, train_ns=30 * 10**9)
+    except EstimationError as exc:
+        assert "off-grid" not in str(exc)

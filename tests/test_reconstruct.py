@@ -59,17 +59,25 @@ def simulate_one(params, duration_ns, sniff=22, seed=3, jitter=0.0, drift=0.0,
     return simulate(config)
 
 
+def classify(trace):
+    """The classification of a trace at its interval estimate's event offsets."""
+    est = estimate_interval(trace)
+    return classify_csa(observation_offsets(trace, est.raw_interval_ns), est, trace.sniff_channel)
+
+
 # ---------------------------------------------------------------------------
 # interval estimation
 
 
 def test_interval_from_two_gaps():
     # 187.5 ms and 90 ms gaps share the 7.5 ms interval (25 and 12 events)
-    est = estimate_interval(trace_at([0, 187_500_000, 277_500_000]))
+    trace = trace_at([0, 187_500_000, 277_500_000])
+    est = estimate_interval(trace)
     assert est.interval_us == 7500
     assert est.raw_interval_ns == pytest.approx(7_500_000)
-    assert est.offsets.dtype == np.int64
-    assert est.offsets.tolist() == [0, 25, 37]
+    offsets = observation_offsets(trace, est.raw_interval_ns)
+    assert offsets.dtype == np.int64
+    assert offsets.tolist() == [0, 25, 37]
 
 
 def test_interval_survives_jitter():
@@ -119,9 +127,10 @@ def test_interval_gcd_above_maximum_allowed_when_37_divisible():
     # one hit per 37-event period at 150 ms: gap GCD is 5.55 s, over the 4 s
     # cap, but divisible by 37 with an in-range quotient
     gap = 37 * 120 * STEP
-    est = estimate_interval(trace_at([0, gap, 3 * gap, 4 * gap]))
+    trace = trace_at([0, gap, 3 * gap, 4 * gap])
+    est = estimate_interval(trace)
     assert est.interval_ns == gap
-    assert est.offsets.tolist() == [0, 1, 3, 4]
+    assert observation_offsets(trace, est.raw_interval_ns).tolist() == [0, 1, 3, 4]
 
 
 def test_interval_gcd_above_maximum_rejected_otherwise():
@@ -148,12 +157,14 @@ def test_classify_single_hit_divides_by_37():
     gap = 37 * 6 * STEP  # one hit per period at 7.5 ms
     trace = trace_at(np.arange(6) * gap)
     est = estimate_interval(trace)
-    cls = classify_csa(trace, est)
+    offsets = observation_offsets(trace, est.raw_interval_ns)
+    assert offsets.tolist() == [0, 1, 2, 3, 4, 5]  # one per 37-event period
+    cls = classify_csa(offsets, est, trace.sniff_channel)
     assert cls.verdict is Verdict.CSA1_SINGLE_HIT
     assert cls.interval.interval_us == 7500
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
-    assert cls.interval.offsets.tolist() == [0, 37, 74, 111, 148, 185]
     assert cls.period_profile == (0,)
+    assert cls.sniff_channel == 22
 
 
 def test_classify_single_hit_needs_five_observations():
@@ -161,7 +172,7 @@ def test_classify_single_hit_needs_five_observations():
     # too few gaps to tell a single-hit CSA#1 pattern from a CSA#2 alias
     trace = trace_at([285_027_370, 562_400_018, 839_977_150], sniff=26, aa=0x897845EF)
     with pytest.raises(InsufficientDataError, match="got 3"):
-        classify_csa(trace, estimate_interval(trace))
+        classify(trace)
     report = reconstruct_connection(trace)
     assert report.classification is None
     assert "got 3" in report.error
@@ -171,8 +182,7 @@ def test_classify_repeating_profile():
     params = ConnectionParams(CsaVersion.CSA1, 7500, MAP_27, 0x22334455,
                               hop_increment=7, initial_channel=0)
     _, trace = simulate_one(params, 10 * 37 * 7_500_000, sniff=10)
-    est = estimate_interval(trace)
-    cls = classify_csa(trace, est)
+    cls = classify(trace)
     assert cls.verdict is Verdict.CSA1_REPEATING
     assert cls.period_profile == (0, 25)
     assert cls.interval.interval_us == 7500
@@ -182,7 +192,7 @@ def test_classify_csa2():
     params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(params, 60 * 10**9)
     est = estimate_interval(trace)
-    cls = classify_csa(trace, est)
+    cls = classify_csa(observation_offsets(trace, est.raw_interval_ns), est, trace.sniff_channel)
     assert cls.verdict is Verdict.CSA2
     assert cls.period_profile == ()
     assert cls.interval is est
@@ -206,23 +216,21 @@ def test_classify_csa1_with_misses_as_repeating():
             continue  # a single-hit profile takes the 37-fold GCD branch instead
         _, trace = simulate_one(params, 60 * 10**9, sniff=sniff, seed=seed,
                                 jitter=50_000.0, miss=0.1)
-        verdicts.append(classify_csa(trace, estimate_interval(trace)).verdict)
+        verdicts.append(classify(trace).verdict)
     assert verdicts == [Verdict.CSA1_REPEATING] * 50
 
 
 def test_classify_short_csa2_trace():
     params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(params, 2 * 10**9, jitter=50_000.0, miss=0.1)
-    est = estimate_interval(trace)
-    assert classify_csa(trace, est).verdict is Verdict.CSA2
+    assert classify(trace).verdict is Verdict.CSA2
 
 
 def test_classify_needs_two_periods():
     trace = trace_at([0, 25 * 6 * STEP, 37 * 6 * STEP])  # spans one period only
-    est = estimate_interval(trace)
-    assert est.interval_us == 7500
+    assert estimate_interval(trace).interval_us == 7500
     with pytest.raises(InsufficientDataError):
-        classify_csa(trace, est)
+        classify(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +552,11 @@ def ascending_offsets(draw):
 @settings(max_examples=200)
 @given(offsets=ascending_offsets())
 def test_classification_phases_like_unique(offsets):
-    trace = trace_at(offsets * 6 * STEP)
-    interval = IntervalEstimate(6 * STEP, 6.0 * STEP, offsets.astype(np.int64))
+    interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
     span = int(offsets[-1])
     if span < 74:
         with pytest.raises(InsufficientDataError):
-            classify_csa(trace, interval)
+            classify_csa(offsets, interval, 22)
         return
     phases = np.unique(offsets % 37)
     verdict = Verdict.CSA2
@@ -558,7 +565,7 @@ def test_classification_phases_like_unique(offsets):
         expected = sum((span - int(p)) // 37 + 1 for p in phases)
         if offsets.size / expected >= 0.75:
             verdict = Verdict.CSA1_REPEATING
-    cls = classify_csa(trace, interval)
+    cls = classify_csa(offsets, interval, 22)
     assert cls.verdict is verdict
     assert cls.period_profile == (() if verdict is Verdict.CSA2 else tuple(phases.tolist()))
 
@@ -620,24 +627,27 @@ def test_reconstruct_csa1_stops_after_classification():
     assert report.map_estimate is None
 
 
-def test_off_grid_gate_refuses_csa2_verdicts_only():
-    # at 150 us jitter about one gap in six lands beyond the 300 us tolerance
+def test_off_grid_gate_refuses_every_verdict():
+    # at 150 us jitter about one gap in six lands beyond the 300 us tolerance;
+    # the gate runs before classification, so a refused report holds the error only
     csa2 = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(csa2, 120 * 10**9, seed=1, jitter=150_000.0)
     report = reconstruct_connection(trace)
     assert report.error == (
         "101 of 610 gaps are more than 300 us off-grid (worst 731 us) for an interval of "
         "7.4999 ms; wrong interval or excessive timing noise")
-    assert report.classification.verdict is Verdict.CSA2
-    assert report.alignment is None
-    # a CSA#1 verdict stops before the gate, so the same jitter still gets one
+    assert report.classification is None
+    # a single-hit CSA#1 trace with the same jitter, which predict would refuse
     full = ChannelMap.from_channels(range(37))
     csa1 = ConnectionParams(CsaVersion.CSA1, 7500, full, 0x53D39A21,
                             hop_increment=7, initial_channel=3)
     _, trace = simulate_one(csa1, 120 * 10**9, seed=1, jitter=150_000.0)
     report = reconstruct_connection(trace)
-    assert report.error is None
-    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
+    assert report.error == (
+        "77 of 432 gaps are more than 300 us off-grid (worst 714 us) for an interval of "
+        "277.5034 ms; wrong interval or excessive timing noise")
+    assert report.classification is None
+    assert "verdict" not in report.to_dict()
 
 
 def test_reconstruct_captures_estimation_errors():
