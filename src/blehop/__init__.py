@@ -69,6 +69,14 @@ from .simulate import (
     expected_reconstruction_budget,
     simulate,
 )
-from .trace import Observation, SniffTrace, load_trace, save_trace, split_by_connection
+from .trace import (
+    Observation,
+    SniffTrace,
+    connection_part,
+    group_by_address,
+    load_trace,
+    save_trace,
+    split_by_connection,
+)
 
 __version__ = "0.1.0"

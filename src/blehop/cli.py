@@ -37,7 +37,7 @@ from .errors import (
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
 from .simulate import MAX_EVENTS, ScenarioConfig, simulate
-from .trace import load_trace, save_trace, split_by_connection
+from .trace import connection_part, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,10 +148,11 @@ def cmd_reconstruct(args):
 
 def _connection_trace(args, access_address):
     """The central packets of one connection in the ``--trace`` file."""
-    parts = split_by_connection(load_trace(args.trace, args.format))
-    if access_address not in parts:
+    trace = load_trace(args.trace, args.format)
+    rows = np.flatnonzero(trace.access_addresses == access_address)
+    if not rows.size:
         raise ConfigError(f"trace has no observations for 0x{access_address:08X}")
-    return parts[access_address]
+    return connection_part(trace, rows)
 
 
 def cmd_predict(args):

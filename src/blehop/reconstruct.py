@@ -48,7 +48,7 @@ from .errors import (
     reading,
 )
 from .simulate import expected_reconstruction_budget
-from .trace import split_by_connection
+from .trace import connection_part, group_by_address
 
 INTERVAL_STEP_NS = INTERVAL_STEP_US * 1000
 INTERVAL_MIN_STEPS = INTERVAL_MIN_US // INTERVAL_STEP_US  # 6
@@ -224,12 +224,13 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
 def classify_csa(offsets, interval, sniff_channel):
     """Decide which hop algorithm a trace came from.
 
-    ``offsets`` are the observations' event offsets at the estimated
-    interval, as :func:`observation_offsets` returns them. Three cases:
+    ``offsets`` are the observations' event offsets, as
+    :func:`observation_offsets` returns them. Three cases:
 
     * the gap GCD is itself divisible by 37: every gap spans whole
-      37-event periods (each offset counts periods), the single-hit CSA#1
-      signature, and the interval estimate is corrected by dividing by 37;
+      37-event periods, the single-hit CSA#1 signature, and the interval
+      estimate is corrected by dividing by 37 (only the offsets' count is
+      read);
     * the hit phases mod 37 form a small set that repeats every period:
       CSA#1 with a multi-hit profile;
     * otherwise the phases spread over the period: CSA#2.
@@ -241,18 +242,13 @@ def classify_csa(offsets, interval, sniff_channel):
     holds at least 5 observations; a shorter trace raises
     :class:`InsufficientDataError`.
     """
-    gcd_steps = interval.interval_ns // INTERVAL_STEP_NS
-    folded = gcd_steps // NUM_DATA_CHANNELS
-    if gcd_steps % NUM_DATA_CHANNELS == 0 and folded >= INTERVAL_MIN_STEPS:
+    corrected = _single_hit_interval(interval)
+    if corrected is not None:
         if offsets.size < _MIN_SINGLE_HIT_OBSERVATIONS:
             raise InsufficientDataError(
                 f"a single-hit CSA#1 reading needs at least {_MIN_SINGLE_HIT_OBSERVATIONS} "
                 f"observations, got {offsets.size}"
             )
-        corrected = IntervalEstimate(
-            interval_ns=folded * INTERVAL_STEP_NS,
-            raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS,
-        )
         return CsaClassification(Verdict.CSA1_SINGLE_HIT, (0,), corrected, sniff_channel)
 
     span = int(offsets[-1])
@@ -272,6 +268,17 @@ def classify_csa(offsets, interval, sniff_channel):
         verdict = Verdict.CSA1_REPEATING if fill >= _MIN_FILL_RATIO else Verdict.CSA2
     profile = tuple(int(p) for p in phases) if verdict is not Verdict.CSA2 else ()
     return CsaClassification(verdict, profile, interval, sniff_channel)
+
+
+def _single_hit_interval(interval):
+    """The connection interval of a single-hit CSA#1 reading (the estimate
+    divided by 37) when the gap GCD is a multiple of 37 events, else None."""
+    gcd_steps = interval.interval_ns // INTERVAL_STEP_NS
+    folded = gcd_steps // NUM_DATA_CHANNELS
+    if gcd_steps % NUM_DATA_CHANNELS or folded < INTERVAL_MIN_STEPS:
+        return None
+    return IntervalEstimate(interval_ns=folded * INTERVAL_STEP_NS,
+                            raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS)
 
 
 def observation_offsets(trace, interval_ns):
@@ -627,9 +634,10 @@ class ReconstructionReport:
 def reconstruct_connection(trace):
     """Run the full single-connection pipeline, capturing estimation errors.
 
-    The event offsets are computed once, at the raw interval estimate and
-    before classification, so every verdict passes the off-grid gate of
-    :func:`observation_offsets` that prediction applies to the same trace.
+    The event offsets are computed once, at the raw interval estimate (its
+    37th for the single-hit CSA#1 signature) and before classification, so
+    every verdict passes the off-grid gate of :func:`observation_offsets`
+    that prediction applies to the same trace, at the same interval.
     CSA#1 verdicts stop after classification (their counter does not enter
     channel selection and the single-channel view pins, at most, the hit
     phases); CSA#2 continues through counter alignment and map inference.
@@ -647,7 +655,8 @@ def reconstruct_connection(trace):
     )
     try:
         interval = estimate_interval(trace)
-        offsets = observation_offsets(trace, interval.raw_interval_ns)
+        gate = _single_hit_interval(interval) or interval
+        offsets = observation_offsets(trace, gate.raw_interval_ns)
         report.classification = classify_csa(offsets, interval, trace.sniff_channel)
         if report.classification.verdict is Verdict.CSA2:
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
@@ -665,11 +674,13 @@ def reconstruct_all(trace):
     """Reconstruct every connection in a merged trace, one at a time.
 
     Yields ``(access_address, report)`` pairs in ascending address order,
-    each as soon as its report is done. An address whose packets are all
+    each as soon as its report is done. A connection's central packets are
+    copied out of the merged trace just before its reconstruction, so one
+    connection's copy is held at a time. An address whose packets are all
     peripheral still gets a report (a failed one), under its own address.
     """
-    parts = split_by_connection(trace)
-    for aa in sorted(parts):
-        report = reconstruct_connection(parts.pop(aa))
+    addresses, bounds, rows = group_by_address(trace)
+    for k, aa in enumerate(addresses.tolist()):
+        report = reconstruct_connection(connection_part(trace, rows[bounds[k]:bounds[k + 1]]))
         report.access_address = aa
         yield aa, report

@@ -1,5 +1,6 @@
 """Unit tests for parameter recovery from single-channel traces."""
 
+import gc
 import json
 
 import numpy as np
@@ -637,7 +638,9 @@ def test_off_grid_gate_refuses_every_verdict():
         "101 of 610 gaps are more than 300 us off-grid (worst 731 us) for an interval of "
         "7.4999 ms; wrong interval or excessive timing noise")
     assert report.classification is None
-    # a single-hit CSA#1 trace with the same jitter, which predict would refuse
+    # a single-hit CSA#1 trace with the same jitter, which predict would refuse; its
+    # gaps span whole 37-event periods, and the error names the 7.5 ms connection
+    # interval, as predict's would, not the 277.5 ms period
     full = ChannelMap.from_channels(range(37))
     csa1 = ConnectionParams(CsaVersion.CSA1, 7500, full, 0x53D39A21,
                             hop_increment=7, initial_channel=3)
@@ -645,7 +648,7 @@ def test_off_grid_gate_refuses_every_verdict():
     report = reconstruct_connection(trace)
     assert report.error == (
         "77 of 432 gaps are more than 300 us off-grid (worst 714 us) for an interval of "
-        "277.5034 ms; wrong interval or excessive timing noise")
+        "7.5001 ms; wrong interval or excessive timing noise")
     assert report.classification is None
     assert "verdict" not in report.to_dict()
 
@@ -737,6 +740,24 @@ def test_reconstruct_all_names_a_peripheral_only_connection():
     assert empty["access_address"] == "0x0000000C"
     assert empty["observation_count"] == 0
     assert "got 0" in empty["error"]
+
+
+def test_reconstruct_all_holds_one_part_at_a_time(monkeypatch):
+    # each connection's central packets are copied out just before its
+    # reconstruction: no other connection's copy is alive during the call
+    addresses = [0xA, 0xB, 0xC, 0xD]
+    merged = SniffTrace(22, np.arange(40) * 6 * STEP, addresses * 10, [True] * 40)
+    existing = {id(o) for o in gc.get_objects() if isinstance(o, SniffTrace)}
+    others_alive = []
+
+    def checked(part):
+        others_alive.append(sum(isinstance(o, SniffTrace) and id(o) not in existing
+                                and o is not part for o in gc.get_objects()))
+        return reconstruct_connection(part)
+
+    monkeypatch.setattr(reconstruct, "reconstruct_connection", checked)
+    assert [aa for aa, _ in reconstruct_all(merged)] == addresses
+    assert others_alive == [0] * len(addresses)
 
 
 def test_report_dict_round_trip():

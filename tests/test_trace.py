@@ -14,6 +14,8 @@ from blehop import (
     ConfigError,
     SniffTrace,
     TraceParseError,
+    connection_part,
+    group_by_address,
     load_trace,
     save_trace,
     split_by_connection,
@@ -61,6 +63,19 @@ def test_trace_validates_columns():
         SniffTrace(5, [10], [2**32], [True])
     with pytest.raises(ConfigError):
         SniffTrace(5, [10], [-1], [True])
+    # a column that would be truncated or wrapped is refused by name
+    for timestamps, addresses, column in [
+        ([0, 10], [1.5, 2.9], "access addresses"),  # not [1, 2]
+        ([0.7, 10.2], [1, 2], "timestamps"),  # not [0, 10]
+        (np.array([2**63], dtype=np.uint64), [1], "timestamps"),  # not negative
+        ([0, 10], ["0x1", "0x2"], "access addresses"),  # not NumPy's UFuncTypeError
+        ([0, 10], [True, True], "access addresses"),
+    ]:
+        with pytest.raises(ConfigError, match=column):
+            SniffTrace(5, timestamps, addresses, [True] * len(addresses))
+    # empty columns of any dtype pass
+    empty = SniffTrace(None, np.array([], dtype=float), np.array([], dtype=str), [])
+    assert empty.timestamps().dtype == np.int64 and empty.access_addresses.dtype == np.uint32
 
 
 def test_timestamps_array():
@@ -275,8 +290,8 @@ addresses = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFF
 
 
 @st.composite
-def traces(draw):
-    rows = draw(st.lists(st.tuples(timestamps, addresses, st.booleans()), max_size=30))
+def traces(draw, addresses=addresses, max_size=30):
+    rows = draw(st.lists(st.tuples(timestamps, addresses, st.booleans()), max_size=max_size))
     rows.sort(key=lambda row: row[0])  # stable: tied rows keep their drawn order
     ts, aa, central = (list(column) for column in zip(*rows)) if rows else ([], [], [])
     return SniffTrace(draw(st.integers(0, 36)), ts, aa, central)
@@ -302,6 +317,34 @@ def test_split_parts_are_the_central_rows_of_each_address(trace):
     for aa, part in parts.items():
         assert part.sniff_channel == trace.sniff_channel
         assert list(zip(*columns(part))) == [r for r in rows if r[1] == aa and r[2]]
+
+
+# a few addresses, so that groups hold many rows: the extremes, and pairs
+# that share their high or their low 16 bits
+pooled_addresses = st.sampled_from([0, 0xFFFFFFFF, 0x0000FFFF, 0xFFFF0000,
+                                    0x1234ABCD, 0x1234DCBA, 0x5678ABCD])
+
+
+@property_settings
+@given(trace=st.one_of(traces(), traces(pooled_addresses, max_size=200)))
+@example(trace=SniffTrace(None, [], [], []))
+@example(trace=SniffTrace(3, [5, 5, 5, 7, 7], [0xFFFFFFFF, 0, 0xFFFFFFFF, 0, 0x1234ABCD],
+                          [True, False, True, False, False]))
+def test_group_by_address_equals_a_stable_argsort(trace):
+    aa = trace.access_addresses
+    addresses, bounds, rows = group_by_address(trace)
+    assert addresses.dtype == np.uint32 and rows.dtype == np.int64
+    assert rows.tolist() == np.argsort(aa, kind="stable").tolist()
+    assert addresses.tolist() == sorted(set(aa.tolist()))
+    assert bounds.tolist() == [0, *np.cumsum([np.sum(aa == a) for a in addresses]).tolist()]
+    table = list(zip(*columns(trace)))
+    for k, address in enumerate(addresses.tolist()):
+        group = rows[bounds[k]:bounds[k + 1]]
+        assert np.all(aa[group] == address) and np.all(np.diff(group) > 0)
+        # an address with only peripheral packets gets an empty part
+        part = connection_part(trace, group)
+        assert part.sniff_channel == trace.sniff_channel
+        assert list(zip(*columns(part))) == [table[r] for r in group.tolist() if table[r][2]]
 
 
 @property_settings
