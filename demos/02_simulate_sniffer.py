@@ -22,10 +22,11 @@ from blehop import (
     CsaVersion,
     ImpairmentModel,
     ScenarioConfig,
+    connection_part,
+    group_by_address,
     load_trace,
     save_trace,
     simulate,
-    split_by_connection,
 )
 
 scenario = ScenarioConfig(
@@ -67,8 +68,9 @@ for t, aa in zip(trace.timestamps()[:5].tolist(), trace.access_addresses[:5].tol
 print("  ...")
 
 # Captures are fewer than ground-truth hits: miss_probability thins them.
-per_aa = split_by_connection(trace)
-for aa, part in sorted(per_aa.items()):
+addresses, bounds, rows = group_by_address(trace)
+for k, aa in enumerate(addresses.tolist()):
+    part = connection_part(trace, rows[bounds[k]:bounds[k + 1]])
     print(f"  0x{aa:08X}: {len(part)} captured")
 
 # Traces serialize to a stable CSV (or JSONL) format — the same files the

@@ -63,8 +63,11 @@ print(f"stage 1, interval: {est.interval_ns / 1e6:.4f} ms on-grid, "
       f"(drift {(est.raw_interval_ns / est.interval_ns - 1) * 1e6:+.1f} ppm)")
 
 # Stage 2 — algorithm: every gap is rounded once at the raw interval into
-# event offsets (refused if too many gaps sit off that grid); CSA#1 revisits
-# a channel at a fixed phase pattern mod 37, CSA#2 spreads hits over all 37.
+# event offsets (refused if too many gaps sit off that grid). One
+# log-likelihood ratio weighs CSA#1, which revisits a channel only at a fixed
+# phase pattern mod 37, against CSA#2, which may hit it on any event: CSA#1
+# at +10 nats or more, CSA#2 at 0 or less over two whole 37-event periods,
+# and a flagged capture otherwise.
 offsets = observation_offsets(trace, est.raw_interval_ns)
 cls = classify_csa(offsets, est, trace.sniff_channel)
 print(f"stage 2, algorithm: {cls.verdict.value}")

@@ -76,7 +76,6 @@ from .trace import (
     group_by_address,
     load_trace,
     save_trace,
-    split_by_connection,
 )
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ multiple of the connection interval, so the interval is the GCD of the
 gaps (snapped to the 1.25 ms protocol grid, with the pre-snap value kept —
 it carries the relative clock offset between connection and sniffer).
 
-The hop pattern on one channel then separates the algorithms: CSA#1 hits
-the sniffed channel at a fixed, repeating set of event phases mod 37,
-while CSA#2 spreads hits over all phases. For CSA#2 the event counter at
+One likelihood ratio then separates the algorithms: CSA#1 hits the sniffed
+channel only at a fixed, repeating set of event phases mod 37, while CSA#2
+may hit it on any event. For CSA#2 the event counter at
 the first observation is found by circularly correlating the observed
 hit/no-hit event vector against the 65536-long reference of events whose
 *unmapped* channel is the sniffed one, and the channel map follows from
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +58,18 @@ INTERVAL_MAX_STEPS = INTERVAL_MAX_US // INTERVAL_STEP_US  # 3200
 _MAX_COUNT = 2**63 - 1
 DEFAULT_TOLERANCE_NS = 300_000  # grid-fit acceptance per gap
 
-# CSA#1 can hit one channel at most 1 + ceil(35/2) times per 37-event
-# period (native hit plus remaps), so this many distinct phases already
-# rules it out.
-_MAX_CSA1_PHASES = 20
-# (period, phase) grid fill needed for CSA#1; at 7.5 ms, random maps, 50 us
-# jitter CSA#1 fills 0.85-0.96 with 10 % misses (0.77-0.86 with 20 %) and
-# CSA#2 traces short enough to have under 20 phases fill at most 0.67.
-_MIN_FILL_RATIO = 0.75
-# Each CSA#2 gap is a multiple of 37 events with chance ~1/37, so a 37-fold
-# gap GCD over k gaps aliases a CSA#2 trace with chance ~37**-k: 5e-7 at
-# the 4 gaps this many observations give.
-_MIN_SINGLE_HIT_OBSERVATIONS = 5
+# CSA#1 hits a channel natively and from each excluded channel remapped onto
+# it, index (unmapped mod map size): at most 1 + ceil(37/2) phases, for the
+# lower channel of a map of two odd channels, which takes all even channels
+_CSA1_PHASE_BOUND = 1 + math.ceil(NUM_DATA_CHANNELS / 2)
+_MAX_CSA2_RATE = 0.5  # CSA#2 hits a channel with chance 1/n_ch, n_ch >= 2
+# Verdicts on the CSA#1 over CSA#2 log-likelihood ratio (nats). Under CSA#2 a
+# profile's likelihood ratio reaches e**10 with chance at most e**-10, and the
+# log C(37, k) cost shares that among the profiles of each size (about: the
+# rates are fitted). At 0 CSA#2 fits as well as the best CSA#1 profile; 1-20 s
+# CSA#1 captures (7.5 ms, 2-37 channels, <= 30 % misses) stayed above +1.9.
+_CSA1_NATS = 10.0
+_CSA2_NATS = 0.0
 
 # align_counter's four-step transforms: COUNTER_PERIOD = _SIDE**2, and the
 # twiddles W**(n2*k1), W = exp(-2j*pi/COUNTER_PERIOD), indexed [k1, n2]
@@ -105,12 +106,11 @@ class IntervalEstimate:
 class CsaClassification:
     """Which hop algorithm produced a trace, plus its phase structure.
 
+    ``verdict`` is :func:`classify_csa`'s likelihood-ratio verdict.
     ``period_profile`` lists the event phases (mod 37, relative to the
-    first observation) at which the sniffed channel is hit; meaningful for
-    the CSA#1 verdicts. ``interval`` is the interval estimate after any
-    correction this classification implies (a single-hit CSA#1 pattern
-    folds the 37-event period into the gap GCD, so the estimate is divided
-    by 37).
+    first observation) of the CSA#1 profile it scored, and is empty for
+    CSA#2. ``interval`` is the estimate the verdict reads: divided by 37
+    for a single-hit CSA#1 profile, whose 37-event period the gap GCD folds.
     """
 
     verdict: Verdict
@@ -194,14 +194,6 @@ def estimate_interval(trace):
         raise EstimationError(
             f"gap GCD {gcd_steps * 1.25:.2f} ms is below the 7.5 ms minimum interval"
         )
-    if gcd_steps > INTERVAL_MAX_STEPS:
-        folded = gcd_steps // NUM_DATA_CHANNELS
-        if gcd_steps % NUM_DATA_CHANNELS or not (
-            INTERVAL_MIN_STEPS <= folded <= INTERVAL_MAX_STEPS
-        ):
-            raise EstimationError(
-                f"gap GCD {gcd_steps * 1.25:.2f} ms is above the 4 s maximum interval"
-            )
 
     # least-squares common divisor, accepted gaps only, refined twice (the
     # first hops are >= 1: accepted steps are multiples of their GCD)
@@ -209,7 +201,11 @@ def estimate_interval(trace):
     raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
     hops, _ = _grid_fit(gaps_in, raw, "a gap collapses to zero events under the fitted interval")
     raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
-    return IntervalEstimate(interval_ns=gcd_steps * INTERVAL_STEP_NS, raw_interval_ns=raw)
+    estimate = IntervalEstimate(interval_ns=gcd_steps * INTERVAL_STEP_NS, raw_interval_ns=raw)
+    if gcd_steps > INTERVAL_MAX_STEPS and _single_hit_interval(estimate) is None:
+        raise EstimationError(f"gap GCD {gcd_steps * 1.25:.2f} ms is above the 4 s maximum "
+                              "interval")
+    return estimate
 
 
 def _grid_fit(gaps, unit_ns, zero_hop_message):
@@ -222,60 +218,77 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
 
 
 def classify_csa(offsets, interval, sniff_channel):
-    """Decide which hop algorithm a trace came from.
+    """Decide which hop algorithm a trace came from, by one likelihood ratio.
 
-    ``offsets`` are the observations' event offsets, as
-    :func:`observation_offsets` returns them. Three cases:
+    ``offsets`` are the observations' event offsets at ``interval``, as
+    :func:`observation_offsets` returns them. Two models explain them, each
+    at its fitted rate: CSA#1 hits only the (period, phase) slots of the
+    observed profile of k phases mod 37, at most ``_CSA1_PHASE_BOUND``, and
+    pays log C(37, k) nats for choosing it; CSA#2 hits any event, at most
+    every other one. Their log-likelihood ratio (LLR) gives CSA#1 at or above
+    ``_CSA1_NATS``, and CSA#2 at or below ``_CSA2_NATS`` once the trace
+    covers two whole 37-event periods (before that, no profile phase has had
+    a second slot and the log C(37, k) cost alone can favour CSA#2); else
+    :class:`InsufficientDataError` names the stage and the nats.
 
-    * the gap GCD is itself divisible by 37: every gap spans whole
-      37-event periods, the single-hit CSA#1 signature, and the interval
-      estimate is corrected by dividing by 37 (only the offsets' count is
-      read);
-    * the hit phases mod 37 form a small set that repeats every period:
-      CSA#1 with a multi-hit profile;
-    * otherwise the phases spread over the period: CSA#2.
-
-    Note the first case is a genuine alias: a CSA#2 connection whose
-    interval is exactly 37 grid steps times the estimate would produce the
-    same single-channel timing. The single-hit reading is taken because a
-    37-fold gap GCD is vanishingly unlikely under CSA#2 once the trace
-    holds at least 5 observations; a shorter trace raises
-    :class:`InsufficientDataError`.
+    A gap GCD divisible by 37, every gap spanning whole 37-event periods, is
+    the single-hit CSA#1 signature: the same test on a one-phase profile of
+    the offsets (in periods) at the interval's 37th, which such a verdict
+    reports. CSA#2 at the interval itself, a genuine alias, is scored too; it
+    leads by at most log 37 nats and is ruled out only once well over half
+    of the periods are hit. Below ``_CSA1_NATS`` the signature is flagged.
     """
-    corrected = _single_hit_interval(interval)
-    if corrected is not None:
-        if offsets.size < _MIN_SINGLE_HIT_OBSERVATIONS:
-            raise InsufficientDataError(
-                f"a single-hit CSA#1 reading needs at least {_MIN_SINGLE_HIT_OBSERVATIONS} "
-                f"observations, got {offsets.size}"
-            )
-        return CsaClassification(Verdict.CSA1_SINGLE_HIT, (0,), corrected, sniff_channel)
+    hits, span = offsets.size, int(offsets[-1])
+    folded = _single_hit_interval(interval)
+    if folded is not None:
+        csa2 = _bernoulli_nats(hits, NUM_DATA_CHANNELS * span + 1, _MAX_CSA2_RATE)
+        if interval.interval_ns <= INTERVAL_MAX_US * 1000:
+            csa2 = max(csa2, _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE))
+        nats = _csa1_nats(hits, span + 1, 1) - csa2
+        if nats >= _CSA1_NATS:
+            return CsaClassification(Verdict.CSA1_SINGLE_HIT, (0,), folded, sniff_channel)
+        raise _undecided("single-hit classification", nats)
 
-    span = int(offsets[-1])
-    if span < 2 * NUM_DATA_CHANNELS:
-        raise InsufficientDataError(
-            f"classification needs two full 37-event periods, trace spans {span} events"
-        )
     phases = np.flatnonzero(np.bincount(offsets % NUM_DATA_CHANNELS,
                                         minlength=NUM_DATA_CHANNELS))
-    if phases.size >= _MAX_CSA1_PHASES:
-        verdict = Verdict.CSA2
-    else:
-        # CSA#1 hits every profile phase in every period; count how full
-        # the (period, phase) grid is.
-        expected = int(np.sum((span - phases) // NUM_DATA_CHANNELS + 1))
-        fill = offsets.size / expected
-        verdict = Verdict.CSA1_REPEATING if fill >= _MIN_FILL_RATIO else Verdict.CSA2
-    profile = tuple(int(p) for p in phases) if verdict is not Verdict.CSA2 else ()
-    return CsaClassification(verdict, profile, interval, sniff_channel)
+    nats = -math.inf
+    if phases.size <= _CSA1_PHASE_BOUND:
+        slots = int(np.sum((span - phases) // NUM_DATA_CHANNELS + 1))
+        nats = (_csa1_nats(hits, slots, phases.size)
+                - _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE))
+    if nats >= _CSA1_NATS:
+        return CsaClassification(Verdict.CSA1_REPEATING, tuple(phases.tolist()), interval,
+                                 sniff_channel)
+    if nats <= _CSA2_NATS and span + 1 >= 2 * NUM_DATA_CHANNELS:
+        return CsaClassification(Verdict.CSA2, (), interval, sniff_channel)
+    raise _undecided("classification", nats, f"; a CSA#2 verdict needs at most {_CSA2_NATS:g} "
+                     f"over two whole 37-event periods, the trace spans {span + 1} events")
+
+
+def _bernoulli_nats(hits, trials, max_rate=1.0):
+    """Log-likelihood of ``hits`` in ``trials`` events at the fitted rate,
+    capped at ``max_rate``."""
+    rate = min(hits / trials, max_rate)
+    return sum(k * math.log(p) for k, p in ((hits, rate), (trials - hits, 1 - rate)) if k)
+
+
+def _csa1_nats(hits, slots, phases):
+    """:func:`_bernoulli_nats` of ``hits`` on the ``slots`` of a profile of
+    ``phases`` phases, less log C(37, phases) for choosing the profile."""
+    return _bernoulli_nats(hits, slots) - math.log(math.comb(NUM_DATA_CHANNELS, phases))
+
+
+def _undecided(stage, nats, more=""):
+    return InsufficientDataError(f"{stage}: the CSA#1 over CSA#2 log-likelihood ratio is {nats:.1f}"
+                                 f" nats, short of the {_CSA1_NATS:g} a CSA#1 verdict needs{more}")
 
 
 def _single_hit_interval(interval):
     """The connection interval of a single-hit CSA#1 reading (the estimate
-    divided by 37) when the gap GCD is a multiple of 37 events, else None."""
+    divided by 37) when that is a valid interval, else None."""
     gcd_steps = interval.interval_ns // INTERVAL_STEP_NS
     folded = gcd_steps // NUM_DATA_CHANNELS
-    if gcd_steps % NUM_DATA_CHANNELS or folded < INTERVAL_MIN_STEPS:
+    if gcd_steps % NUM_DATA_CHANNELS or not INTERVAL_MIN_STEPS <= folded <= INTERVAL_MAX_STEPS:
         return None
     return IntervalEstimate(interval_ns=folded * INTERVAL_STEP_NS,
                             raw_interval_ns=interval.raw_interval_ns / NUM_DATA_CHANNELS)
@@ -655,8 +668,12 @@ def reconstruct_connection(trace):
     )
     try:
         interval = estimate_interval(trace)
-        gate = _single_hit_interval(interval) or interval
-        offsets = observation_offsets(trace, gate.raw_interval_ns)
+        folded = _single_hit_interval(interval)
+        # gated at a single-hit reading's interval, which an error then names
+        offsets = observation_offsets(trace, (folded or interval).raw_interval_ns)
+        if folded is not None:
+            # the hit 37-event periods, once each (an off-grid stray may share one)
+            offsets = np.unique(offsets // NUM_DATA_CHANNELS)
         report.classification = classify_csa(offsets, interval, trace.sniff_channel)
         if report.classification.verdict is Verdict.CSA2:
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)

@@ -404,19 +404,3 @@ def connection_part(trace, rows):
     rows = rows[trace.is_central[rows]]
     return SniffTrace(trace.sniff_channel, trace._timestamps[rows], trace.access_addresses[rows],
                       np.ones(rows.size, dtype=bool))
-
-
-def split_by_connection(trace):
-    """Partition a trace by access address, keeping central packets only.
-
-    Returns ``{access_address: SniffTrace}`` in order of each address's
-    first packet. Every address present in the input appears in the
-    result, even when all of its packets were peripheral-flagged (those
-    yield empty per-connection traces). Order is preserved within each
-    part and the parts' packets union back to the central packets of the
-    input.
-    """
-    addresses, bounds, rows = group_by_address(trace)
-    # each group starts with its address's first row: order the groups by it
-    return {int(addresses[k]): connection_part(trace, rows[bounds[k]:bounds[k + 1]])
-            for k in np.argsort(rows[bounds[:-1]])}

@@ -19,10 +19,10 @@ from blehop import (
     Forecast,
     ReconstructionReport,
     SniffTrace,
+    connection_part,
     load_trace,
     reconstruct,
     save_trace,
-    split_by_connection,
 )
 from blehop.cli import (
     EXIT_AMBIGUOUS,
@@ -75,9 +75,15 @@ def scenario_file(tmp_path):
     return path
 
 
+def connection_of(sim, access_address):
+    """The central packets of one connection of a simulated trace."""
+    trace = load_trace(sim / "trace.csv")
+    return connection_part(trace, np.flatnonzero(trace.access_addresses == access_address))
+
+
 def connection_trace(sim, access_address, dest):
     """Write the rows of one connection of a simulated trace to ``dest``."""
-    save_trace(split_by_connection(load_trace(sim / "trace.csv"))[access_address], dest)
+    save_trace(connection_of(sim, access_address), dest)
     return dest
 
 
@@ -623,7 +629,7 @@ def test_predict_refuses_a_trace_without_the_reports_first_packet(tmp_path, pipe
     # k_init and the period profile count events from the report's first
     # central packet; without it every forecast counter would be shifted
     sim, recon, _ = pipeline
-    part = split_by_connection(load_trace(sim / "trace.csv"))[access_address]
+    part = connection_of(sim, access_address)
     later = tmp_path / "later.csv"
     save_trace(SniffTrace(part.sniff_channel, part.timestamps()[1:],
                           part.access_addresses[1:], part.is_central[1:]), later)

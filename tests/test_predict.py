@@ -29,8 +29,10 @@ from blehop import (
     SniffTrace,
     Verdict,
     channel_identifier,
+    connection_part,
     csa2_channels_bulk,
     evaluate,
+    group_by_address,
     init_sync,
     kalman_update,
     predict_csa1,
@@ -39,7 +41,6 @@ from blehop import (
     reconstruct_connection,
     run_prediction,
     simulate,
-    split_by_connection,
 )
 from blehop.predict import DEFAULT_GATE_SIGMA, MEASUREMENT_NOISE_VAR, PROCESS_NOISE
 
@@ -631,7 +632,9 @@ def test_run_prediction_refuses_another_connections_trace():
                            start_offset_ns=3_000_000),
     ), sniff_channel=22, rng_seed=7)
     _, merged = simulate(config)
-    parts = split_by_connection(merged)
+    addresses, bounds, rows = group_by_address(merged)
+    parts = {aa: connection_part(merged, rows[bounds[k]:bounds[k + 1]])
+             for k, aa in enumerate(addresses.tolist())}
     recon = reconstruct_connection(parts[0xB0A1CD9D])
     assert recon.error is None
     assert len(run_prediction(parts[0xB0A1CD9D], recon, train_ns=60 * 10**9).forecast) > 0

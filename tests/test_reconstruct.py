@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import comb
+from scipy.stats import bernoulli
 
 from blehop import (
     ChannelMap,
@@ -131,7 +133,11 @@ def test_interval_gcd_above_maximum_allowed_when_37_divisible():
     trace = trace_at([0, gap, 3 * gap, 4 * gap])
     est = estimate_interval(trace)
     assert est.interval_ns == gap
-    assert observation_offsets(trace, est.raw_interval_ns).tolist() == [0, 1, 3, 4]
+    offsets = observation_offsets(trace, est.raw_interval_ns)
+    assert offsets.tolist() == [0, 1, 3, 4]
+    # no CSA#2 interval is 5.55 s long, so four hits already read as CSA#1
+    cls = classify_csa(offsets, est, trace.sniff_channel)
+    assert (cls.verdict, cls.interval.interval_us) == (Verdict.CSA1_SINGLE_HIT, 150_000)
 
 
 def test_interval_gcd_above_maximum_rejected_otherwise():
@@ -156,27 +162,57 @@ def test_interval_tolerance_is_300us():
 
 def test_classify_single_hit_divides_by_37():
     gap = 37 * 6 * STEP  # one hit per period at 7.5 ms
-    trace = trace_at(np.arange(6) * gap)
+    trace = trace_at(np.arange(20) * gap)
     est = estimate_interval(trace)
     offsets = observation_offsets(trace, est.raw_interval_ns)
-    assert offsets.tolist() == [0, 1, 2, 3, 4, 5]  # one per 37-event period
+    assert offsets.tolist() == list(range(20))  # one per 37-event period
     cls = classify_csa(offsets, est, trace.sniff_channel)
     assert cls.verdict is Verdict.CSA1_SINGLE_HIT
     assert cls.interval.interval_us == 7500
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
     assert cls.period_profile == (0,)
     assert cls.sniff_channel == 22
+    # CSA#2 at 277.5 ms hits a channel at most every other event: 20 hits in
+    # 20 periods lead it by 20 log 2 - log 37 = 10.2 nats, 19 in 19 by 9.6
+    with pytest.raises(InsufficientDataError, match=r"single-hit classification: .* 9\.6 nats"):
+        classify_csa(offsets[:19], est, trace.sniff_channel)
 
 
-def test_classify_single_hit_needs_five_observations():
+def test_classify_single_hit_flags_a_short_alias():
     # a 1 s CSA#2 capture whose two gaps are both 222 grid steps (6 * 37):
-    # too few gaps to tell a single-hit CSA#1 pattern from a CSA#2 alias
+    # three hits in three periods fit CSA#2 at 277.5 ms better than CSA#1
     trace = trace_at([285_027_370, 562_400_018, 839_977_150], sniff=26, aa=0x897845EF)
-    with pytest.raises(InsufficientDataError, match="got 3"):
+    with pytest.raises(InsufficientDataError, match=r"-1\.5 nats"):
         classify(trace)
     report = reconstruct_connection(trace)
     assert report.classification is None
-    assert "got 3" in report.error
+    assert "-1.5 nats" in report.error
+
+
+def test_single_hit_counts_each_period_once():
+    # 41 hits at 277.5 ms and a stray central packet 5 events + 0.4 ms after
+    # hit 10: left out of the GCD, 2 of 41 gaps off-grid at 7.5 ms, passed by
+    # the gate; it shares hit 10's period, which is counted once
+    times = np.arange(41) * (37 * 6 * STEP)
+    times = np.insert(times, 11, times[10] + 5 * 6 * STEP + 400_000)
+    report = reconstruct_connection(trace_at(times.tolist()))
+    assert report.error is None
+    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
+    assert report.classification.interval.interval_us == 7500
+
+
+def test_classify_csa2_at_a_37_fold_interval_is_never_single_hit():
+    # CSA#2 at 277.5, 323.75 or 462.5 ms: the gap GCD is the interval, 37 grid
+    # intervals, the single-hit CSA#1 signature at a 37th of it; flagged instead
+    for seed, (interval_us, channels) in enumerate(
+            [(277500, [1, 22]), (277500, [22, 30, 31]), (323750, MAP_10.allowed),
+             (462500, [5, 22]), (277500, range(37))]):
+        params = ConnectionParams(CsaVersion.CSA2, interval_us,
+                                  ChannelMap.from_channels(channels), 0xB0A1CD9D)
+        _, trace = simulate_one(params, 600 * 10**9, seed=seed, jitter=50_000.0, miss=0.1)
+        report = reconstruct_connection(trace)
+        assert report.classification is None, report.classification
+        assert report.error.startswith("single-hit classification: ")
 
 
 def test_classify_repeating_profile():
@@ -200,8 +236,9 @@ def test_classify_csa2():
 
 
 def test_classify_csa1_with_misses_as_repeating():
-    # 10 % misses put a CSA#1 connection's (period, phase) grid fill near
-    # 0.9; every one of these must still read as CSA#1.
+    # 10 % misses leave a tenth of a CSA#1 connection's (period, phase) slots
+    # empty; the fitted capture rate absorbs them, and every one of these must
+    # still read as CSA#1.
     verdicts, seed = [], 0
     while len(verdicts) < 50:
         seed += 1
@@ -221,6 +258,53 @@ def test_classify_csa1_with_misses_as_repeating():
     assert verdicts == [Verdict.CSA1_REPEATING] * 50
 
 
+@pytest.mark.parametrize("channels, sniff", [((1, 3), 1), ((1, 35), 1), ((5, 9), 5)])
+def test_odd_two_channel_maps_read_as_csa1_with_20_phases(channels, sniff):
+    # the lower channel of two odd ones takes the remaps of all 19 even
+    # channels: 20 hits per 37-event period, the most CSA#1 allows
+    for hop in (5, 7, 11):
+        params = ConnectionParams(CsaVersion.CSA1, 7500, ChannelMap.from_channels(channels),
+                                  0x50000000 + hop, hop_increment=hop, initial_channel=0)
+        _, trace = simulate_one(params, 60 * 10**9, sniff=sniff, jitter=20_000.0)
+        report = reconstruct_connection(trace)
+        assert report.error is None
+        assert report.classification.verdict is Verdict.CSA1_REPEATING
+        profile = report.classification.period_profile
+        assert len(profile) == 20
+        hits = np.flatnonzero(channel_sequence(params, 0, 37) == sniff)
+        assert profile == tuple(sorted(((hits - hits[0]) % 37).tolist()))
+
+
+@st.composite
+def short_captures(draw):
+    """7.5 ms CSA#1 or CSA#2 connections on maps of 2-37 channels, 1-20 s
+    captures, 50 us jitter, +-20 ppm drift and up to 30 % misses."""
+    csa = draw(st.sampled_from(list(CsaVersion)))
+    # large maps drawn as often as small ones: they give single-hit profiles
+    channels = draw(st.sets(st.integers(0, 36), min_size=draw(st.sampled_from([2, 30]))))
+    sniff = draw(st.sampled_from(sorted(channels)))
+    extra = dict(hop_increment=draw(st.integers(5, 16)),
+                 initial_channel=draw(st.integers(0, 36))) if csa is CsaVersion.CSA1 else {}
+    params = ConnectionParams(csa, 7500, ChannelMap.from_channels(channels),
+                              draw(st.integers(1, 2**32 - 1)), **extra)
+    impairments = ImpairmentModel(draw(st.integers(1, 20)) * 10**9, 50_000.0,
+                                  draw(st.floats(-20, 20)), draw(st.floats(0, 0.3)))
+    return ScenarioConfig((ConnectionScenario(params, impairments,
+                                              initial_counter=draw(st.integers(0, 0xFFFF))),),
+                          sniff, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=500)
+@given(config=short_captures())
+def test_short_captures_never_get_the_other_verdict(config):
+    # a capture too short to tell the two apart is flagged, never misread
+    _, trace = simulate(config)
+    classification = reconstruct_connection(trace).classification
+    if classification is not None:
+        csa2 = config.connections[0].params.csa_version is CsaVersion.CSA2
+        assert (classification.verdict is Verdict.CSA2) == csa2
+
+
 def test_classify_short_csa2_trace():
     params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(params, 2 * 10**9, jitter=50_000.0, miss=0.1)
@@ -228,10 +312,25 @@ def test_classify_short_csa2_trace():
 
 
 def test_classify_needs_two_periods():
-    trace = trace_at([0, 25 * 6 * STEP, 37 * 6 * STEP])  # spans one period only
+    # spans one period only: three hits on two phases lead CSA#2 by 4.0 nats
+    trace = trace_at([0, 25 * 6 * STEP, 37 * 6 * STEP])
     assert estimate_interval(trace).interval_us == 7500
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match=r"^classification: .* 4\.0 nats"):
         classify(trace)
+    # three hits in three events fit CSA#2 at rate 1/2 better than any 3-phase
+    # CSA#1 profile, by the log C(37, 3) cost alone: no phase has had a second
+    # slot, so no CSA#2 verdict and no counter alignment
+    report = reconstruct_connection(trace_at([0, 6 * STEP, 12 * STEP]))
+    assert (report.classification, report.alignment) == (None, None)
+    assert report.error.startswith("classification: ")
+    assert report.error.endswith("-6.9 nats, short of the 10 a CSA#1 verdict needs; a CSA#2 "
+                                 "verdict needs at most 0 over two whole 37-event periods, "
+                                 "the trace spans 3 events")
+    # the bound: four hits on four phases over 73 events are flagged, over 74 read as CSA#2
+    interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
+    with pytest.raises(InsufficientDataError, match=r"-1\.1 nats, .* spans 73 events$"):
+        classify_csa(np.array([0, 1, 2, 72]), interval, 22)
+    assert classify_csa(np.array([0, 1, 2, 73]), interval, 22).verdict is Verdict.CSA2
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +649,39 @@ def ascending_offsets(draw):
     return grid[(rng.random(grid.size) >= draw(st.floats(0.0, 0.5))) | (grid == 0)]
 
 
+def reference_nats(offsets):
+    """The CSA#1 over CSA#2 log-likelihood ratio, summed event by event from
+    SciPy's Bernoulli log-pmf over the hit indicator of events 0..span."""
+    hit = np.zeros(int(offsets[-1]) + 1, dtype=bool)
+    hit[offsets] = True
+    phases = np.unique(offsets % 37)
+    slots = np.isin(np.arange(hit.size) % 37, phases)
+    csa2 = bernoulli.logpmf(hit, min(hit.mean(), 0.5)).sum()
+    if phases.size > 20:  # 1 + ceil(37 / 2): more than the remap rule allows CSA#1
+        return -np.inf
+    csa1 = bernoulli.logpmf(hit[slots], hit.sum() / slots.sum()).sum()
+    return csa1 - np.log(comb(37, phases.size)) - csa2
+
+
+def full_grid(phases, periods=10):
+    return (37 * np.arange(periods)[:, None] + np.arange(phases)).ravel()
+
+
 @settings(max_examples=200)
 @given(offsets=ascending_offsets())
+@example(offsets=full_grid(20))  # the most phases CSA#1 can hit
+@example(offsets=full_grid(21))  # one more: never CSA#1, however full the grid
 def test_classification_phases_like_unique(offsets):
     interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
-    span = int(offsets[-1])
-    if span < 74:
-        with pytest.raises(InsufficientDataError):
+    nats = reference_nats(offsets)
+    assume(not np.isclose(nats, [0.0, 10.0], rtol=0, atol=1e-9).any())
+    if 0 < nats < 10 or (nats <= 0 and offsets[-1] < 2 * 37 - 1):  # CSA#2 needs 74 events
+        with pytest.raises(InsufficientDataError, match=f"{nats:.1f} nats"):
             classify_csa(offsets, interval, 22)
         return
-    phases = np.unique(offsets % 37)
-    verdict = Verdict.CSA2
-    # at most 19 phases and a (period, phase) grid at least 75 % full read as CSA#1
-    if phases.size < 20:
-        expected = sum((span - int(p)) // 37 + 1 for p in phases)
-        if offsets.size / expected >= 0.75:
-            verdict = Verdict.CSA1_REPEATING
     cls = classify_csa(offsets, interval, 22)
-    assert cls.verdict is verdict
-    assert cls.period_profile == (() if verdict is Verdict.CSA2 else tuple(phases.tolist()))
+    assert cls.verdict is (Verdict.CSA1_REPEATING if nats >= 10 else Verdict.CSA2)
+    assert cls.period_profile == (tuple(np.unique(offsets % 37).tolist()) if nats >= 10 else ())
 
 
 def test_map_inference_needs_observations():

@@ -18,7 +18,6 @@ from blehop import (
     group_by_address,
     load_trace,
     save_trace,
-    split_by_connection,
 )
 from blehop import trace as trace_module
 
@@ -252,31 +251,28 @@ def test_bool_parsing_accepts_numeric_forms():
 
 
 # ---------------------------------------------------------------------------
-# splitting merged traces
+# grouping merged traces by connection
 
 
-def test_split_by_connection_partitions_and_filters():
+def test_connection_parts_partition_and_filter():
     sniff = 22
     trace = SniffTrace(
         sniff,
         [100, 200, 300, 400, 500],
-        [0xA, 0xB, 0xA, 0xA, 0xC],
-        # 300 is peripheral: dropped from its part; 0xC is only peripheral: empty part
+        [0xC, 0xB, 0xC, 0xC, 0xA],
+        # 300 is peripheral: dropped from its part; 0xA is only peripheral: empty part
         [True, True, False, True, False],
     )
-    parts = split_by_connection(trace)
-    assert list(parts) == [0xA, 0xB, 0xC]
-    assert parts[0xA].timestamps().tolist() == [100, 400]
-    assert parts[0xB].timestamps().tolist() == [200]
-    assert len(parts[0xC]) == 0
-    assert all(p.sniff_channel == sniff for p in parts.values())
+    addresses, bounds, rows = group_by_address(trace)
+    assert addresses.tolist() == [0xA, 0xB, 0xC]  # ascending, not first-packet order
+    parts = [connection_part(trace, rows[bounds[k]:bounds[k + 1]]) for k in range(3)]
+    assert [p.timestamps().tolist() for p in parts] == [[], [200], [100, 400]]
+    assert all(p.sniff_channel == sniff for p in parts)
     # parts union back to the central packets of the input
-    union = sorted(row for p in parts.values() for row in zip(*columns(p)))
+    union = sorted(row for p in parts for row in zip(*columns(p)))
     assert union == [row for row in zip(*columns(trace)) if row[2]]
-
-
-def test_split_empty_trace():
-    assert split_by_connection(SniffTrace(None, [], [], [])) == {}
+    empty = SniffTrace(None, [], [], [])
+    assert [a.size for a in group_by_address(empty)] == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +302,6 @@ def test_save_load_round_trip_keeps_columns(trace, fmt):
     loaded = load_trace(buffer, fmt)
     assert columns(loaded) == columns(trace)
     assert loaded.sniff_channel == (trace.sniff_channel if len(trace) else None)
-
-
-@property_settings
-@given(trace=traces())
-def test_split_parts_are_the_central_rows_of_each_address(trace):
-    parts = split_by_connection(trace)
-    assert list(parts) == list(dict.fromkeys(trace.access_addresses.tolist()))
-    rows = list(zip(*columns(trace)))
-    for aa, part in parts.items():
-        assert part.sniff_channel == trace.sniff_channel
-        assert list(zip(*columns(part))) == [r for r in rows if r[1] == aa and r[2]]
 
 
 # a few addresses, so that groups hold many rows: the extremes, and pairs
