@@ -73,7 +73,10 @@ cls = classify_csa(offsets, est, trace.sniff_channel)
 print(f"stage 2, algorithm: {cls.verdict.value}")
 
 # Stage 3+4 — full pipeline: counter alignment by circular correlation
-# against the PRN reference, then map inference from remap evidence.
+# against the PRN reference, then map inference from remap evidence. The map
+# is "converged" only when every remap fits it and, at the capture rate seen,
+# an excluded channel hiding in it would have shown as remap evidence over
+# the capture with chance 99 % or more.
 report = reconstruct_connection(trace)
 align = report.alignment
 truth_first = int(timeline.wire_counters()[

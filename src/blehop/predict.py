@@ -422,7 +422,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
         raise ConfigError(f"trace's first central packet is at {first} ns, not the report's "
                           f"first_timestamp_ns {recon.first_timestamp_ns}")
     offsets = observation_offsets(trace, est.raw_interval_ns)
-    n_train = int(np.sum(ts <= ts[0] + int(train_ns)))
+    # a window past the last observation covers the trace, however long
+    n_train = int(np.sum(ts <= first + int(min(train_ns, int(ts[-1]) - first))))
     if n_train < 2:
         raise InsufficientDataError("training window holds fewer than 2 observations")
     if n_train == ts.size:
@@ -452,8 +453,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     report = EvalReport(ts[n_train:] - np.round(times))
 
     if horizon is None:
-        span = int(offsets[-1]) - anchor_sync.anchor_offset
-        horizon = max(span, 0)
+        horizon = max(int(offsets[-1]) - anchor_sync.anchor_offset, 0)
     if is_csa2:
         forecast = predict_csa2(recon.alignment, recon.channel_id,
                                 recon.map_estimate.assumed_map, anchor_sync, horizon)

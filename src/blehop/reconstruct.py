@@ -48,7 +48,6 @@ from .errors import (
     check_int,
     reading,
 )
-from .simulate import expected_reconstruction_budget
 from .trace import connection_part, group_by_address
 
 INTERVAL_STEP_NS = INTERVAL_STEP_US * 1000
@@ -70,6 +69,7 @@ _MAX_CSA2_RATE = 0.5  # CSA#2 hits a channel with chance 1/n_ch, n_ch >= 2
 # CSA#1 captures (7.5 ms, 2-37 channels, <= 30 % misses) stayed above +1.9.
 _CSA1_NATS = 10.0
 _CSA2_NATS = 0.0
+_MAP_ALPHA = 0.01  # at most this chance that a converged map hides an exclusion
 
 # align_counter's four-step transforms: COUNTER_PERIOD = _SIDE**2, and the
 # twiddles W**(n2*k1), W = exp(-2j*pi/COUNTER_PERIOD), indexed [k1, n2]
@@ -148,10 +148,8 @@ class MapEstimate:
     ``evidence_count`` counts the remap observations of each channel with
     direct remap evidence. Those channels are ``proven_excluded`` (sound by
     construction); ``assumed_map`` is their complement, an upper bound on
-    the true map. ``converged`` is a heuristic: the observation span
-    exceeded the coupon-collector budget for the assumed map size, the
-    last budget-sized window produced no new exclusion, and every remap
-    observation is explained by the assumed map.
+    the true map. ``converged`` claims it is the true map, at the level of
+    :func:`infer_channel_map`'s bound.
     """
 
     evidence_count: dict
@@ -409,14 +407,20 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     computed. Unmapped hits match the sniffed channel; any other unmapped
     channel proves that channel is excluded (remapping only ever applies
     to channels outside the map). The assumed map is the complement of the
-    proven exclusions — always a superset of the truth — and direct
-    evidence saturates in a single pass, so the fixed point is immediate;
-    a final consistency pass checks that each remap observation's remap
-    target under the assumed map is the sniffed channel.
+    proven exclusions, always a superset of the truth; a remap observation
+    whose remap target under it is not the sniffed channel is unexplained.
 
     An observation that cannot be reconciled with *any* map honoring the
-    evidence signals a wrong alignment or channel identifier and raises
-    :class:`InconsistentEvidenceError`.
+    evidence (every one, once 36 channels are proven) signals a wrong
+    alignment or channel identifier and raises :class:`InconsistentEvidenceError`.
+
+    Converged: no remap is unexplained and (n_a - 1)(1 - p)**span <=
+    ``_MAP_ALPHA``. Were a channel of the assumed map (n_a channels)
+    excluded, each event would show it with chance at least p = u/((span + 1)
+    n_a): captured at 37u/(span + 1), from the u unmapped hits, unmapped on it
+    at 1/37, remapped onto the sniffed channel at >= 1/n_a (index floor(n prn
+    / 2**16), Core Spec v5.x Vol 6 Part B 4.5.8.3). It has never shown, so
+    the whole span counts.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.size == 0:
@@ -424,56 +428,44 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     counters = (k_init + offsets) % COUNTER_PERIOD
     unmapped = csa2_unmapped_bulk(counters, ci)
     remap_mask = unmapped != sniff_channel
+    remap_counters = counters[remap_mask]
 
-    remapped = unmapped[remap_mask]
-    counts = np.bincount(remapped, minlength=NUM_DATA_CHANNELS)
-    excluded = np.flatnonzero(counts)
-    # ascending offsets: a channel's first index is its first sighting
-    first = np.full(NUM_DATA_CHANNELS, remapped.size)
-    np.minimum.at(first, remapped, np.arange(remapped.size))
-    proven = frozenset(excluded.tolist())
-    if NUM_DATA_CHANNELS - len(proven) < 2:
-        raise InconsistentEvidenceError(
-            f"{len(proven)} channels carry remap evidence; no valid map has fewer than "
-            "2 channels — alignment or channel identifier is wrong"
-        )
-    _check_reconcilable(counters[remap_mask], ci, proven, sniff_channel)
+    counts = np.bincount(unmapped[remap_mask], minlength=NUM_DATA_CHANNELS)
+    excluded, free = np.flatnonzero(counts), np.flatnonzero(counts == 0)
+    _check_reconcilable(remap_counters, ci, free, sniff_channel)
 
-    assumed = ChannelMap.from_channels(set(range(NUM_DATA_CHANNELS)) - proven)
+    assumed = ChannelMap.from_channels(free.tolist())
     # every remap observation's unmapped channel is proven excluded, so its
     # CSA#2 channel under the assumed map is the allowed channel at its remap index
-    remap_index = csa2_remap_index_bulk(counters[remap_mask], ci, assumed.n_ch)
+    remap_index = csa2_remap_index_bulk(remap_counters, ci, assumed.n_ch)
     unexplained = int(np.sum(assumed.ordered_array[remap_index] != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
-    last_new = int(offsets[remap_mask][first[excluded]].max()) if proven else 0
-    budget = expected_reconstruction_budget(assumed.n_ch)
-    converged = span > budget and (span - last_new) >= budget and unexplained == 0
+    sighting = (offsets.size - remap_counters.size) / ((span + 1) * assumed.n_ch)
+    converged = unexplained == 0 and (assumed.n_ch - 1) * (1 - sighting)**span <= _MAP_ALPHA
     return MapEstimate(
         evidence_count=dict(zip(excluded.tolist(), counts[excluded].tolist())),
-        converged=bool(converged),
+        converged=converged,
         unexplained_remaps=unexplained,
     )
 
 
-def _check_reconcilable(remap_counters, ci, proven, sniff_channel):
+def _check_reconcilable(remap_counters, ci, free, sniff_channel):
     """Raise if some remap observation fits no map that honors the evidence.
 
     A remap observation forces the sniffed channel to sit at its CSA#2
     remap index of *some* candidate map's ordered list. Feasibility only
-    needs enough unproven channels below and above the sniffed channel; if
-    no candidate size works for an observation, the evidence is
+    needs enough ``free`` (unproven) channels below and above the sniffed
+    channel; if no candidate size works for an observation, the evidence is
     self-contradictory.
     """
-    free = [c for c in range(NUM_DATA_CHANNELS) if c not in proven]
-    free_below = sum(c < sniff_channel for c in free)
-    free_above = sum(c > sniff_channel for c in free)
-    sizes = np.arange(2, NUM_DATA_CHANNELS - len(proven) + 1)[:, None]
+    below, above = np.count_nonzero(free < sniff_channel), np.count_nonzero(free > sniff_channel)
+    sizes = np.arange(2, free.size + 1)[:, None]
     seen = np.zeros(COUNTER_PERIOD, dtype=bool)
     seen[remap_counters] = True
     counters = np.flatnonzero(seen)  # the distinct counters, ascending
     positions = csa2_remap_index_bulk(counters, ci, sizes)
-    fits = (positions <= free_below) & (sizes - 1 - positions <= free_above)
+    fits = (positions <= below) & (sizes - 1 - positions <= above)
     unfit = counters[~fits.any(axis=0)]
     if unfit.size:
         raise InconsistentEvidenceError(

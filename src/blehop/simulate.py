@@ -182,6 +182,9 @@ def _simulate_connection(conn, sniff_channel, rng):
     if count > MAX_EVENTS:
         raise ConfigError(f"duration_us spans {count} events of 0x{params.access_address:08X}; "
                           f"at most {MAX_EVENTS} are simulated per connection")
+    if conn.start_offset_ns + int(np.rint((count - 1) * step_ns)) >= 2**63:
+        raise ConfigError(f"start_offset_us + duration_us of 0x{params.access_address:08X} "
+                          "put its last event past the int64 ns timestamps")
     counters = conn.initial_counter + np.arange(count, dtype=np.int64)
     channels = channel_sequence(params, conn.initial_counter, count)
     times = conn.start_offset_ns + np.rint(np.arange(count) * step_ns).astype(np.int64)
@@ -189,12 +192,15 @@ def _simulate_connection(conn, sniff_channel, rng):
 
     hit_idx = np.flatnonzero(channels == sniff_channel)
     if imp.miss_probability > 0.0:
-        keep = rng.random(hit_idx.size) >= imp.miss_probability
-        hit_idx = hit_idx[keep]
+        hit_idx = hit_idx[rng.random(hit_idx.size) >= imp.miss_probability]
     stamps = times[hit_idx]
-    if imp.jitter_sigma_ns > 0.0:
-        jitter = np.rint(rng.normal(0.0, imp.jitter_sigma_ns, hit_idx.size)).astype(np.int64)
-        stamps = stamps + jitter
+    if imp.jitter_sigma_ns > 0.0 and stamps.size:
+        jitter = np.rint(rng.normal(0.0, imp.jitter_sigma_ns, hit_idx.size))
+        # stamps are >= 0 before jitter: these two bound every jittered one
+        if jitter.min() < -2**63 or int(stamps[-1]) + int(jitter.max()) >= 2**63:
+            raise ConfigError(f"jitter_sigma_us of 0x{params.access_address:08X} puts "
+                              "timestamps outside int64 ns")
+        stamps = stamps + jitter.astype(np.int64)
     return timeline, stamps
 
 
@@ -229,7 +235,8 @@ def expected_reconstruction_budget(n_ch):
     Each event remaps with probability (37 - n_ch)/37, the remapped-from
     channel is uniform over the excluded set, and the remap target is
     uniform over the map: collecting all 37 - n_ch excluded channels on one
-    target is a coupon-collector problem. Defined as 0 for a full map.
+    target is a coupon-collector problem. Defined as 0 for a full map. This
+    mean is what acceptance criterion 07 checks; no estimator reads it.
     """
     check_int(n_ch, "n_ch", 2, NUM_DATA_CHANNELS)
     if n_ch == NUM_DATA_CHANNELS:

@@ -289,11 +289,16 @@ def test_params_csa_version_spellings(tmp_path, capsys, conn, spellings):
     (("connections", 0, "impairments", "clock_drift_ppm"), float("nan"), "clock_drift_ppm"),
     # in range, but 7.2e11 events: refused before any event array is built
     (("connections", 0, "impairments", "duration_us"), 9 * 10**15, "duration_us"),
+    # each field fits, but the last event lands 20 s past the int64 ns clock
+    (("connections", 0, "start_offset_us"), (2**63 - 1) // 1000 - 10_000_000,
+     "start_offset_us + duration_us"),
+    (("connections", 0, "impairments", "jitter_sigma_us"), 1e290, "jitter_sigma_us"),
 ])
 def test_bad_scenario_values_exit_with_config_error(tmp_path, capsys, path, value, needle):
     # each value used to be coerced (22.9 simulated channel 22, true seeded
-    # 1) or to end in a traceback (an infinite jitter, a nan drift, 10**30 us,
-    # 9e15 us)
+    # 1), to end in a traceback (an infinite jitter, a nan drift, 10**30 us,
+    # 9e15 us) or to write wrapped timestamps (a start offset near the int64
+    # limit, a jitter of 1e290 us cast to int64 minimum)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(_mutated(SHORT_SCENARIO, path, value)))
     capsys.readouterr()
@@ -378,7 +383,9 @@ def test_predict_exit_codes(tmp_path, scenario_file, capsys):
 
     # training window swallowing the whole trace, or holding one observation
     # -> estimation error
+    # (1e10 s is past int64 ns and used to end in an OverflowError traceback)
     for seconds, needle in (("9999", "covers the whole trace"),
+                            ("1e10", "covers the whole trace"),
                             ("0", "fewer than 2 observations")):
         capsys.readouterr()
         assert main(["predict", "--report", str(report_path),

@@ -410,8 +410,7 @@ counters = st.one_of(
         lambda d: st.integers(1, 3).map(lambda epoch: epoch * 65536 + d)
     ),
 )
-property_settings = settings(max_examples=150, deadline=None, derandomize=True,
-                             database=None)
+property_settings = settings(max_examples=150)
 
 
 @property_settings

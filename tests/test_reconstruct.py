@@ -563,15 +563,34 @@ def test_map_inference_counts_unexplained_remaps_when_truncated():
     assert not est.converged
 
 
-def test_map_inference_full_map_converges_immediately():
+def test_map_inference_full_map_converges_after_about_11200_events():
+    # a full map leaves no remap evidence, so nothing but the span can rule
+    # out a hidden excluded channel: at the clean capture rate each of the 36
+    # others would show with chance 1/37**2 per event, and 36 * (1 - 1/1369)**S
+    # falls to 0.01 at S = 1369 ln 3600, about 11,200 events
     cmap = ChannelMap.full()
     ci, sniff, k_init = channel_identifier(0x53D39A21), 17, 100
     offsets = _csa2_observation_offsets(cmap, ci, k_init, 2000, sniff)
     est = infer_channel_map(offsets, k_init, ci, sniff)
     assert est.proven_excluded == frozenset()
     assert est.assumed_map.allowed == cmap.allowed
-    assert est.converged
     assert est.unexplained_remaps == 0
+    assert not est.converged  # a hidden channel would still go unseen: risk about 7
+    offsets = _csa2_observation_offsets(cmap, ci, k_init, 13000, sniff)
+    span = next(offsets[n] - offsets[0] for n in range(offsets.size)
+                if infer_channel_map(offsets[:n + 1], k_init, ci, sniff).converged)
+    assert span == pytest.approx(11_200, rel=0.02)
+    assert infer_channel_map(offsets, k_init, ci, sniff).converged
+
+
+def test_map_inference_flags_evidence_against_36_channels():
+    # every event heard: each channel other than the sniffed one shows as an
+    # unmapped channel, which leaves a map of one channel
+    ci, sniff = channel_identifier(0xB0A1CD9D), 22
+    offsets = np.arange(2000)
+    assert np.unique(csa2_unmapped_bulk(offsets, ci)).size == 37
+    with pytest.raises(InconsistentEvidenceError, match="fits no channel map"):
+        infer_channel_map(offsets, 0, ci, sniff)
 
 
 def test_map_inference_flags_wrong_alignment():
@@ -617,22 +636,33 @@ def csa2_captures(draw):
     return kept - kept[0], int(k_init + kept[0]) % 65536, ci, sniff
 
 
+def reference_risk(offsets, k_init, ci, sniff):
+    """(n_a - 1) * (1 - p)**span, summed in logs, for the assumed map of n_a
+    channels and p = u / ((span + 1) * n_a) from the u unmapped hits."""
+    unmapped = csa2_unmapped_bulk((k_init + offsets) % 65536, ci)
+    n_a = 37 - np.unique(unmapped[unmapped != sniff]).size
+    span = int(offsets[-1] - offsets[0])
+    p = np.count_nonzero(unmapped == sniff) / ((span + 1) * n_a)
+    return np.exp(np.log(n_a - 1) + span * np.log1p(-p))
+
+
 @settings(max_examples=150)
 @given(capture=csa2_captures())
 def test_map_inference_counts_like_unique(capture):
     offsets, k_init, ci, sniff = capture
     est = infer_channel_map(offsets, k_init, ci, sniff)
-    unmapped = csa2_unmapped_bulk((k_init + offsets) % 65536, ci)
+    p = prn_e_bulk((k_init + offsets) % 65536, ci).astype(np.int64)
+    unmapped = p % 37
     remap = unmapped != sniff
-    excluded, first, counts = np.unique(unmapped[remap], return_index=True,
-                                        return_counts=True)
+    excluded, counts = np.unique(unmapped[remap], return_counts=True)
     assert est.proven_excluded == frozenset(excluded.tolist())
     assert est.evidence_count == dict(zip(excluded.tolist(), counts.tolist()))
-    span = int(offsets[-1])
-    last_new = int(offsets[remap][first].max()) if excluded.size else 0
-    budget = expected_reconstruction_budget(37 - excluded.size)
-    assert est.converged == (span > budget and span - last_new >= budget
-                             and est.unexplained_remaps == 0)
+    assumed = est.assumed_map
+    unexplained = int(np.sum(assumed.ordered_array[(assumed.n_ch * p[remap]) >> 16] != sniff))
+    assert est.unexplained_remaps == unexplained
+    risk = reference_risk(offsets, k_init, ci, sniff)
+    assume(not np.isclose(risk, 0.01, rtol=1e-9, atol=0))
+    assert est.converged == (unexplained == 0 and risk <= 0.01)
 
 
 @st.composite
@@ -710,6 +740,44 @@ def test_reconstruct_csa2_end_to_end():
     assert not report.alignment.ambiguous
     assert report.map_estimate.assumed_map.allowed == MAP_10.allowed
     assert report.map_estimate.converged
+
+
+@st.composite
+def csa2_probe_draws(draw):
+    """(params, trace, true counter at the first observation or None) of a
+    CSA#2 connection from the probe space: 1-200 s captures at 7.5-200 ms,
+    maps of 2-37 channels holding the sniffed one, timing noise up to 150
+    us, drift up to 50 ppm and misses up to a half."""
+    sniff, n_ch = draw(st.integers(0, 36)), draw(st.integers(2, 37))
+    others = draw(st.permutations([c for c in range(37) if c != sniff]))[:n_ch - 1]
+    params = ConnectionParams(CsaVersion.CSA2, 1250 * draw(st.integers(6, 160)),
+                              ChannelMap.from_channels({sniff, *others}),
+                              draw(st.integers(0, 0xFFFFFFFF)))
+    duration_ns = draw(st.sampled_from([1, 2, 5, 20, 60, 200])) * 10**9
+    timelines, trace = simulate_one(
+        params, duration_ns, sniff=sniff, seed=draw(st.integers(0, 2**32 - 1)),
+        jitter=draw(st.floats(0.0, 150_000.0)), drift=draw(st.floats(-50.0, 50.0)),
+        miss=draw(st.floats(0.0, 0.5)), initial_counter=draw(st.integers(0, 0xFFFF)))
+    if len(trace) == 0:
+        return params, trace, None
+    times = timelines[0].times_ns
+    k_true = timelines[0].wire_counters()[np.argmin(np.abs(times - trace.timestamps()[0]))]
+    return params, trace, int(k_true)
+
+
+@settings(max_examples=300)
+@given(draw=csa2_probe_draws())
+def test_converged_maps_are_true_and_proven_exclusions_sound(draw):
+    params, trace, k_true = draw
+    report = reconstruct_connection(trace)
+    est = report.map_estimate
+    if report.error or est is None:
+        return
+    excluded = frozenset(range(37)) - params.channel_map.allowed
+    if est.converged:
+        assert est.assumed_map == params.channel_map
+    if report.alignment.k_init == k_true:
+        assert est.proven_excluded <= excluded
 
 
 def test_simulate_then_reconstruct_builds_no_channel_table(monkeypatch):

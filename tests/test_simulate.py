@@ -127,6 +127,24 @@ def test_start_offset_shifts_the_grid():
     assert timelines[0].times_ns[0] == 123_456
 
 
+def test_stamps_that_leave_int64_are_refused():
+    # each field is in range on its own; the sum of the times used to wrap to
+    # int64 minimum, and a 1e293 ns jitter was cast to it with a RuntimeWarning
+    top = 2**63 - 1
+    last = top - 120 * 10**9  # a 120 s capture whose last event is the last int64 ns
+    fits = ConnectionScenario(csa2_params(interval_us=10000), clean(120 * 10**9),
+                              start_offset_ns=last)
+    timelines, trace = simulate(scenario([fits]))
+    assert timelines[0].times_ns[-1] == top and trace.timestamps().min() >= last
+    late = ConnectionScenario(csa2_params(interval_us=10000), clean(120 * 10**9),
+                              start_offset_ns=last + 1)
+    with pytest.raises(ConfigError, match="start_offset_us \\+ duration_us"):
+        simulate(scenario([late]))
+    noisy = ConnectionScenario(csa2_params(), ImpairmentModel(120 * 10**9, jitter_sigma_ns=1e293))
+    with pytest.raises(ConfigError, match="jitter_sigma_us"):
+        simulate(scenario([noisy]))
+
+
 def test_drift_rescales_the_grid():
     ppm = 100.0
     config = scenario([

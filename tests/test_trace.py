@@ -278,8 +278,7 @@ def test_connection_parts_partition_and_filter():
 # ---------------------------------------------------------------------------
 # properties of the columnar trace
 
-property_settings = settings(max_examples=150, deadline=None, derandomize=True,
-                             database=None)
+property_settings = settings(max_examples=150)
 # few distinct timestamps give ties; the extremes of both ranges are drawn often
 timestamps = st.one_of(st.integers(0, 20), st.integers(-(2**63), 2**63 - 1))
 addresses = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
