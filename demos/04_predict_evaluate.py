@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Forecasting future channel access and scoring the forecast.
 
-Once a connection is reconstructed, a constant-velocity Kalman filter
-tracks its timing (anchor time + effective interval, which absorbs clock
-drift), and the channel sequence is pure arithmetic. The pipeline trains
-on the head of a trace, then predicts each held-out observation one step
-ahead — exactly what a live follower would do — and also emits a long
-multi-event forecast from the end of training.
+Once a connection is reconstructed, a least-squares line through its
+timestamps tracks its timing (its slope is the interval as the sniffer's
+clock measures it, so it absorbs clock drift), and the channel sequence is
+pure arithmetic. The pipeline fits the head of a trace, then predicts each
+held-out observation one step ahead from all before it — exactly what a
+live follower would do — and also emits a long multi-event forecast from
+the end of training.
 
 Run:  python3 demos/04_predict_evaluate.py
 """
@@ -66,8 +67,9 @@ for counter, channel, time_ns, std_ns in zip(*(col[:4].tolist()
     print(f"  counter {counter}: channel {channel:2d} at "
           f"{time_ns / 1e9:.6f} s (+-{std_ns / 1e3:.0f} us)")
 
-# Scored against the ground-truth timeline (match by wire counter), the
-# channel sequence must be perfect — errors come from timing only.
+# Scored against the ground-truth timeline (each true event takes the
+# nearest forecast event within half an interval), the channel sequence
+# must be perfect — errors come from timing only.
 against_truth = evaluate(run.forecast, timelines[0], params.interval_ns)
 print(f"\nforecast vs ground truth: {against_truth.matched} events matched, "
       f"{against_truth.channel_mismatches} channel mismatches, "

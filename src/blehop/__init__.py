@@ -3,7 +3,7 @@
 Simulate what a single-channel sniffer sees of hopping BLE connections,
 recover each connection's parameters (interval, hop algorithm, event
 counter, channel map) from nothing but packet timing on that one channel,
-and forecast future channel accesses with a drift-tracking filter.
+and forecast future channel accesses from a least-squares clock fit.
 """
 
 from .csa import (

@@ -156,8 +156,6 @@ def _connection_trace(args, access_address):
 
 
 def cmd_predict(args):
-    if args.horizon is not None and not 0 <= args.horizon <= MAX_EVENTS:
-        raise ConfigError(f"--horizon must be in 0..{MAX_EVENTS}, got {args.horizon}")
     with open(args.report) as handle:
         report = ReconstructionReport.from_dict(json.load(handle))
     run = run_prediction(

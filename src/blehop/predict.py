@@ -1,15 +1,16 @@
 """Forecast future channel accesses and track clock drift while doing so.
 
-The temporal state of a connection is a two-component Kalman filter over
-(anchor event timestamp, per-event interval) — a constant-velocity model
-in which the interval plays the velocity role. Connection and sniffer
-clocks diverge by an almost-constant frequency offset, so the model is
-essentially exact: the filter's interval settles on the drift-scaled
-interval and short-horizon predictions stay at the measurement-noise
-floor. Forecasts extrapolate from the anchor; for CSA#2 the recovered
-counter alignment and channel map yield each future event's channel, for
-CSA#1 only visits to the sniffed channel (the recovered phase profile)
-can be forecast.
+Connection and sniffer clocks diverge by an almost-constant frequency
+offset, so a connection's event times lie on a line: the event at offset
+h (counted from the first observation) falls at t0 + h * interval, both
+measured in sniffer time. The tracker fits that line by ordinary least
+squares to every timestamp it has fused (the Kalman filter without process
+noise, and without its tuning): its state is the fit's running sums, an
+update adds one observation, and the timestamp noise is measured from the
+fit's residuals. Forecasts extrapolate the fitted line; for CSA#2 the
+recovered counter alignment and channel map yield each future event's
+channel, for CSA#1 only visits to the sniffed channel (the recovered phase
+profile) can be forecast.
 """
 
 from __future__ import annotations
@@ -33,113 +34,95 @@ from .errors import (
     reading,
 )
 from .reconstruct import Verdict, observation_offsets
-from .simulate import EventTimeline
+from .simulate import MAX_EVENTS, EventTimeline
 from .trace import SniffTrace
-
-PROCESS_NOISE = 1.0  # white-acceleration density, ns^2 per event^3
-MEASUREMENT_NOISE_VAR = 100_000.0**2  # (100 us sniffer timestamping noise)^2
-DEFAULT_GATE_SIGMA = 6.0
-INTERVAL_GUARD_FRACTION = 1e-3  # filter divergence guard: +/-0.1 % of nominal
 
 
 class SyncState(NamedTuple):
-    """Filtered synchronization to a connection's event grid.
+    """A least-squares fit to a connection's event grid, as running sums.
 
-    ``anchor_time_ns`` estimates the timestamp of the event at
-    ``anchor_offset`` (event offsets count from the first observation the
-    filter saw); ``interval_ns`` is the per-event period as measured in
-    sniffer time. ``covariance`` holds the entries (p00, p01, p11) of the
-    symmetric 2x2 error covariance over (anchor time, interval).
+    Each fused observation, at event offset h from the first one and at
+    timestamp t, enters by its residual r = t - origin_ns - h *
+    ref_interval_ns from a reference line. The state holds their count
+    ``n`` and the sums of h, h², r, h·r and r²; ``anchor_offset`` is the
+    offset of the last observation fused.
 
     An immutable named tuple, one per tracker step (built in about a
     third of a frozen dataclass's time). Its fields stay Python floats and
     ints: a NumPy scalar in one would slow every later step's arithmetic.
     """
 
-    anchor_time_ns: float
-    interval_ns: float
-    covariance: tuple
+    origin_ns: float
+    ref_interval_ns: float
+    n: int = 1
+    sum_h: float = 0.0
+    sum_hh: float = 0.0
+    sum_r: float = 0.0
+    sum_hr: float = 0.0
+    sum_rr: float = 0.0
     anchor_offset: int = 0
-    nominal_interval_ns: float = 0.0
 
 
 def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
-    """Start a tracker at the first observation of a connection."""
-    if interval_ns <= 0:
-        raise ConfigError(f"interval_ns must be positive, got {interval_ns}")
-    nominal = float(nominal_interval_ns if nominal_interval_ns is not None else interval_ns)
-    return SyncState(
-        anchor_time_ns=float(first_time_ns),
-        interval_ns=float(interval_ns),
-        covariance=(MEASUREMENT_NOISE_VAR, 0.0, (nominal * 1e-4) ** 2),
-        nominal_interval_ns=nominal,
-    )
+    """Start a tracker at the first observation of a connection.
+
+    ``interval_ns`` sets the reference line that residuals are measured
+    from; the fit does not depend on it. ``nominal_interval_ns`` is
+    accepted for callers of earlier versions and not used.
+    """
+    if not 0 < interval_ns < math.inf:  # nan too
+        raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
+    return SyncState(float(first_time_ns), float(interval_ns))
 
 
-def _advance(sync, h):
-    """A-priori time and covariance entries (p00, p01, p11) after ``h``
-    events; ``h`` is a float or a float array (results are elementwise)."""
-    time_pred = sync.anchor_time_ns + h * sync.interval_ns
-    c00, c01, c11 = sync.covariance
-    q = PROCESS_NOISE
-    # F = [[1, h], [0, 1]]; Q from a white-noise acceleration of density q.
-    # h * h is exact, so h * h * h is the correctly rounded cube (array pow is not)
-    p00 = c00 + 2 * h * c01 + h * h * c11 + q * (h * h * h) / 3.0
-    p01 = c01 + h * c11 + q * h * h / 2.0
-    p11 = c11 + q * h
-    return time_pred, p00, p01, p11
+def _fit(sync, h):
+    """The fitted time at event offset ``h`` and its variance.
+
+    ``h`` is a float or a float array, and the state's sums may be arrays
+    too (one state per element); either way each element is computed by
+    the same operations, so scalar and array results agree bit for bit.
+    The variance is R(1/n + (h - mean h)^2 / Sxx), where R, the residual
+    variance of the fit, measures the timestamp noise.
+    """
+    n = sync.n
+    mean_h, mean_r = sync.sum_h / n, sync.sum_r / n
+    sxx = sync.sum_hh - sync.sum_h * mean_h
+    sxy = sync.sum_hr - sync.sum_h * mean_r
+    slope = sxy / sxx
+    noise = (sync.sum_rr - sync.sum_r * mean_r - slope * sxy) / (n - 2)
+    dh = h - mean_h
+    time = sync.origin_ns + h * sync.ref_interval_ns + (mean_r + slope * dh)
+    return time, noise * (1 / n + dh * dh / sxx)
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last):
-    """Advance the tracker by ``hops_since_last`` events and fuse one timestamp.
-
-    An innovation beyond ``DEFAULT_GATE_SIGMA`` standard deviations is
-    treated as an outlier: the state advances without a measurement update.
-    A fused interval drifting more than 0.1 % from the nominal interval
-    raises — that is divergence, not drift (physical clock offsets stay far
-    below).
-    """
-    if hops_since_last < 1:
-        raise ConfigError(f"hops_since_last must be >= 1, got {hops_since_last}")
-    time_pred, p00, p01, p11 = _advance(sync, float(hops_since_last))
-    innovation = float(measured_time_ns) - time_pred
-    gain_denominator = p00 + MEASUREMENT_NOISE_VAR
-    if innovation * innovation > DEFAULT_GATE_SIGMA**2 * gain_denominator:
-        return SyncState(time_pred, sync.interval_ns, (p00, p01, p11),
-                         sync.anchor_offset + int(hops_since_last), sync.nominal_interval_ns)
-    k0 = p00 / gain_denominator
-    k1 = p01 / gain_denominator
-    new_interval = sync.interval_ns + k1 * innovation
-    # (I - KH) P, symmetrized
-    q00, q11 = (1 - k0) * p00, p11 - k1 * p01
-    q01 = ((1 - k0) * p01 + (p01 - k1 * p00)) / 2.0
-    if q00 < 0 or q11 < 0 or q00 * q11 - q01 * q01 < -1e-6:
-        raise EstimationError("tracker covariance lost positive semi-definiteness")
-    guard = sync.nominal_interval_ns
-    if guard and abs(new_interval - guard) > INTERVAL_GUARD_FRACTION * guard:
-        raise EstimationError(
-            f"tracked interval {new_interval / 1e6:.6f} ms diverged more than 0.1 % "
-            f"from the estimate {guard / 1e6:.6f} ms"
-        )
-    return SyncState(time_pred + k0 * innovation, new_interval, (q00, q01, q11),
-                     sync.anchor_offset + int(hops_since_last), sync.nominal_interval_ns)
+    """Fuse one timestamp, ``hops_since_last`` events past the last one fused."""
+    if not 1 <= hops_since_last < math.inf:  # nan too
+        raise ConfigError(f"hops_since_last must be finite and >= 1, got {hops_since_last}")
+    h = sync.anchor_offset + int(hops_since_last)
+    r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
+    return SyncState(sync.origin_ns, sync.ref_interval_ns, sync.n + 1, sync.sum_h + h,
+                     sync.sum_hh + h * h, sync.sum_r + r, sync.sum_hr + h * r,
+                     sync.sum_rr + r * r, h)
 
 
 def predict_event_time(sync, event_offset):
     """Predicted timestamp and its standard deviation for an event offset.
 
-    An int offset (Python or NumPy) gives two Python floats, computed
-    without NumPy scalars, which cost several times more per operation in
-    a live step; an int array gives two float64 arrays whose elements
-    equal the scalar results bit for bit.
+    The fit needs 3 observations, 2 for the line and 1 for its noise. An
+    int offset (Python or NumPy) gives two Python floats, computed without
+    NumPy scalars, which cost several times more per operation in a live
+    step; an int array gives two float64 arrays whose elements equal the
+    scalar results bit for bit.
     """
-    h = event_offset - sync.anchor_offset
-    # float before cubing: int64 h**3 overflows silently past 2,097,151 events
-    if isinstance(h, np.ndarray):
-        time_pred, p00, _, _ = _advance(sync, h.astype(np.float64))
-        return time_pred, np.sqrt(np.maximum(p00, 0.0))
-    time_pred, p00, _, _ = _advance(sync, float(h))
-    return time_pred, math.sqrt(max(p00, 0.0))
+    if sync.n < 3:
+        raise InsufficientDataError(f"the tracker has fused {sync.n} observation(s); "
+                                    "a prediction needs 3")
+    if isinstance(event_offset, np.ndarray):
+        time_pred, var = _fit(sync, event_offset.astype(np.float64))
+        return time_pred, np.sqrt(np.maximum(var, 0.0))
+    time_pred, var = _fit(sync, float(event_offset))
+    return time_pred, math.sqrt(max(var, 0.0))
 
 
 @dataclass
@@ -238,8 +221,7 @@ def predict_csa1(classification, sync, horizon):
     """
     if classification.verdict is Verdict.CSA2:
         raise ConfigError("classification is CSA#2; use predict_csa2")
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    check_int(horizon, "horizon", 0, MAX_EVENTS)
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
     offsets = offsets[np.isin(offsets % NUM_DATA_CHANNELS, classification.period_profile)]
     channels = np.full(offsets.size, classification.sniff_channel)
@@ -255,8 +237,7 @@ def predict_csa2(alignment, ci, channel_map, sync, horizon):
     """
     if alignment.ambiguous:
         raise AmbiguousAlignmentError(alignment.candidates)
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    check_int(horizon, "horizon", 0, MAX_EVENTS)
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
     counters = (alignment.k_init + offsets) % COUNTER_PERIOD
     channels = csa2_channels_bulk(counters, ci, channel_map)
@@ -325,8 +306,8 @@ def evaluate(forecast, reference, interval_ns):
     not go backwards: a hand-built forecast whose times do raises
     :class:`ConfigError`.
     """
-    if interval_ns <= 0:
-        raise ConfigError(f"interval_ns must be positive, got {interval_ns}")
+    if not 0 < interval_ns < math.inf:  # nan too
+        raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
     if isinstance(reference, EventTimeline):
@@ -387,11 +368,11 @@ class PredictionRun:
 def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, channel=None):
     """Train a tracker on the head of a trace, then predict its tail.
 
-    The first ``train_ns`` of observations initialize and settle the
-    tracker. Over the remainder the pipeline predicts each upcoming
-    observation before consuming it (staying synchronized exactly as a
-    live sniffer would); each one-step prediction, scored against the
-    observation it was made for, makes the evaluation report. A
+    The tracker is fitted to the observations in the first ``train_ns``
+    (at least 3). Over the remainder each observation is predicted one step
+    ahead from every observation before it, as a live sniffer following the
+    connection would predict it; each one-step prediction, scored against
+    the observation it was made for, makes the evaluation report. A
     long-horizon forecast from the end-of-training anchor is returned
     alongside; ``horizon`` defaults to covering the trace and is counted in
     events past that anchor. ``channel`` restricts that forecast to events
@@ -399,7 +380,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     """
     if channel is not None:
         check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
-    if train_ns < 0:
+    if not train_ns >= 0:  # nan too
         raise ConfigError(f"train_ns must be >= 0, got {train_ns}")
     # a trace of another connection would be forecast on this one's channels
     aa = trace.only_address()
@@ -424,8 +405,8 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     offsets = observation_offsets(trace, est.raw_interval_ns)
     # a window past the last observation covers the trace, however long
     n_train = int(np.sum(ts <= first + int(min(train_ns, int(ts[-1]) - first))))
-    if n_train < 2:
-        raise InsufficientDataError("training window holds fewer than 2 observations")
+    if n_train < 3:
+        raise InsufficientDataError("training window holds fewer than 3 observations")
     if n_train == ts.size:
         raise InsufficientDataError("training window covers the whole trace; nothing to predict")
 
@@ -438,19 +419,21 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
         if recon.map_estimate is None:
             raise EstimationError("no channel map estimate available for a CSA#2 forecast")
 
-    # train on the head; over the held-out tail predict each observation
-    # one step ahead before fusing it
-    sync = init_sync(ts[0], est.raw_interval_ns, nominal_interval_ns=est.raw_interval_ns)
-    times = np.empty(ts.size - n_train)
-    for j in range(1, ts.size):
-        offset = int(offsets[j])
-        if j == n_train:
-            anchor_sync = sync
-        if j >= n_train:
-            times[j - n_train], _ = predict_event_time(sync, offset)
-        sync = kalman_update(sync, ts[j], offset - sync.anchor_offset)
+    # the tracker's sums after each observation, all at once: np.cumsum adds
+    # in order, as a loop of kalman_update does, so each prefix is the state
+    # that loop would reach, bit for bit
+    h = offsets.astype(np.float64)
+    origin, interval = float(ts[0]), float(est.raw_interval_ns)
+    r = ts.astype(np.float64) - origin - h * interval
+    sums = np.cumsum([h, h * h, r, h * r, r * r], axis=1)
+    n = np.arange(1, ts.size + 1)
+    # each held-out observation predicted one step ahead, from all before it
+    before = slice(n_train - 1, -1)
+    times, _ = _fit(SyncState(origin, interval, n[before], *sums[:, before]), h[n_train:])
     # whole nanoseconds, as a forecast holds them
     report = EvalReport(ts[n_train:] - np.round(times))
+    anchor_sync = SyncState(origin, interval, n_train, *sums[:, n_train - 1].tolist(),
+                            int(offsets[n_train - 1]))
 
     if horizon is None:
         horizon = max(int(offsets[-1]) - anchor_sync.anchor_offset, 0)

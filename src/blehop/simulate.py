@@ -3,13 +3,14 @@
 A scenario is a set of concurrent connections plus one sniffed channel.
 For every connection the simulator lays out connection events at
 
-    t_n = start_offset + n * interval * (1 + drift_ppm * 1e-6)
+    t_0 = start_offset,  t_n+1 = t_n + interval * (1 + (drift_ppm + walk_n) * 1e-6)
 
-computes each event's channel from the hop algorithm, and emits an
-observation whenever that channel equals the sniffed channel, subject to a
-per-packet miss probability and Gaussian timestamp jitter. The unimpaired
-event list is returned as the ground-truth timeline; the merged, impaired
-observations form the sniffer trace.
+(walk_n is 0 unless the clock wanders), computes each event's channel
+from the hop algorithm, and emits an observation whenever that channel
+equals the sniffed channel, subject to a per-packet miss probability and
+Gaussian timestamp jitter. The unimpaired event list is returned as the
+ground-truth timeline; the merged, impaired observations form the sniffer
+trace.
 
 Simulation is pure given the scenario seed: each connection draws from a
 child generator derived from (seed, access_address), so a connection's
@@ -46,18 +47,21 @@ class ImpairmentModel:
 
     ``duration_ns`` is how long the connection is simulated (from its start
     offset). Jitter is the per-observation Gaussian timestamp error, drift
-    the connection clock's constant frequency offset relative to the
-    sniffer clock, and ``miss_probability`` the chance that a packet on the
-    sniffed channel is not captured.
+    the connection clock's frequency offset relative to the sniffer clock
+    (a random walk from ``clock_drift_ppm`` that spreads by
+    ``drift_walk_ppm_per_sqrt_s`` ppm per √s; nothing is drawn for a walk of
+    0), and ``miss_probability`` the chance that a packet on the sniffed
+    channel is not captured.
     """
 
     duration_ns: int
     jitter_sigma_ns: float = 0.0
     clock_drift_ppm: float = 0.0
     miss_probability: float = 0.0
+    drift_walk_ppm_per_sqrt_s: float = 0.0
 
     def __post_init__(self):
-        if self.duration_ns < 0:
+        if not self.duration_ns >= 0:  # nan too
             raise ConfigError(f"duration_ns must be >= 0, got {self.duration_ns}")
         if not 0 <= self.jitter_sigma_ns < math.inf:
             raise ConfigError(f"jitter_sigma_ns must be finite and >= 0, "
@@ -70,6 +74,9 @@ class ImpairmentModel:
             raise ConfigError(
                 f"miss_probability must be in [0, 1), got {self.miss_probability}"
             )
+        if not 0 <= self.drift_walk_ppm_per_sqrt_s < math.inf:
+            raise ConfigError(f"drift_walk_ppm_per_sqrt_s must be finite and >= 0, "
+                              f"got {self.drift_walk_ppm_per_sqrt_s}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,7 @@ def _connection_from_dict(raw):
         jitter_sigma_ns=float(imp.get("jitter_sigma_us", 0.0)) * 1000.0,
         clock_drift_ppm=float(imp.get("clock_drift_ppm", 0.0)),
         miss_probability=float(imp.get("miss_probability", 0.0)),
+        drift_walk_ppm_per_sqrt_s=float(imp.get("drift_walk_ppm_per_sqrt_s", 0.0)),
     )
     return ConnectionScenario(
         params=ConnectionParams.from_dict(raw["params"]),
@@ -150,6 +158,7 @@ def _connection_to_dict(conn):
             "jitter_sigma_us": imp.jitter_sigma_ns / 1000.0,
             "clock_drift_ppm": imp.clock_drift_ppm,
             "miss_probability": imp.miss_probability,
+            "drift_walk_ppm_per_sqrt_s": imp.drift_walk_ppm_per_sqrt_s,
         },
     }
 
@@ -182,12 +191,21 @@ def _simulate_connection(conn, sniff_channel, rng):
     if count > MAX_EVENTS:
         raise ConfigError(f"duration_us spans {count} events of 0x{params.access_address:08X}; "
                           f"at most {MAX_EVENTS} are simulated per connection")
-    if conn.start_offset_ns + int(np.rint((count - 1) * step_ns)) >= 2**63:
+    offsets = np.arange(count) * step_ns
+    if imp.drift_walk_ppm_per_sqrt_s > 0.0:
+        # walk_n for n >= 1 (walk_0 is 0)
+        walk_ppm = np.cumsum(rng.normal(0.0, imp.drift_walk_ppm_per_sqrt_s
+                                        * math.sqrt(step_ns / 1e9), count - 1))
+        offsets[2:] += np.cumsum(walk_ppm[:-1]) * (params.interval_ns * 1e-6)
+        if np.any(np.diff(offsets) <= 0):
+            raise ConfigError(f"drift_walk_ppm_per_sqrt_s of 0x{params.access_address:08X} "
+                              "runs its clock backwards")
+    if conn.start_offset_ns + int(np.rint(offsets[-1])) >= 2**63:
         raise ConfigError(f"start_offset_us + duration_us of 0x{params.access_address:08X} "
                           "put its last event past the int64 ns timestamps")
     counters = conn.initial_counter + np.arange(count, dtype=np.int64)
     channels = channel_sequence(params, conn.initial_counter, count)
-    times = conn.start_offset_ns + np.rint(np.arange(count) * step_ns).astype(np.int64)
+    times = conn.start_offset_ns + np.rint(offsets).astype(np.int64)
     timeline = EventTimeline(params, counters, channels, times)
 
     hit_idx = np.flatnonzero(channels == sniff_channel)

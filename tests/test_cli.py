@@ -293,6 +293,10 @@ def test_params_csa_version_spellings(tmp_path, capsys, conn, spellings):
     (("connections", 0, "start_offset_us"), (2**63 - 1) // 1000 - 10_000_000,
      "start_offset_us + duration_us"),
     (("connections", 0, "impairments", "jitter_sigma_us"), 1e290, "jitter_sigma_us"),
+    (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), -0.1, "drift_walk"),
+    (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), float("nan"), "drift_walk"),
+    # finite, but a walk this wide runs the clock backwards within a few events
+    (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), 1e9, "backwards"),
 ])
 def test_bad_scenario_values_exit_with_config_error(tmp_path, capsys, path, value, needle):
     # each value used to be coerced (22.9 simulated channel 22, true seeded
@@ -386,7 +390,7 @@ def test_predict_exit_codes(tmp_path, scenario_file, capsys):
     # (1e10 s is past int64 ns and used to end in an OverflowError traceback)
     for seconds, needle in (("9999", "covers the whole trace"),
                             ("1e10", "covers the whole trace"),
-                            ("0", "fewer than 2 observations")):
+                            ("0", "fewer than 3 observations")):
         capsys.readouterr()
         assert main(["predict", "--report", str(report_path),
                      "--trace", str(sim / "trace.csv"), "--train-seconds", seconds,
@@ -454,8 +458,8 @@ def pipeline(tmp_path_factory):
     ("predict", "--channel", "99", "channel"),
     ("predict", "--channel", "-1", "channel"),
     ("predict", "--horizon", "-1", "horizon"),
-    ("predict", "--horizon", "1000000000000000", "--horizon"),
-    ("predict", "--horizon", "1" + "0" * 21, "--horizon"),
+    ("predict", "--horizon", "1000000000000000", "horizon"),
+    ("predict", "--horizon", "1" + "0" * 21, "horizon"),
     ("evaluate", "--interval-us", "0", "interval_ns"),
     ("evaluate", "--interval-us", "-12500", "interval_ns"),
     ("hopgen", "--events", "0", "--events"),
@@ -740,12 +744,14 @@ def test_mutated_forecast_never_escapes_the_cli(short_run, path, value):
 
 
 # the scenario with every key its reader takes, and the params of both algorithms
-SCENARIO_DOC = _mutated(SHORT_SCENARIO, ("connections", 0, "start_offset_us"), 2000)
+SCENARIO_DOC = _mutated(_mutated(SHORT_SCENARIO, ("connections", 0, "start_offset_us"), 2000),
+                        ("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), 0.01)
 SCENARIO_PATHS = [(key,) for key in ("sniff_channel", "rng_seed", "connections")] + [
     ("connections", 0, key) for key in ("params", "initial_counter", "start_offset_us",
                                         "impairments")] + [
     ("connections", 0, "impairments", key) for key in (
-        "duration_us", "jitter_sigma_us", "clock_drift_ppm", "miss_probability")] + [
+        "duration_us", "jitter_sigma_us", "clock_drift_ppm", "miss_probability",
+        "drift_walk_ppm_per_sqrt_s")] + [
     ("connections", 0, "params", key) for key in SCENARIO["connections"][0]["params"]]
 PARAMS_PATHS = [(conn, key) for conn in (0, 1)
                 for key in SCENARIO["connections"][conn]["params"]]

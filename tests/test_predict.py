@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import blehop.predict
 from blehop import (
     AmbiguousAlignmentError,
     ChannelMap,
@@ -35,6 +36,7 @@ from blehop import (
     group_by_address,
     init_sync,
     kalman_update,
+    observation_offsets,
     predict_csa1,
     predict_csa2,
     predict_event_time,
@@ -42,7 +44,6 @@ from blehop import (
     run_prediction,
     simulate,
 )
-from blehop.predict import DEFAULT_GATE_SIGMA, MEASUREMENT_NOISE_VAR, PROCESS_NOISE
 
 MAP_27 = ChannelMap.from_hex("0x1FFFFFFC00")
 MAP_10 = ChannelMap.from_hex("0x1E00E00700")
@@ -81,21 +82,20 @@ def test_noiseless_tracking_is_exact():
     times = np.arange(50) * interval
     sync = track(times, [1] * 49, interval)
     assert sync.anchor_offset == 49
-    assert sync.interval_ns == pytest.approx(interval, abs=1e-6)
+    assert sync.n == 50
     pred, std = predict_event_time(sync, 60)
     assert pred == pytest.approx(60 * interval, abs=1e-3)
-    assert std > 0
+    assert std < 1e-3  # no residual: the fit measures no noise
 
 
 def test_tracker_converges_onto_clock_drift():
     ppm = 20.0
     true_step = 12_500_000 * (1 + ppm * 1e-6)
     times = np.rint(np.arange(200) * true_step)
+    # the reference line runs at the nominal interval; the fit finds the drift
     sync = track(times, [1] * 199, 12_500_000)
-    # the filter's interval absorbs the drift-scaled period
-    assert sync.interval_ns == pytest.approx(true_step, abs=5.0)
     pred, _ = predict_event_time(sync, 240)
-    assert pred == pytest.approx(240 * true_step, abs=2_000)
+    assert pred == pytest.approx(240 * true_step, abs=2)
 
 
 def test_tracker_handles_multi_event_gaps():
@@ -105,85 +105,65 @@ def test_tracker_handles_multi_event_gaps():
     offsets = np.concatenate([[0], np.cumsum(hops)])
     times = offsets * interval + np.rint(rng.normal(0, 50_000, offsets.size))
     sync = track(times, hops, interval)
-    assert sync.interval_ns == pytest.approx(interval, abs=50)
     pred, std = predict_event_time(sync, int(offsets[-1]) + 10)
-    assert abs(pred - (offsets[-1] + 10) * interval) < 5 * std + 150_000
+    assert abs(pred - (offsets[-1] + 10) * interval) < 5 * std
 
 
-def test_outlier_is_gated_out():
-    interval = 12_500_000
-    times = list(np.arange(30) * interval)
-    sync = track(times, [1] * 29, interval)
-    before = sync.interval_ns
-    # a wildly early measurement (5 ms off) must not drag the state
-    gated = kalman_update(sync, 30 * interval - 5_000_000, 1)
-    assert gated.interval_ns == before
-    assert gated.anchor_offset == 30
-    pred, _ = predict_event_time(gated, 31)
-    assert pred == pytest.approx(31 * interval, abs=100)
-
-
-def oracle_kalman_step(x, P, z, h, gate_sigma=DEFAULT_GATE_SIGMA):
-    """Textbook matrix Kalman step over (time, interval): returns x, P, gated."""
-    F = np.array([[1.0, h], [0.0, 1.0]])
-    Q = PROCESS_NOISE * np.array([[h**3 / 3.0, h**2 / 2.0], [h**2 / 2.0, h]])
-    H = np.array([[1.0, 0.0]])
-    x = F @ x
-    P = F @ P @ F.T + Q
-    S = (H @ P @ H.T)[0, 0] + MEASUREMENT_NOISE_VAR
-    y = z - (H @ x)[0]
-    if y * y > gate_sigma**2 * S:
-        return x, P, True
-    K = P @ H.T / S
-    x = x + K[:, 0] * y
-    P = (np.eye(2) - K @ H) @ P
-    return x, (P + P.T) / 2.0, False
-
-
-def test_tracker_matches_matrix_kalman_oracle():
+def test_tracker_matches_least_squares_oracle():
     interval = 7_500_000
     rng = np.random.default_rng(11)
     hops = rng.integers(1, 40, size=200)
     offsets = np.concatenate([[0], np.cumsum(hops)])
     times = offsets * interval * (1 + 20e-6) + np.rint(rng.normal(0, 50_000, offsets.size))
-    times[60] += 400_000  # off, but inside the gate (which includes the 100 us noise)
-    times[120] += 5_000_000  # one outlier, far outside the gate
+    times[120] += 5_000_000  # an outlier is fitted like any other point
+    # the reference line is off the data by 20 ppm and the first point's noise
     sync = init_sync(times[0], interval)
-    x = np.array([times[0], float(interval)])
-    P = np.diag([MEASUREMENT_NOISE_VAR, (interval * 1e-4) ** 2])
-    gated_steps = []
     for j in range(1, offsets.size):
-        h = int(hops[j - 1])
-        before = sync
-        sync = kalman_update(sync, times[j], h)
-        x, P, gated = oracle_kalman_step(x, P, times[j], float(h))
-        if gated:
-            gated_steps.append(j)
-        assert (sync.interval_ns == before.interval_ns) == gated
+        sync = kalman_update(sync, times[j], int(hops[j - 1]))
         assert sync.anchor_offset == offsets[j]
-        np.testing.assert_allclose([sync.anchor_time_ns, sync.interval_ns], x, rtol=1e-12)
-        np.testing.assert_allclose(sync.covariance, [P[0, 0], P[0, 1], P[1, 1]], rtol=1e-12)
-    assert gated_steps == [120]
-
-
-def test_divergence_guard_trips(monkeypatch):
-    monkeypatch.setattr("blehop.predict.DEFAULT_GATE_SIGMA", 1e9)  # fuse every measurement
-    interval = 12_500_000
-    sync = init_sync(0, interval)
-    # measurements implying an interval 1 % long: way past the 0.1 % guard
-    with pytest.raises(EstimationError, match="diverged"):
-        t = 0
-        for k in range(1, 200):
-            t = k * interval * 1.01
-            sync = kalman_update(sync, t, 1)
+        if j < 2:
+            continue
+        x = np.stack([np.ones(j + 1), offsets[:j + 1]], axis=1).astype(float)
+        coef, rss, _, _ = np.linalg.lstsq(x, times[:j + 1], rcond=None)
+        noise = rss[0] / (j - 1) if rss.size else 0.0
+        targets = np.array([offsets[j], offsets[j] + 1, offsets[j] + 5_000])
+        cov = noise * np.linalg.inv(x.T @ x)
+        design = np.stack([np.ones(targets.size), targets], axis=1)
+        want_std = np.sqrt(np.einsum("ij,jk,ik->i", design, cov, design))
+        got, got_std = predict_event_time(sync, targets)
+        np.testing.assert_allclose(got, design @ coef, rtol=1e-9)
+        np.testing.assert_allclose(got_std, want_std, rtol=1e-9, atol=1e-3)
 
 
 def test_prediction_uncertainty_grows_with_horizon():
     interval = 12_500_000
-    times = np.arange(20) * interval
+    rng = np.random.default_rng(5)
+    times = np.arange(20) * interval + np.rint(rng.normal(0, 50_000, 20))
     sync = track(times, [1] * 19, interval)
     stds = [predict_event_time(sync, h)[1] for h in (20, 50, 200, 1000)]
     assert stds == sorted(stds)
+    assert stds[0] > 0
+
+
+def _short_run_inputs():
+    params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_10, 0xB0A1CD9D)
+    _, trace = simulate_one(params, 60 * 10**9)
+    return trace, reconstruct_connection(trace)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_prediction(*_short_run_inputs(), train_ns=NAN),
+    lambda: evaluate(forecast_of([(0, 0, 0.0, 1.0)]), timeline_for(CSA2_PARAMS, 5), NAN),
+    lambda: init_sync(0, NAN),
+    lambda: kalman_update(init_sync(0, 12_500_000), 12_500_000, NAN),
+    lambda: ImpairmentModel(duration_ns=NAN),
+], ids=["run_prediction", "evaluate", "init_sync", "kalman_update", "ImpairmentModel"])
+def test_nan_is_refused_where_a_sign_check_would_let_it_through(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_update_validation():
@@ -192,6 +172,12 @@ def test_update_validation():
         kalman_update(sync, 1000.0, 0)
     with pytest.raises(ConfigError):
         init_sync(0, 0)
+    # a line and its noise need 3 observations
+    for fused in range(2):
+        with pytest.raises(InsufficientDataError, match="needs 3"):
+            predict_event_time(sync, 5)
+        sync = kalman_update(sync, (fused + 1) * 12_500_000.0, 1)
+    assert predict_event_time(sync, 5) == (62_500_000.0, 0.0)
 
 
 def test_scalar_prediction_equals_the_array_element():
@@ -201,7 +187,6 @@ def test_scalar_prediction_equals_the_array_element():
     offsets = np.concatenate([[0], np.cumsum(hops)])
     times = offsets * interval * (1 + 20e-6) + np.rint(rng.normal(0, 50_000, offsets.size))
     sync = track(times, hops, interval)
-    # the last offset is past 2,097,151 events, where an int64 h**3 overflows
     targets = [sync.anchor_offset + 1, sync.anchor_offset + 37, sync.anchor_offset + 3_000_000]
     array_times, array_stds = predict_event_time(sync, np.array(targets))
     for i, target in enumerate(targets):
@@ -217,28 +202,64 @@ def test_update_keeps_python_scalars_in_the_state():
     sync = init_sync(np.int64(0), np.int64(interval))
     for j in range(1, 4):
         sync = kalman_update(sync, np.int64(j * interval + 1_000), np.int64(1))
-    # far outside the gate: the state advances without a measurement update
-    gated = kalman_update(sync, np.int64(4 * interval + 10_000_000), np.int64(1))
-    assert gated.interval_ns == sync.interval_ns
-    for state in (sync, gated):
-        assert [type(v) for v in state] == [float, float, tuple, int, float]
-        assert [type(v) for v in state.covariance] == [float, float, float]
+    assert [type(v) for v in sync] == [float, float, int] + [float] * 5 + [int]
 
 
 def test_sync_state_is_immutable():
     sync = init_sync(0, 12_500_000)
     with pytest.raises(AttributeError):
-        sync.interval_ns = 1.0
+        sync.n = 3
+
+
+@settings(max_examples=30)
+@given(csa=st.sampled_from(list(CsaVersion)), interval_steps=st.integers(6, 40),
+       jitter=st.floats(0, 150_000), drift=st.floats(-50, 50),
+       walk=st.sampled_from([0.0, 0.03]), miss=st.floats(0, 0.3), seed=st.integers(0, 2**16))
+def test_vectorized_one_step_predictions_equal_the_live_loop(
+        csa, interval_steps, jitter, drift, walk, miss, seed):
+    extra = dict(hop_increment=7, initial_channel=3) if csa is CsaVersion.CSA1 else {}
+    params = ConnectionParams(csa, interval_steps * 1250, MAP_27, 0xB0A1CD9D, **extra)
+    duration = 3000 * params.interval_ns
+    config = ScenarioConfig((ConnectionScenario(params, ImpairmentModel(
+        duration, jitter, drift, miss, walk)),), 22, seed)
+    _, trace = simulate(config)
+    recon = reconstruct_connection(trace)
+    assume(recon.error is None)
+    calls = []
+    real_fit = blehop.predict._fit
+
+    def recording_fit(sync, h):
+        calls.append((sync, real_fit(sync, h)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blehop.predict, "_fit", recording_fit)
+        try:
+            run = run_prediction(trace, recon, train_ns=duration // 3)
+        except EstimationError:
+            assume(False)
+    # one fit for the one-step predictions, then one for the forecast
+    (_, (one_step, _)), (anchor, _) = calls
+    raw_interval = recon.classification.interval.raw_interval_ns
+    ts, offsets = trace.timestamps(), observation_offsets(trace, raw_interval)
+    n_train = ts.size - run.report.matched
+    sync, loop = init_sync(ts[0], raw_interval), []
+    for j in range(1, ts.size):
+        if j == n_train:
+            assert sync == anchor
+        if j >= n_train:
+            loop.append(predict_event_time(sync, int(offsets[j]))[0].hex())
+        sync = kalman_update(sync, ts[j], int(offsets[j]) - sync.anchor_offset)
+    assert loop == [t.hex() for t in one_step.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # forecasts
 
 
-def make_sync(interval=12_500_000, anchor_offset=0):
-    sync = init_sync(0, interval)
-    return sync if anchor_offset == 0 else kalman_update(sync, anchor_offset * interval,
-                                                         anchor_offset)
+def make_sync(interval=12_500_000):
+    """A tracker fitted to three noiseless events at offsets 0, 1 and 2."""
+    return track(np.arange(3) * interval, [1, 1], interval)
 
 
 def test_predict_csa2_channels_match_selection():
@@ -248,14 +269,14 @@ def test_predict_csa2_channels_match_selection():
     fc = predict_csa2(align, ci, MAP_10, sync, 200)
     assert len(fc) == 200
     assert fc.counters_are_wire
-    assert fc.counters[0] == 60001
+    assert fc.counters[0] == 60003  # the event after the anchor, offset 2
     expected = csa2_channels_bulk(fc.counters, ci, MAP_10)
     assert fc.channels.tolist() == expected.tolist()
-    assert np.allclose(fc.times_ns, np.arange(1, 201) * 12_500_000)
+    assert np.allclose(fc.times_ns, np.arange(3, 203) * 12_500_000)
 
 
 def test_predict_csa2_wraps_counter():
-    align = CounterAlignment(10, 1, (65530,))
+    align = CounterAlignment(10, 1, (65528,))
     fc = predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
     assert fc.counters.tolist() == [65531, 65532, 65533, 65534, 65535, 0, 1, 2, 3, 4]
 
@@ -500,7 +521,7 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     def dumped(fc):
         return json.dumps(fc.to_dict(), indent=2) + "\n"
 
-    sync = kalman_update(init_sync(0, 12_500_037.3), 12_500_090, 1)
+    sync = track([0, 12_500_090, 25_000_150], [1, 1], 12_500_037.3)
     align = CounterAlignment(10, 1, (65500,))
     csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
     assert 65535 in csa2.counters.tolist()
@@ -525,15 +546,15 @@ def test_forecast_refuses_times_that_are_not_int64_nanoseconds():
 
 def test_forecast_times_are_predictions_rounded_half_to_even():
     # an interval of x.5 ns puts every other event's time on a tie
-    sync = init_sync(0, 12_500_000.5)
+    sync = make_sync(12_500_000.5)
     align = CounterAlignment(10, 1, (100,))
     fc = predict_csa2(align, 0x7D3C, MAP_27, sync, 50)
-    times, stds = predict_event_time(sync, np.arange(1, 51))
+    times, stds = predict_event_time(sync, np.arange(3, 53))
     assert fc.times_ns.dtype == fc.time_stds_ns.dtype == np.int64
     np.testing.assert_array_equal(fc.times_ns, np.rint(times))
     np.testing.assert_array_equal(fc.time_stds_ns, np.rint(stds))
-    assert (times[0], fc.times_ns[0]) == (12_500_000.5, 12_500_000)
-    assert (times[2], fc.times_ns[2]) == (37_500_001.5, 37_500_002)
+    assert (times[0], fc.times_ns[0]) == (37_500_001.5, 37_500_002)
+    assert (times[2], fc.times_ns[2]) == (62_500_002.5, 62_500_002)
 
 
 # ---------------------------------------------------------------------------

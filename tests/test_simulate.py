@@ -52,6 +52,9 @@ def test_impairment_validation():
         ImpairmentModel(duration_ns=1, clock_drift_ppm=501)
     with pytest.raises(ConfigError):
         ImpairmentModel(duration_ns=1, miss_probability=1.0)
+    for walk in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="drift_walk_ppm_per_sqrt_s"):
+            ImpairmentModel(duration_ns=1, drift_walk_ppm_per_sqrt_s=walk)
 
 
 def test_scenario_validation():
@@ -72,7 +75,7 @@ def test_scenario_json_round_trip():
     config = scenario([
         ConnectionScenario(
             csa2_params(),
-            ImpairmentModel(10**9, 50_000.0, 20.0, 0.1),
+            ImpairmentModel(10**9, 50_000.0, 20.0, 0.1, 0.01),
             start_offset_ns=5_000_000,
             initial_counter=77,
         ),
@@ -84,6 +87,10 @@ def test_scenario_json_round_trip():
     ])
     rebuilt = ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert rebuilt == config
+    # a scenario written without the walk has none
+    raw = config.to_dict()
+    del raw["connections"][0]["impairments"]["drift_walk_ppm_per_sqrt_s"]
+    assert ScenarioConfig.from_dict(raw).connections[0].impairments.drift_walk_ppm_per_sqrt_s == 0
 
 
 def test_scenario_from_dict_errors():
@@ -143,6 +150,26 @@ def test_stamps_that_leave_int64_are_refused():
     noisy = ConnectionScenario(csa2_params(), ImpairmentModel(120 * 10**9, jitter_sigma_ns=1e293))
     with pytest.raises(ConfigError, match="jitter_sigma_us"):
         simulate(scenario([noisy]))
+    # a wandering clock ends its capture early or late: late is refused, early
+    # is simulated within int64, whichever the walk does
+    outcomes = set()
+    for seed in range(8):
+        wandering = ConnectionScenario(csa2_params(interval_us=10000), ImpairmentModel(
+            120 * 10**9, drift_walk_ppm_per_sqrt_s=1.0), start_offset_ns=last)
+        try:
+            timelines, _ = simulate(scenario([wandering], seed=seed))
+        except ConfigError as exc:
+            assert "start_offset_us + duration_us" in str(exc)
+            outcomes.add("refused")
+        else:
+            assert np.all(np.diff(timelines[0].times_ns) > 0)
+            outcomes.add("simulated")
+    assert outcomes == {"refused", "simulated"}
+    # a walk so wide that the clock runs backwards is refused
+    backwards = ConnectionScenario(csa2_params(), ImpairmentModel(
+        10**9, drift_walk_ppm_per_sqrt_s=1e9))
+    with pytest.raises(ConfigError, match="backwards"):
+        simulate(scenario([backwards]))
 
 
 def test_drift_rescales_the_grid():
@@ -156,6 +183,21 @@ def test_drift_rescales_the_grid():
     step = 10_000_000 * (1 + ppm * 1e-6)
     assert times[1] == round(step)
     assert abs(times[-1] - (len(times) - 1) * step) <= 0.5
+
+
+def test_drift_walk_spreads_the_clock_rate_by_its_ppm_per_sqrt_second():
+    # over 100 s the walk's drift spreads by 1 ppm/sqrt(s) * 10 sqrt(s) = 10 ppm
+    ends = []
+    for seed in range(64):
+        config = scenario([ConnectionScenario(csa2_params(interval_us=10000), ImpairmentModel(
+            100 * 10**9, clock_drift_ppm=20.0, drift_walk_ppm_per_sqrt_s=1.0))], seed=seed)
+        times = simulate(config)[0][0].times_ns
+        # the clock rate over the last 100 events (1 s), in ppm off the nominal
+        ends.append((np.mean(np.diff(times[-101:])) / 10_000_000 - 1) * 1e6)
+        # the first step runs at the constant drift
+        assert times[1] - times[0] == 10_000_200
+    assert abs(np.mean(ends) - 20.0) < 4.0
+    assert 7.5 < np.std(ends) < 12.5
 
 
 def test_csa1_two_hit_channel_gap_structure():
