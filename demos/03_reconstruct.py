@@ -70,7 +70,7 @@ print(f"stage 1, interval: {est.interval_ns / 1e6:.4f} ms on-grid, "
 # and a flagged capture otherwise.
 offsets = observation_offsets(trace, est.raw_interval_ns)
 cls = classify_csa(offsets, est, trace.sniff_channel)
-print(f"stage 2, algorithm: {cls.verdict.value}")
+print(f"stage 2, algorithm: {cls.verdict.name}")
 
 # Stage 3+4 — full pipeline: counter alignment by circular correlation
 # against the PRN reference, then map inference from remap evidence. The map

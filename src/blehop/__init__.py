@@ -51,7 +51,6 @@ from .reconstruct import (
     IntervalEstimate,
     MapEstimate,
     ReconstructionReport,
-    Verdict,
     align_counter,
     build_ref_vector,
     classify_csa,

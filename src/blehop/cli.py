@@ -138,7 +138,7 @@ def cmd_reconstruct(args):
         _write_json(path, report.to_dict())
         outputs.append(path)
         status = report.error or (
-            f"{report.classification.verdict.value}, "
+            f"{report.classification.verdict.name}, "
             f"interval {report.classification.interval.interval_us} us"
         )
         print(f"0x{aa:08X}: {status}", flush=True)

@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csa import COUNTER_PERIOD, NUM_DATA_CHANNELS, check_access_address, csa2_channels_bulk
+from .csa import (
+    COUNTER_PERIOD,
+    NUM_DATA_CHANNELS,
+    CsaVersion,
+    check_access_address,
+    csa2_channels_bulk,
+)
 from .errors import (
     AmbiguousAlignmentError,
     ConfigError,
@@ -33,7 +39,7 @@ from .errors import (
     check_int,
     reading,
 )
-from .reconstruct import Verdict, observation_offsets
+from .reconstruct import observation_offsets
 from .simulate import MAX_EVENTS, EventTimeline
 from .trace import SniffTrace
 
@@ -72,6 +78,8 @@ def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
     """
     if not 0 < interval_ns < math.inf:  # nan too
         raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
+    if not math.isfinite(first_time_ns):
+        raise ConfigError(f"first_time_ns must be finite, got {first_time_ns}")
     return SyncState(float(first_time_ns), float(interval_ns))
 
 
@@ -101,6 +109,8 @@ def kalman_update(sync, measured_time_ns, hops_since_last):
         raise ConfigError(f"hops_since_last must be finite and >= 1, got {hops_since_last}")
     h = sync.anchor_offset + int(hops_since_last)
     r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
+    if not math.isfinite(r):  # a NaN would stay in the sums and in every later prediction
+        raise ConfigError(f"measured_time_ns must be finite, got {measured_time_ns}")
     return SyncState(sync.origin_ns, sync.ref_interval_ns, sync.n + 1, sync.sum_h + h,
                      sync.sum_hh + h * h, sync.sum_r + r, sync.sum_hr + h * r,
                      sync.sum_rr + r * r, h)
@@ -219,7 +229,7 @@ def predict_csa1(classification, sync, horizon):
     sniffed channel is visited whenever the event offset mod 37 falls in
     the profile.
     """
-    if classification.verdict is Verdict.CSA2:
+    if classification.verdict is CsaVersion.CSA2:
         raise ConfigError("classification is CSA#2; use predict_csa2")
     check_int(horizon, "horizon", 0, MAX_EVENTS)
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
@@ -298,13 +308,12 @@ def evaluate(forecast, reference, interval_ns):
     """Match a forecast against a reference and score the timing errors.
 
     One rule for every reference: each reference event, in time order,
-    takes the nearest untaken prediction within half an interval, and
-    channels are compared when the reference has them. A ground-truth
-    :class:`EventTimeline` has them; a trace is scored by its central
-    packets, has none and must hold one connection. Predictions left
-    unmatched are counted as misses, not as errors. Forecast times must
-    not go backwards: a hand-built forecast whose times do raises
-    :class:`ConfigError`.
+    takes the nearest untaken prediction within half an interval, and the
+    two are compared on time and channel. A trace must hold one connection
+    and is scored by its central packets, each heard on its sniff_channel.
+    Predictions left unmatched are counted as misses, not as errors.
+    Forecast times must not go backwards: a hand-built forecast whose
+    times do raises :class:`ConfigError`.
     """
     if not 0 < interval_ns < math.inf:  # nan too
         raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
@@ -316,7 +325,7 @@ def evaluate(forecast, reference, interval_ns):
     elif isinstance(reference, SniffTrace):
         reference.only_address()  # raises on a trace that mixes addresses
         ref_times = reference.central().timestamps().astype(float)
-        ref_channels = None
+        ref_channels = np.full(ref_times.size, reference.sniff_channel)
     else:
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
     if ref_times.size == 0:
@@ -349,10 +358,8 @@ def evaluate(forecast, reference, interval_ns):
             errors.append(t - best_time)
     if not errors:
         raise EstimationError("no reference event falls within half an interval of a prediction")
-    mismatches = 0
-    if ref_channels is not None:
-        mismatches = int(np.count_nonzero(forecast.channels[np.asarray(matched_preds)]
-                                          != ref_channels[np.asarray(matched_refs)]))
+    mismatches = int(np.count_nonzero(forecast.channels[np.asarray(matched_preds)]
+                                      != ref_channels[np.asarray(matched_refs)]))
     return EvalReport(errors, n_pred - len(matched_preds), ref_times.size - len(matched_refs),
                       mismatches)
 
@@ -410,7 +417,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     if n_train == ts.size:
         raise InsufficientDataError("training window covers the whole trace; nothing to predict")
 
-    is_csa2 = classification.verdict is Verdict.CSA2
+    is_csa2 = classification.verdict is CsaVersion.CSA2
     if is_csa2:
         if recon.alignment is None:
             raise EstimationError("no counter alignment available for a CSA#2 forecast")

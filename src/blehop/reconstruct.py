@@ -6,19 +6,18 @@ gaps (snapped to the 1.25 ms protocol grid, with the pre-snap value kept —
 it carries the relative clock offset between connection and sniffer).
 
 One likelihood ratio then separates the algorithms: CSA#1 hits the sniffed
-channel only at a fixed, repeating set of event phases mod 37, while CSA#2
-may hit it on any event. For CSA#2 the event counter at
-the first observation is found by circularly correlating the observed
-hit/no-hit event vector against the 65536-long reference of events whose
-*unmapped* channel is the sniffed one, and the channel map follows from
-remap evidence: an observation whose unmapped channel differs from the
-sniffed channel proves that that unmapped channel is excluded from the map
-(the remap rule never touches allowed channels).
+channel only at a fixed, repeating set of event phases mod 37 (a gap GCD of
+37 intervals is a one-phase profile), while CSA#2 may hit it on any event.
+For CSA#2 the event counter at the first observation is found by circularly
+correlating the observed hit/no-hit event vector against the 65536-long
+reference of events whose *unmapped* channel is the sniffed one, and the
+channel map follows from remap evidence: an observation whose unmapped
+channel differs from the sniffed channel proves that that unmapped channel
+is excluded from the map (the remap rule never touches allowed channels).
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .csa import (
     INTERVAL_STEP_US,
     NUM_DATA_CHANNELS,
     ChannelMap,
+    CsaVersion,
     channel_identifier,
     check_access_address,
     check_interval_us,
@@ -79,12 +79,6 @@ _TWIDDLES = np.exp(-2j * np.pi / COUNTER_PERIOD
 _TWIDDLES.flags.writeable = False
 
 
-class Verdict(enum.Enum):
-    CSA1_SINGLE_HIT = "CSA1_single_hit"
-    CSA1_REPEATING = "CSA1_repeating"
-    CSA2 = "CSA2"
-
-
 @dataclass(frozen=True)
 class IntervalEstimate:
     """Recovered connection interval.
@@ -110,10 +104,10 @@ class CsaClassification:
     ``period_profile`` lists the event phases (mod 37, relative to the
     first observation) of the CSA#1 profile it scored, and is empty for
     CSA#2. ``interval`` is the estimate the verdict reads: divided by 37
-    for a single-hit CSA#1 profile, whose 37-event period the gap GCD folds.
+    when the gap GCD folds a one-phase profile's 37-event period.
     """
 
-    verdict: Verdict
+    verdict: CsaVersion
     period_profile: tuple
     interval: IntervalEstimate
     sniff_channel: int
@@ -229,38 +223,35 @@ def classify_csa(offsets, interval, sniff_channel):
     a second slot and the log C(37, k) cost alone can favour CSA#2); else
     :class:`InsufficientDataError` names the stage and the nats.
 
-    A gap GCD divisible by 37, every gap spanning whole 37-event periods, is
-    the single-hit CSA#1 signature: the same test on a one-phase profile of
-    the offsets (in periods) at the interval's 37th, which such a verdict
-    reports. CSA#2 at the interval itself, a genuine alias, is scored too; it
-    leads by at most log 37 nats and is ruled out only once well over half
-    of the periods are hit. Below ``_CSA1_NATS`` the signature is flagged.
+    A gap GCD divisible by 37 is the single-hit CSA#1 signature: the offsets
+    count hit 37-event periods, and times 37 they are the event offsets of a
+    one-phase profile at the interval's 37th, which a verdict reports. CSA#2
+    at a gap GCD of at most 4 s, a genuine alias, is a second alternative; it
+    leads by at most log 37 nats, and is ruled out only once well over half
+    of the periods are hit. Such a reading is never CSA#2, only flagged.
     """
-    hits, span = offsets.size, int(offsets[-1])
+    hits, csa2, stage = offsets.size, -math.inf, "classification"
     folded = _single_hit_interval(interval)
     if folded is not None:
-        csa2 = _bernoulli_nats(hits, NUM_DATA_CHANNELS * span + 1, _MAX_CSA2_RATE)
         if interval.interval_ns <= INTERVAL_MAX_US * 1000:
-            csa2 = max(csa2, _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE))
-        nats = _csa1_nats(hits, span + 1, 1) - csa2
-        if nats >= _CSA1_NATS:
-            return CsaClassification(Verdict.CSA1_SINGLE_HIT, (0,), folded, sniff_channel)
-        raise _undecided("single-hit classification", nats)
-
+            csa2 = _bernoulli_nats(hits, int(offsets[-1]) + 1, _MAX_CSA2_RATE)
+        offsets, interval, stage = offsets * NUM_DATA_CHANNELS, folded, "single-hit classification"
+    span = int(offsets[-1])
     phases = np.flatnonzero(np.bincount(offsets % NUM_DATA_CHANNELS,
                                         minlength=NUM_DATA_CHANNELS))
     nats = -math.inf
     if phases.size <= _CSA1_PHASE_BOUND:
         slots = int(np.sum((span - phases) // NUM_DATA_CHANNELS + 1))
         nats = (_csa1_nats(hits, slots, phases.size)
-                - _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE))
+                - max(csa2, _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE)))
     if nats >= _CSA1_NATS:
-        return CsaClassification(Verdict.CSA1_REPEATING, tuple(phases.tolist()), interval,
-                                 sniff_channel)
-    if nats <= _CSA2_NATS and span + 1 >= 2 * NUM_DATA_CHANNELS:
-        return CsaClassification(Verdict.CSA2, (), interval, sniff_channel)
-    raise _undecided("classification", nats, f"; a CSA#2 verdict needs at most {_CSA2_NATS:g} "
-                     f"over two whole 37-event periods, the trace spans {span + 1} events")
+        return CsaClassification(CsaVersion.CSA1, tuple(phases.tolist()), interval, sniff_channel)
+    if folded is None and nats <= _CSA2_NATS and span + 1 >= 2 * NUM_DATA_CHANNELS:
+        return CsaClassification(CsaVersion.CSA2, (), interval, sniff_channel)
+    more = "" if folded else (f"; a CSA#2 verdict needs at most {_CSA2_NATS:g} over two whole "
+                              f"37-event periods, the trace spans {span + 1} events")
+    raise InsufficientDataError(f"{stage}: the CSA#1 over CSA#2 log-likelihood ratio is {nats:.1f}"
+                                f" nats, short of the {_CSA1_NATS:g} a CSA#1 verdict needs{more}")
 
 
 def _bernoulli_nats(hits, trials, max_rate=1.0):
@@ -274,11 +265,6 @@ def _csa1_nats(hits, slots, phases):
     """:func:`_bernoulli_nats` of ``hits`` on the ``slots`` of a profile of
     ``phases`` phases, less log C(37, phases) for choosing the profile."""
     return _bernoulli_nats(hits, slots) - math.log(math.comb(NUM_DATA_CHANNELS, phases))
-
-
-def _undecided(stage, nats, more=""):
-    return InsufficientDataError(f"{stage}: the CSA#1 over CSA#2 log-likelihood ratio is {nats:.1f}"
-                                 f" nats, short of the {_CSA1_NATS:g} a CSA#1 verdict needs{more}")
 
 
 def _single_hit_interval(interval):
@@ -514,7 +500,7 @@ class ReconstructionReport:
 
     @property
     def channel_id(self):
-        if self.classification is None or self.classification.verdict is not Verdict.CSA2:
+        if self.classification is None or self.classification.verdict is not CsaVersion.CSA2:
             return None
         return channel_identifier(self.access_address)
 
@@ -530,7 +516,7 @@ class ReconstructionReport:
             est = self.classification.interval
             out["interval_us"] = est.interval_us
             out["raw_interval_us"] = est.raw_interval_ns / 1000.0
-            out["verdict"] = self.classification.verdict.value
+            out["verdict"] = self.classification.verdict.name
             out["period_profile"] = list(self.classification.period_profile)
         if self.channel_id is not None:
             out["channel_identifier"] = f"0x{self.channel_id:04X}"
@@ -581,13 +567,16 @@ class ReconstructionReport:
                         or not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2):
                     raise ConfigError(f"raw_interval_us must be a number within "
                                       f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
-                verdict = Verdict(raw["verdict"])
+                verdict = raw["verdict"]
+                if verdict not in ("CSA1", "CSA2"):
+                    raise ConfigError(f'verdict must be "CSA1" or "CSA2", got {verdict!r:.40}')
+                verdict = CsaVersion[verdict]
                 profile = tuple(check_int(p, "period_profile entry", 0, NUM_DATA_CHANNELS - 1)
                                 for p in raw["period_profile"])
                 # a CSA#1 forecast visits the sniffed channel at the profile's phases only
                 if (len(set(profile)) < len(profile) or report.sniff_channel is None
                         or report.first_timestamp_ns is None
-                        or (verdict is not Verdict.CSA2 and not profile)):
+                        or (verdict is CsaVersion.CSA1 and not profile)):
                     raise ConfigError("a verdict needs a sniff_channel, a first_timestamp_ns and "
                                       "distinct period_profile phases (at least one for CSA#1), "
                                       f"got {report.sniff_channel!r}, "
@@ -667,7 +656,7 @@ def reconstruct_connection(trace):
             # the hit 37-event periods, once each (an off-grid stray may share one)
             offsets = np.unique(offsets // NUM_DATA_CHANNELS)
         report.classification = classify_csa(offsets, interval, trace.sniff_channel)
-        if report.classification.verdict is Verdict.CSA2:
+        if report.classification.verdict is CsaVersion.CSA2:
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
             report.alignment = align_counter(offsets, reference)
             if not report.alignment.ambiguous:

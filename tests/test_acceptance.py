@@ -22,7 +22,6 @@ from blehop import (
     EstimationError,
     ImpairmentModel,
     ScenarioConfig,
-    Verdict,
     channel_sequence,
     classify_csa,
     estimate_interval,

@@ -116,7 +116,7 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
     assert report["channel_identifier"] == "0x7D3C"
     assert report["channel_map"] == "0x1E00E00700"
     report1 = json.loads((recon / "report_0x53D39A21.json").read_text())
-    assert report1["verdict"].startswith("CSA1")
+    assert report1["verdict"] == "CSA1"
     assert report1["interval_us"] == 18750
 
     ev = json.loads((pred / "eval.json").read_text())
@@ -574,6 +574,11 @@ def _mutated(doc, path, value):
     # with most forecast channels wrong
     (CSA2_REPORT, ("channel_map",), "0x1FFFFFFFFF", "channel_map"),
     (CSA2_REPORT, ("proven_excluded",), [], "proven_excluded"),
+    # a verdict is the algorithm only: the labels of earlier reports are refused
+    (CSA1_REPORT, ("verdict",), "CSA1_single_hit", '"CSA1" or "CSA2"'),
+    (CSA1_REPORT, ("verdict",), "CSA1_repeating", '"CSA1" or "CSA2"'),
+    (CSA2_REPORT, ("verdict",), 2, '"CSA1" or "CSA2"'),
+    (CSA2_REPORT, ("verdict",), [], '"CSA1" or "CSA2"'),
 ])
 def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, capsys,
                                                           report_name, path, value, needle):
@@ -585,6 +590,29 @@ def test_out_of_range_report_values_exit_with_config_error(tmp_path, pipeline, c
     assert main(["predict", "--report", str(report_path), "--trace", str(sim / "trace.csv"),
                  "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
+
+
+def test_evaluate_counts_a_channel_mismatch_against_the_trace(tmp_path, pipeline, capsys):
+    # every central packet was heard on the sniffed channel 22: a forecast
+    # event matched to one, but moved to another channel, is a mismatch
+    sim, _, pred = pipeline
+    part = connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv")
+    forecast = json.loads((pred / "forecast.json").read_text())
+    times = np.array([entry["time_ns"] for entry in forecast["entries"]])
+    heard = int(load_trace(part).timestamps()[-1])
+    entry = forecast["entries"][int(np.argmin(np.abs(times - heard)))]
+    assert entry["channel"] == 22
+    mismatches = []
+    for n, channel in enumerate([22, 23]):
+        entry["channel"] = channel
+        path = tmp_path / f"forecast_{n}.json"
+        path.write_text(json.dumps(forecast))
+        assert main(["evaluate", "--forecast", str(path), "--trace", str(part),
+                     "--interval-us", "12500", "--out-dir", str(tmp_path / f"e{n}")]) == EXIT_OK
+        ev = json.loads((tmp_path / f"e{n}" / "eval.json").read_text())
+        mismatches.append(ev["channel_mismatches"])
+    assert mismatches == [0, 1]
+    capsys.readouterr()
 
 
 def _untied_pair(report):

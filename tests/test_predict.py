@@ -28,7 +28,6 @@ from blehop import (
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
-    Verdict,
     channel_identifier,
     connection_part,
     csa2_channels_bulk,
@@ -151,7 +150,7 @@ def _short_run_inputs():
     return trace, reconstruct_connection(trace)
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call", [
@@ -160,7 +159,14 @@ NAN = float("nan")
     lambda: init_sync(0, NAN),
     lambda: kalman_update(init_sync(0, 12_500_000), 12_500_000, NAN),
     lambda: ImpairmentModel(duration_ns=NAN),
-], ids=["run_prediction", "evaluate", "init_sync", "kalman_update", "ImpairmentModel"])
+    # a non-finite timestamp would leave every later prediction NaN
+    lambda: init_sync(NAN, 12_500_000),
+    lambda: init_sync(-INF, 12_500_000),
+    lambda: kalman_update(init_sync(0, 12_500_000), NAN, 1),
+    lambda: kalman_update(init_sync(0, 12_500_000), INF, 1),
+], ids=["run_prediction", "evaluate", "init_sync", "kalman_update", "ImpairmentModel",
+        "init_sync-time-nan", "init_sync-time-inf", "kalman_update-time-nan",
+        "kalman_update-time-inf"])
 def test_nan_is_refused_where_a_sign_check_would_let_it_through(call):
     with pytest.raises(ConfigError):
         call()
@@ -304,13 +310,13 @@ def test_predict_csa2_refuses_ambiguous_alignment():
 
 def test_predict_csa1_phase_profile():
     est = IntervalEstimate(12_500_000, 12_500_000.0)
-    cls = CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10)
+    cls = CsaClassification(CsaVersion.CSA1, (0, 25), est, 10)
     fc = predict_csa1(cls, make_sync(), 74)
     assert not fc.counters_are_wire
     assert fc.counters.tolist() == [25, 37, 62, 74]
     assert fc.channels.tolist() == [10] * 4
     with pytest.raises(ConfigError):
-        predict_csa1(CsaClassification(Verdict.CSA2, (), est, 10), make_sync(), 5)
+        predict_csa1(CsaClassification(CsaVersion.CSA2, (), est, 10), make_sync(), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +398,17 @@ def test_evaluate_against_trace_by_time():
     assert sorted(np.round(report.abs_errors_ns).tolist()) == [500, 1000]
     assert report.missed_predictions == 2
     assert report.unmatched_references == 1
+
+
+def test_evaluate_against_trace_compares_the_sniffed_channel():
+    # every central packet was heard on the trace's sniffed channel
+    interval = 12_500_000
+    trace = SniffTrace(22, [0, 2 * interval, 5 * interval], [0xB0A1CD9D] * 3, [True] * 3)
+    rows = [(0, 22, 0.0, 1.0), (2, 22, 2.0 * interval, 1.0), (5, 22, 5.0 * interval, 1.0)]
+    assert evaluate(forecast_of(rows), trace, interval).channel_mismatches == 0
+    rows[1] = (2, 23, 2.0 * interval, 1.0)
+    report = evaluate(forecast_of(rows), trace, interval)
+    assert (report.matched, report.channel_mismatches) == (3, 1)
 
 
 def test_evaluate_against_trace_scores_one_connections_central_rows():
@@ -526,7 +543,7 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
     assert 65535 in csa2.counters.tolist()
     est = IntervalEstimate(12_500_000, 12_500_037.3)
-    csa1 = predict_csa1(CsaClassification(Verdict.CSA1_REPEATING, (0, 25), est, 10), sync, 300)
+    csa1 = predict_csa1(CsaClassification(CsaVersion.CSA1, (0, 25), est, 10), sync, 300)
     named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
                      np.array([0, 1]), access_address=0xB0A1CD9D)
     empty = Forecast.from_dict({"counters_are_wire": True, "entries": []})

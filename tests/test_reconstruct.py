@@ -24,7 +24,6 @@ from blehop import (
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
-    Verdict,
     align_counter,
     build_ref_vector,
     channel_identifier,
@@ -137,7 +136,8 @@ def test_interval_gcd_above_maximum_allowed_when_37_divisible():
     assert offsets.tolist() == [0, 1, 3, 4]
     # no CSA#2 interval is 5.55 s long, so four hits already read as CSA#1
     cls = classify_csa(offsets, est, trace.sniff_channel)
-    assert (cls.verdict, cls.interval.interval_us) == (Verdict.CSA1_SINGLE_HIT, 150_000)
+    assert (cls.verdict, cls.period_profile, cls.interval.interval_us) == (CsaVersion.CSA1, (0,),
+                                                                          150_000)
 
 
 def test_interval_gcd_above_maximum_rejected_otherwise():
@@ -167,10 +167,9 @@ def test_classify_single_hit_divides_by_37():
     offsets = observation_offsets(trace, est.raw_interval_ns)
     assert offsets.tolist() == list(range(20))  # one per 37-event period
     cls = classify_csa(offsets, est, trace.sniff_channel)
-    assert cls.verdict is Verdict.CSA1_SINGLE_HIT
+    assert (cls.verdict, cls.period_profile) == (CsaVersion.CSA1, (0,))
     assert cls.interval.interval_us == 7500
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
-    assert cls.period_profile == (0,)
     assert cls.sniff_channel == 22
     # CSA#2 at 277.5 ms hits a channel at most every other event: 20 hits in
     # 20 periods lead it by 20 log 2 - log 37 = 10.2 nats, 19 in 19 by 9.6
@@ -197,8 +196,9 @@ def test_single_hit_counts_each_period_once():
     times = np.insert(times, 11, times[10] + 5 * 6 * STEP + 400_000)
     report = reconstruct_connection(trace_at(times.tolist()))
     assert report.error is None
-    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
-    assert report.classification.interval.interval_us == 7500
+    cls = report.classification
+    assert (cls.verdict, cls.period_profile, cls.interval.interval_us) == (CsaVersion.CSA1, (0,),
+                                                                          7500)
 
 
 def test_classify_csa2_at_a_37_fold_interval_is_never_single_hit():
@@ -220,8 +220,7 @@ def test_classify_repeating_profile():
                               hop_increment=7, initial_channel=0)
     _, trace = simulate_one(params, 10 * 37 * 7_500_000, sniff=10)
     cls = classify(trace)
-    assert cls.verdict is Verdict.CSA1_REPEATING
-    assert cls.period_profile == (0, 25)
+    assert (cls.verdict, cls.period_profile) == (CsaVersion.CSA1, (0, 25))
     assert cls.interval.interval_us == 7500
 
 
@@ -230,8 +229,7 @@ def test_classify_csa2():
     _, trace = simulate_one(params, 60 * 10**9)
     est = estimate_interval(trace)
     cls = classify_csa(observation_offsets(trace, est.raw_interval_ns), est, trace.sniff_channel)
-    assert cls.verdict is Verdict.CSA2
-    assert cls.period_profile == ()
+    assert (cls.verdict, cls.period_profile) == (CsaVersion.CSA2, ())
     assert cls.interval is est
 
 
@@ -250,12 +248,14 @@ def test_classify_csa1_with_misses_as_repeating():
             0x50000000 + seed, hop_increment=int(rng.integers(5, 17)),
             initial_channel=int(rng.integers(37)),
         )
-        if np.count_nonzero(channel_sequence(params, 0, 37) == sniff) < 2:
-            continue  # a single-hit profile takes the 37-fold GCD branch instead
+        phases = np.count_nonzero(channel_sequence(params, 0, 37) == sniff)
+        if phases < 2:
+            continue  # a single-hit profile folds into the gap GCD instead
         _, trace = simulate_one(params, 60 * 10**9, sniff=sniff, seed=seed,
                                 jitter=50_000.0, miss=0.1)
-        verdicts.append(classify(trace).verdict)
-    assert verdicts == [Verdict.CSA1_REPEATING] * 50
+        cls = classify(trace)
+        verdicts.append((cls.verdict, len(cls.period_profile) == phases))
+    assert verdicts == [(CsaVersion.CSA1, True)] * 50
 
 
 @pytest.mark.parametrize("channels, sniff", [((1, 3), 1), ((1, 35), 1), ((5, 9), 5)])
@@ -268,7 +268,7 @@ def test_odd_two_channel_maps_read_as_csa1_with_20_phases(channels, sniff):
         _, trace = simulate_one(params, 60 * 10**9, sniff=sniff, jitter=20_000.0)
         report = reconstruct_connection(trace)
         assert report.error is None
-        assert report.classification.verdict is Verdict.CSA1_REPEATING
+        assert report.classification.verdict is CsaVersion.CSA1
         profile = report.classification.period_profile
         assert len(profile) == 20
         hits = np.flatnonzero(channel_sequence(params, 0, 37) == sniff)
@@ -301,14 +301,13 @@ def test_short_captures_never_get_the_other_verdict(config):
     _, trace = simulate(config)
     classification = reconstruct_connection(trace).classification
     if classification is not None:
-        csa2 = config.connections[0].params.csa_version is CsaVersion.CSA2
-        assert (classification.verdict is Verdict.CSA2) == csa2
+        assert classification.verdict is config.connections[0].params.csa_version
 
 
 def test_classify_short_csa2_trace():
     params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(params, 2 * 10**9, jitter=50_000.0, miss=0.1)
-    assert classify(trace).verdict is Verdict.CSA2
+    assert classify(trace).verdict is CsaVersion.CSA2
 
 
 def test_classify_needs_two_periods():
@@ -330,7 +329,7 @@ def test_classify_needs_two_periods():
     interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
     with pytest.raises(InsufficientDataError, match=r"-1\.1 nats, .* spans 73 events$"):
         classify_csa(np.array([0, 1, 2, 72]), interval, 22)
-    assert classify_csa(np.array([0, 1, 2, 73]), interval, 22).verdict is Verdict.CSA2
+    assert classify_csa(np.array([0, 1, 2, 73]), interval, 22).verdict is CsaVersion.CSA2
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +678,19 @@ def ascending_offsets(draw):
     return grid[(rng.random(grid.size) >= draw(st.floats(0.0, 0.5))) | (grid == 0)]
 
 
-def reference_nats(offsets):
+def reference_nats(offsets, folded=False):
     """The CSA#1 over CSA#2 log-likelihood ratio, summed event by event from
-    SciPy's Bernoulli log-pmf over the hit indicator of events 0..span."""
-    hit = np.zeros(int(offsets[-1]) + 1, dtype=bool)
-    hit[offsets] = True
-    phases = np.unique(offsets % 37)
+    SciPy's Bernoulli log-pmf over the hit indicator of events 0..span.
+    ``folded`` offsets count the hit 37-event periods of a gap GCD of 37
+    intervals: times 37 they are the events, and CSA#2 at the GCD, over
+    every 37th event, is a second alternative."""
+    events = offsets * 37 if folded else offsets
+    hit = np.zeros(int(events[-1]) + 1, dtype=bool)
+    hit[events] = True
+    phases = np.unique(events % 37)
     slots = np.isin(np.arange(hit.size) % 37, phases)
-    csa2 = bernoulli.logpmf(hit, min(hit.mean(), 0.5)).sum()
+    csa2 = max(bernoulli.logpmf(h, min(h.mean(), 0.5)).sum()
+               for h in ([hit, hit[::37]] if folded else [hit]))
     if phases.size > 20:  # 1 + ceil(37 / 2): more than the remap rule allows CSA#1
         return -np.inf
     csa1 = bernoulli.logpmf(hit[slots], hit.sum() / slots.sum()).sum()
@@ -698,20 +702,38 @@ def full_grid(phases, periods=10):
 
 
 @settings(max_examples=200)
-@given(offsets=ascending_offsets())
-@example(offsets=full_grid(20))  # the most phases CSA#1 can hit
-@example(offsets=full_grid(21))  # one more: never CSA#1, however full the grid
-def test_classification_phases_like_unique(offsets):
-    interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
-    nats = reference_nats(offsets)
+@given(offsets=ascending_offsets(), folded=st.booleans())
+@example(offsets=full_grid(20), folded=False)  # the most phases CSA#1 can hit
+@example(offsets=full_grid(21), folded=False)  # one more: never CSA#1, however full the grid
+# hit periods at a 277.5 ms gap GCD: every one of 20 periods hit leads CSA#2
+# at the GCD by 20 log 2 - log 37 = 10.2 nats, of 19 by 9.6; 38 of 40 lead
+# by 16.2; CSA#2 at the GCD fits one hit in three periods far better, but a
+# folded reading is never CSA#2, only flagged
+@example(offsets=np.arange(20), folded=True)
+@example(offsets=np.arange(19), folded=True)
+@example(offsets=np.delete(np.arange(40), [5, 17]), folded=True)
+@example(offsets=np.arange(0, 300, 3), folded=True)
+def test_classification_phases_like_unique(offsets, folded):
+    # a folded reading's offsets count the 37-event periods of the GCD's 37th
+    scale = 37 if folded else 1
+    interval = IntervalEstimate(6 * STEP * scale, 6.0 * STEP * scale)
+    events = offsets * scale
+    nats = reference_nats(offsets, folded)
     assume(not np.isclose(nats, [0.0, 10.0], rtol=0, atol=1e-9).any())
-    if 0 < nats < 10 or (nats <= 0 and offsets[-1] < 2 * 37 - 1):  # CSA#2 needs 74 events
-        with pytest.raises(InsufficientDataError, match=f"{nats:.1f} nats"):
+    # CSA#2 needs 74 events, and is never read at the 37th of the gap GCD
+    csa2 = nats <= 0 and events[-1] >= 2 * 37 - 1 and not folded
+    if nats < 10 and not csa2:
+        with pytest.raises(InsufficientDataError,
+                           match=f"^{'single-hit ' * folded}classification: .* {nats:.1f} nats"
+                           ) as flagged:
             classify_csa(offsets, interval, 22)
+        assert ("a CSA#2 verdict" in str(flagged.value)) is not folded
         return
     cls = classify_csa(offsets, interval, 22)
-    assert cls.verdict is (Verdict.CSA1_REPEATING if nats >= 10 else Verdict.CSA2)
-    assert cls.period_profile == (tuple(np.unique(offsets % 37).tolist()) if nats >= 10 else ())
+    assert cls.interval == IntervalEstimate(6 * STEP, 6.0 * STEP)
+    assert (cls.verdict, cls.period_profile) == (
+        (CsaVersion.CSA1, tuple(np.unique(events % 37).tolist())) if nats >= 10
+        else (CsaVersion.CSA2, ()))
 
 
 def test_map_inference_needs_observations():
@@ -729,7 +751,7 @@ def test_reconstruct_csa2_end_to_end():
     report = reconstruct_connection(trace)
     assert report.error is None
     assert report.observation_count == len(trace)
-    assert report.classification.verdict is Verdict.CSA2
+    assert report.classification.verdict is CsaVersion.CSA2
     assert report.classification.interval.interval_us == 12500
     assert report.channel_id == 0x7D3C
     first = trace.timestamps()[0]
@@ -743,16 +765,18 @@ def test_reconstruct_csa2_end_to_end():
 
 
 @st.composite
-def csa2_probe_draws(draw):
+def probe_draws(draw, csa=CsaVersion.CSA2):
     """(params, trace, true counter at the first observation or None) of a
-    CSA#2 connection from the probe space: 1-200 s captures at 7.5-200 ms,
+    ``csa`` connection from the probe space: 1-200 s captures at 7.5-200 ms,
     maps of 2-37 channels holding the sniffed one, timing noise up to 150
     us, drift up to 50 ppm and misses up to a half."""
     sniff, n_ch = draw(st.integers(0, 36)), draw(st.integers(2, 37))
     others = draw(st.permutations([c for c in range(37) if c != sniff]))[:n_ch - 1]
-    params = ConnectionParams(CsaVersion.CSA2, 1250 * draw(st.integers(6, 160)),
+    extra = dict(hop_increment=draw(st.integers(5, 16)),
+                 initial_channel=draw(st.integers(0, 36))) if csa is CsaVersion.CSA1 else {}
+    params = ConnectionParams(csa, 1250 * draw(st.integers(6, 160)),
                               ChannelMap.from_channels({sniff, *others}),
-                              draw(st.integers(0, 0xFFFFFFFF)))
+                              draw(st.integers(0, 0xFFFFFFFF)), **extra)
     duration_ns = draw(st.sampled_from([1, 2, 5, 20, 60, 200])) * 10**9
     timelines, trace = simulate_one(
         params, duration_ns, sniff=sniff, seed=draw(st.integers(0, 2**32 - 1)),
@@ -766,7 +790,7 @@ def csa2_probe_draws(draw):
 
 
 @settings(max_examples=300)
-@given(draw=csa2_probe_draws())
+@given(draw=probe_draws())
 def test_converged_maps_are_true_and_proven_exclusions_sound(draw):
     params, trace, k_true = draw
     report = reconstruct_connection(trace)
@@ -778,6 +802,20 @@ def test_converged_maps_are_true_and_proven_exclusions_sound(draw):
         assert est.assumed_map == params.channel_map
     if report.alignment.k_init == k_true:
         assert est.proven_excluded <= excluded
+
+
+@settings(max_examples=500, derandomize=True)
+@given(draw=probe_draws(CsaVersion.CSA1))
+def test_a_csa1_profile_has_one_phase_iff_the_gap_gcd_is_37_intervals(draw):
+    # a one-phase CSA#1 profile is the only reading at the 37th of the gap
+    # GCD, so the verdict needs no label of its own
+    _, trace, _ = draw
+    classification = reconstruct_connection(trace).classification
+    if classification is None or classification.verdict is not CsaVersion.CSA1:
+        return
+    gcd_ns = estimate_interval(trace.central()).interval_ns
+    assert ((len(classification.period_profile) == 1)
+            == (gcd_ns == 37 * classification.interval.interval_ns))
 
 
 def test_simulate_then_reconstruct_builds_no_channel_table(monkeypatch):
@@ -802,8 +840,7 @@ def test_reconstruct_csa1_stops_after_classification():
     _, trace = simulate_one(params, 120 * 10**9)
     report = reconstruct_connection(trace)
     assert report.error is None
-    assert report.classification.verdict in (Verdict.CSA1_SINGLE_HIT,
-                                             Verdict.CSA1_REPEATING)
+    assert report.classification.verdict is CsaVersion.CSA1
     assert report.classification.interval.interval_us == 18750
     assert report.alignment is None
     assert report.map_estimate is None
@@ -964,7 +1001,8 @@ def test_report_dict_round_trip_single_hit_csa1():
                               hop_increment=7, initial_channel=3)
     _, trace = simulate_one(params, 120 * 10**9, jitter=50_000.0)
     report = reconstruct_connection(trace)
-    assert report.classification.verdict is Verdict.CSA1_SINGLE_HIT
+    assert (report.classification.verdict, report.classification.period_profile) == (
+        CsaVersion.CSA1, (0,))
     raw = json.loads(json.dumps(report.to_dict()))
     assert raw["interval_us"] == 12500
     rebuilt = ReconstructionReport.from_dict(raw)
