@@ -22,8 +22,7 @@ from blehop import (
     CsaVersion,
     ImpairmentModel,
     ScenarioConfig,
-    connection_part,
-    group_by_address,
+    connections,
     load_trace,
     save_trace,
     simulate,
@@ -68,9 +67,7 @@ for t, aa in zip(trace.timestamps()[:5].tolist(), trace.access_addresses[:5].tol
 print("  ...")
 
 # Captures are fewer than ground-truth hits: miss_probability thins them.
-addresses, bounds, rows = group_by_address(trace)
-for k, aa in enumerate(addresses.tolist()):
-    part = connection_part(trace, rows[bounds[k]:bounds[k + 1]])
+for aa, part in connections(trace):
     print(f"  0x{aa:08X}: {len(part)} captured")
 
 # Traces serialize to a stable CSV (or JSONL) format — the same files the

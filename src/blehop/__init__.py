@@ -71,8 +71,7 @@ from .simulate import (
 from .trace import (
     Observation,
     SniffTrace,
-    connection_part,
-    group_by_address,
+    connections,
     load_trace,
     save_trace,
 )

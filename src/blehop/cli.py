@@ -37,7 +37,7 @@ from .errors import (
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
 from .simulate import MAX_EVENTS, ScenarioConfig, simulate
-from .trace import connection_part, load_trace, save_trace
+from .trace import connections, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,12 +147,11 @@ def cmd_reconstruct(args):
 
 
 def _connection_trace(args, access_address):
-    """The central packets of one connection in the ``--trace`` file."""
-    trace = load_trace(args.trace, args.format)
-    rows = np.flatnonzero(trace.access_addresses == access_address)
-    if not rows.size:
-        raise ConfigError(f"trace has no observations for 0x{access_address:08X}")
-    return connection_part(trace, rows)
+    """The packets of one connection in the ``--trace`` file."""
+    for aa, part in connections(load_trace(args.trace, args.format)):
+        if aa == access_address:
+            return part
+    raise ConfigError(f"trace has no observations for 0x{access_address:08X}")
 
 
 def cmd_predict(args):

@@ -287,10 +287,11 @@ class EvalReport:
 
     @property
     def eccdf(self):
-        """(error, P(error > threshold)) points, non-increasing in probability."""
+        """(error, P(error > that error)) points, one per matched error in
+        ascending order, so tied errors repeat one point."""
         ordered = np.sort(self.abs_errors_ns)
-        n = ordered.size
-        return [(float(e), float((n - i - 1) / n)) for i, e in enumerate(ordered)]
+        above = ordered.size - np.searchsorted(ordered, ordered, side="right")
+        return [(e, k / ordered.size) for e, k in zip(ordered.tolist(), above.tolist())]
 
     def to_dict(self):
         return {
@@ -323,8 +324,7 @@ def evaluate(forecast, reference, interval_ns):
         ref_times = reference.times_ns.astype(float)
         ref_channels = reference.channels
     elif isinstance(reference, SniffTrace):
-        reference.only_address()  # raises on a trace that mixes addresses
-        ref_times = reference.central().timestamps().astype(float)
+        ref_times = reference.connection()[1].timestamps().astype(float)
         ref_channels = np.full(ref_times.size, reference.sniff_channel)
     else:
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
@@ -390,7 +390,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     if not train_ns >= 0:  # nan too
         raise ConfigError(f"train_ns must be >= 0, got {train_ns}")
     # a trace of another connection would be forecast on this one's channels
-    aa = trace.only_address()
+    aa, trace = trace.connection()
     if aa is not None and aa != recon.access_address:
         raise ConfigError(f"trace holds 0x{aa:08X}, not the report's "
                           f"0x{recon.access_address:08X}")
@@ -402,7 +402,6 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
         raise EstimationError(f"reconstruction failed: {recon.error}")
     classification = recon.classification
     est = classification.interval
-    trace = trace.central()
     ts = trace.timestamps()
     # k_init and the period profile count events from the report's first observation
     first = int(ts[0]) if ts.size else None

@@ -48,7 +48,7 @@ from .errors import (
     check_int,
     reading,
 )
-from .trace import connection_part, group_by_address
+from .trace import connections
 
 INTERVAL_STEP_NS = INTERVAL_STEP_US * 1000
 INTERVAL_MIN_STEPS = INTERVAL_MIN_US // INTERVAL_STEP_US  # 6
@@ -639,10 +639,9 @@ def reconstruct_connection(trace):
     then skipped rather than guessing a candidate. Only the central
     packets are observations of the connection's events.
     """
-    aa = trace.only_address() or 0  # an empty trace reports address 0
-    trace = trace.central()
+    aa, trace = trace.connection()
     report = ReconstructionReport(
-        access_address=aa,
+        access_address=aa or 0,  # an empty trace reports address 0
         sniff_channel=trace.sniff_channel,
         observation_count=len(trace),
         first_timestamp_ns=int(trace.timestamps()[0]) if len(trace) else None,
@@ -672,13 +671,10 @@ def reconstruct_all(trace):
     """Reconstruct every connection in a merged trace, one at a time.
 
     Yields ``(access_address, report)`` pairs in ascending address order,
-    each as soon as its report is done. A connection's central packets are
-    copied out of the merged trace just before its reconstruction, so one
+    each as soon as its report is done. A connection's packets are copied
+    out of the merged trace just before its reconstruction, so one
     connection's copy is held at a time. An address whose packets are all
     peripheral still gets a report (a failed one), under its own address.
     """
-    addresses, bounds, rows = group_by_address(trace)
-    for k, aa in enumerate(addresses.tolist()):
-        report = reconstruct_connection(connection_part(trace, rows[bounds[k]:bounds[k + 1]]))
-        report.access_address = aa
-        yield aa, report
+    for aa, part in connections(trace):
+        yield aa, reconstruct_connection(part)

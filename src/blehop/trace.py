@@ -45,7 +45,8 @@ class SniffTrace:
     ``timestamps()`` (int64 ns, non-decreasing), ``access_addresses``
     (uint32) and ``is_central`` (bool) are read-only copies of the inputs;
     a non-empty timestamp or address column must be of an integer dtype and
-    fit, or :class:`ConfigError` names it.
+    fit, and a non-empty ``is_central`` must hold bools or the integers 0
+    and 1, or :class:`ConfigError` names the column.
     ``sniff_channel`` may be None only while the trace is empty (for
     example a header-only file).
     """
@@ -55,7 +56,7 @@ class SniffTrace:
     def __init__(self, sniff_channel, timestamps, access_addresses, is_central):
         columns = (_integer_column(timestamps, "timestamps", np.int64),
                    _integer_column(access_addresses, "access addresses", np.uint32),
-                   np.array(is_central, dtype=bool))
+                   _integer_column(is_central, "is_central", bool))
         if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
             raise ConfigError("trace columns must be 1-D and of equal length")
         if sniff_channel is not None:
@@ -77,20 +78,19 @@ class SniffTrace:
         """All observation timestamps as a read-only int64 array (ns)."""
         return self._timestamps
 
-    def only_address(self):
-        """The trace's one access address, or None if it is empty; a mix raises."""
+    def connection(self):
+        """``(address, central packets)`` of a one-connection trace: the packets
+        that observe its events, the trace itself when all are central. The
+        address is None when it is empty; a mix of addresses raises."""
         aa = self.access_addresses
         if aa.size and np.any(aa != aa[0]):
             raise ConfigError("trace mixes access addresses; split it by connection first")
-        return int(aa[0]) if aa.size else None
-
-    def central(self):
-        """The central packets only; the trace itself when every packet is central."""
+        address = int(aa[0]) if aa.size else None
         keep = self.is_central
         if keep.all():
-            return self
-        return SniffTrace(self.sniff_channel, self._timestamps[keep], self.access_addresses[keep],
-                          np.ones(np.count_nonzero(keep), dtype=bool))
+            return address, self
+        return address, SniffTrace(self.sniff_channel, self._timestamps[keep], aa[keep],
+                                   np.ones(np.count_nonzero(keep), dtype=bool))
 
     @property
     def observations(self):
@@ -101,15 +101,17 @@ class SniffTrace:
 
 
 def _integer_column(values, name, dtype):
-    """A copy of ``values`` as ``dtype``; a non-empty column must hold integers
-    (of an integer dtype) that fit it, so nothing is truncated or wrapped."""
+    """A copy of ``values`` as ``dtype``. A non-empty column of another dtype
+    must hold integers (of an integer dtype) that fit it, only 0 and 1 for
+    a bool column, so nothing is truncated, wrapped or coerced."""
     column = np.asarray(values)
-    if column.size:
+    if column.size and column.dtype != dtype:
         if column.dtype.kind not in "iu":
-            raise ConfigError(f"{name} must be integers, got a {column.dtype} column")
-        info = np.iinfo(dtype)
-        if not info.min <= int(column.min()) <= int(column.max()) <= info.max:
-            raise ConfigError(f"{name} must be in {info.min}..{info.max}")
+            kind = "bools or integers" if dtype is bool else "integers"
+            raise ConfigError(f"{name} must be {kind}, got a {column.dtype} column")
+        low, high = (0, 1) if dtype is bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+        if not low <= int(column.min()) <= int(column.max()) <= high:
+            raise ConfigError(f"{name} must be in {low}..{high}")
     return column.astype(dtype)
 
 
@@ -190,6 +192,7 @@ def load_trace(source, fmt="csv"):
             columns = _read_rows(handle, fmt)
     channel, *columns = columns
     columns = [np.asarray(column) for column in columns]
+    columns[2] = columns[2].view(bool)  # the parsers store each flag as 0 or 1
     if np.any(columns[0][1:] < columns[0][:-1]):
         order = np.argsort(columns[0], kind="stable")
         columns = [column[order] for column in columns]
@@ -373,16 +376,15 @@ def save_trace(trace, dest, fmt="csv"):
             )
 
 
-def group_by_address(trace):
-    """The trace's row numbers grouped by access address, with one sort.
+def connections(trace):
+    """An iterator of ``(address, part)`` in ascending address order, each
+    part all of that address's rows (peripheral ones too) as a trace.
 
-    Returns ``(addresses, bounds, rows)``: the distinct addresses in
-    ascending order (uint32) and the row numbers (int64), address
-    ``addresses[k]`` owning ``rows[bounds[k]:bounds[k + 1]]`` in ascending
-    (time) order. Each row is sorted as the uint64 key ``(address << 32) |
-    row``; the keys are unique, so one in-place sort puts the rows in the
-    order of a stable argsort of the addresses, in about a third of its
-    time. Row numbers fit the low 32 bits of any trace that fits in memory.
+    The rows are grouped on the call, by one in-place sort of the unique
+    uint64 keys ``(address << 32) | row`` (a stable argsort's order in about
+    a third of its time; row numbers fit 32 bits in any trace that fits in
+    memory). A part is copied out only when it is taken, so a caller that
+    drops one before taking the next holds one copy at a time.
     """
     aa = trace.access_addresses
     keys = aa.astype(np.uint64)
@@ -394,13 +396,8 @@ def group_by_address(trace):
     first_of_group[1:] = grouped[1:] != grouped[:-1]
     starts = np.flatnonzero(first_of_group)
     keys &= np.uint64(0xFFFFFFFF)
-    return grouped[starts].astype(np.uint32), np.append(starts, aa.size), keys.view(np.int64)
-
-
-def connection_part(trace, rows):
-    """The central packets among ``rows`` (one address's ascending row
-    numbers, as :func:`group_by_address` groups them) as a trace on the
-    same channel."""
-    rows = rows[trace.is_central[rows]]
-    return SniffTrace(trace.sniff_channel, trace._timestamps[rows], trace.access_addresses[rows],
-                      np.ones(rows.size, dtype=bool))
+    rows = keys.view(np.int64)
+    bounds = [*starts.tolist(), aa.size]
+    columns = (trace._timestamps, aa, trace.is_central)
+    return ((address, SniffTrace(trace.sniff_channel, *(c[rows[lo:hi]] for c in columns)))
+            for address, lo, hi in zip(grouped[starts].tolist(), bounds, bounds[1:]))

@@ -19,7 +19,7 @@ from blehop import (
     Forecast,
     ReconstructionReport,
     SniffTrace,
-    connection_part,
+    connections,
     load_trace,
     reconstruct,
     save_trace,
@@ -76,9 +76,8 @@ def scenario_file(tmp_path):
 
 
 def connection_of(sim, access_address):
-    """The central packets of one connection of a simulated trace."""
-    trace = load_trace(sim / "trace.csv")
-    return connection_part(trace, np.flatnonzero(trace.access_addresses == access_address))
+    """The packets of one connection of a simulated trace."""
+    return dict(connections(load_trace(sim / "trace.csv")))[access_address]
 
 
 def connection_trace(sim, access_address, dest):

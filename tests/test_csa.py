@@ -258,6 +258,14 @@ def test_params_reject_bad_access_address():
         ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 1 << 32)
 
 
+def test_params_refuse_an_untyped_version_or_map():
+    # the number 2 and the map's hex mask are what a params file holds, not the types
+    with pytest.raises(ConfigError, match="csa_version must be a CsaVersion, got 2"):
+        ConnectionParams(2, 7500, MAP_27, 0x1)
+    with pytest.raises(ConfigError, match="channel_map must be a ChannelMap"):
+        ConnectionParams(CsaVersion.CSA2, 7500, MAP_27.to_hex(), 0x1)
+
+
 # ---------------------------------------------------------------------------
 # CSA#1
 

@@ -10,6 +10,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the warnings that pyproject.toml makes errors in the suite's own process
+WARNINGS_AS_ERRORS = [f"-Werror::{category}" for category in
+                      ("RuntimeWarning", "DeprecationWarning", "FutureWarning")]
 
 
 def run_python(argv, cwd):
@@ -17,7 +20,7 @@ def run_python(argv, cwd):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

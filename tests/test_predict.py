@@ -29,10 +29,9 @@ from blehop import (
     ScenarioConfig,
     SniffTrace,
     channel_identifier,
-    connection_part,
+    connections,
     csa2_channels_bulk,
     evaluate,
-    group_by_address,
     init_sync,
     kalman_update,
     observation_offsets,
@@ -492,6 +491,14 @@ def test_eccdf_is_a_survival_curve():
     assert report.p50_ns <= report.p95_ns
 
 
+def test_eccdf_gives_tied_errors_the_share_above_them():
+    # one row per matched error; P(error > 0) is 1/4 at each of the three ties
+    assert EvalReport([0, 0, 0, 5000]).eccdf == [(0.0, 0.25)] * 3 + [(5000.0, 0.0)]
+    assert EvalReport([7, 7]).eccdf == [(7.0, 0.0)] * 2
+    assert EvalReport([2, 1, 2, 3, 1]).eccdf == [
+        (1.0, 0.6), (1.0, 0.6), (2.0, 0.2), (2.0, 0.2), (3.0, 0.0)]
+
+
 def test_eval_report_stores_errors_and_counts_and_derives_the_rest():
     report = EvalReport([-3000, 1000, 0, -2000], 1, 2, 3)
     assert [f.name for f in dataclasses.fields(report)] == [
@@ -638,7 +645,7 @@ def test_library_ignores_peripheral_packets():
     assert got.forecast.to_json() == want.forecast.to_json()
     assert got.report.to_dict() == want.report.to_dict()
     # an all-central trace is used as it is
-    assert clean.central() is clean
+    assert clean.connection() == (0xB0A1CD9D, clean)
 
 
 def test_run_prediction_horizon_and_channel_filter():
@@ -670,9 +677,7 @@ def test_run_prediction_refuses_another_connections_trace():
                            start_offset_ns=3_000_000),
     ), sniff_channel=22, rng_seed=7)
     _, merged = simulate(config)
-    addresses, bounds, rows = group_by_address(merged)
-    parts = {aa: connection_part(merged, rows[bounds[k]:bounds[k + 1]])
-             for k, aa in enumerate(addresses.tolist())}
+    parts = dict(connections(merged))
     recon = reconstruct_connection(parts[0xB0A1CD9D])
     assert recon.error is None
     assert len(run_prediction(parts[0xB0A1CD9D], recon, train_ns=60 * 10**9).forecast) > 0

@@ -348,6 +348,11 @@ def test_observation_offsets_reject_wrong_interval():
         observation_offsets(trace_at(times), 11_000_000)
 
 
+def test_observation_offsets_refuse_an_empty_trace():
+    with pytest.raises(InsufficientDataError, match="empty trace"):
+        observation_offsets(SniffTrace(None, [], [], []), 12_500_000)
+
+
 def test_observation_offsets_tolerate_rare_jitter_outlier():
     # one gap 400 us off-grid among 40 clean ones: a noise outlier, not a
     # wrong interval, and far too small to shift its rounding
@@ -813,7 +818,7 @@ def test_a_csa1_profile_has_one_phase_iff_the_gap_gcd_is_37_intervals(draw):
     classification = reconstruct_connection(trace).classification
     if classification is None or classification.verdict is not CsaVersion.CSA1:
         return
-    gcd_ns = estimate_interval(trace.central()).interval_ns
+    gcd_ns = estimate_interval(trace.connection()[1]).interval_ns
     assert ((len(classification.period_profile) == 1)
             == (gcd_ns == 37 * classification.interval.interval_ns))
 

@@ -14,8 +14,7 @@ from blehop import (
     ConfigError,
     SniffTrace,
     TraceParseError,
-    connection_part,
-    group_by_address,
+    connections,
     load_trace,
     save_trace,
 )
@@ -73,8 +72,17 @@ def test_trace_validates_columns():
         with pytest.raises(ConfigError, match=column):
             SniffTrace(5, timestamps, addresses, [True] * len(addresses))
     # empty columns of any dtype pass
+    assert len(SniffTrace(None, [], [], np.array([], dtype=str))) == 0
     empty = SniffTrace(None, np.array([], dtype=float), np.array([], dtype=str), [])
     assert empty.timestamps().dtype == np.int64 and empty.access_addresses.dtype == np.uint32
+
+
+def test_trace_refuses_a_direction_column_that_is_not_bools_or_0_and_1():
+    for flags in (["false", "true"], [2, 0], [0.5, 0.0], [None, 1], [1.0, 0.0], [-1, 1]):
+        with pytest.raises(ConfigError, match="is_central"):
+            SniffTrace(22, [0, 1], [1, 1], flags)
+    for flags in ([False, True], [0, 1], np.array([0, 1], dtype=np.uint8)):
+        assert SniffTrace(22, [0, 1], [1, 1], flags).is_central.tolist() == [False, True]
 
 
 def test_timestamps_array():
@@ -214,6 +222,14 @@ def test_jsonl_errors_report_their_line():
         load_trace(io.StringIO("[1, 2]\n"), "jsonl")
 
 
+def test_jsonl_skips_blank_lines_and_counts_them():
+    good = '{"timestamp_ns": 1, "access_address_hex": "0x1", "channel": 7, "is_central": true}\n'
+    assert len(load_trace(io.StringIO("\n" + good + " \t\n" + good), "jsonl")) == 2
+    with pytest.raises(TraceParseError) as err:
+        load_trace(io.StringIO(good + "\n  \n" + good + "{broken\n"), "jsonl")
+    assert err.value.row == 5
+
+
 @pytest.mark.parametrize("field, value", [
     ("timestamp_ns", 5.9), ("timestamp_ns", 5.0), ("timestamp_ns", True),
     ("channel", 7.9), ("channel", 7.0), ("channel", True),
@@ -260,19 +276,26 @@ def test_connection_parts_partition_and_filter():
         sniff,
         [100, 200, 300, 400, 500],
         [0xC, 0xB, 0xC, 0xC, 0xA],
-        # 300 is peripheral: dropped from its part; 0xA is only peripheral: empty part
+        # 300 is peripheral: dropped from its connection; 0xA is only peripheral: none left
         [True, True, False, True, False],
     )
-    addresses, bounds, rows = group_by_address(trace)
-    assert addresses.tolist() == [0xA, 0xB, 0xC]  # ascending, not first-packet order
-    parts = [connection_part(trace, rows[bounds[k]:bounds[k + 1]]) for k in range(3)]
-    assert [p.timestamps().tolist() for p in parts] == [[], [200], [100, 400]]
-    assert all(p.sniff_channel == sniff for p in parts)
-    # parts union back to the central packets of the input
-    union = sorted(row for p in parts for row in zip(*columns(p)))
-    assert union == [row for row in zip(*columns(trace)) if row[2]]
+    parts = list(connections(trace))
+    assert [aa for aa, _ in parts] == [0xA, 0xB, 0xC]  # ascending, not first-packet order
+    # each part holds all of its address's rows, peripheral ones included
+    assert [p.timestamps().tolist() for _, p in parts] == [[500], [200], [100, 300, 400]]
+    assert all(p.sniff_channel == sniff for _, p in parts)
+    # a part's connection is its address and its central packets, even when there are none
+    central = [p.connection() for _, p in parts]
+    assert [(aa, p.timestamps().tolist()) for aa, p in central] == [
+        (0xA, []), (0xB, [200]), (0xC, [100, 400])]
+    assert all(p.sniff_channel == sniff for _, p in central)
+    # an all-central trace is its own connection; a merged one has none
+    assert parts[1][1].connection()[1] is parts[1][1]
+    with pytest.raises(ConfigError, match="mixes access addresses"):
+        trace.connection()
     empty = SniffTrace(None, [], [], [])
-    assert [a.size for a in group_by_address(empty)] == [0, 1, 0]
+    assert list(connections(empty)) == []
+    assert empty.connection() == (None, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +337,22 @@ pooled_addresses = st.sampled_from([0, 0xFFFFFFFF, 0x0000FFFF, 0xFFFF0000,
 @example(trace=SniffTrace(None, [], [], []))
 @example(trace=SniffTrace(3, [5, 5, 5, 7, 7], [0xFFFFFFFF, 0, 0xFFFFFFFF, 0, 0x1234ABCD],
                           [True, False, True, False, False]))
-def test_group_by_address_equals_a_stable_argsort(trace):
-    aa = trace.access_addresses
-    addresses, bounds, rows = group_by_address(trace)
-    assert addresses.dtype == np.uint32 and rows.dtype == np.int64
-    assert rows.tolist() == np.argsort(aa, kind="stable").tolist()
-    assert addresses.tolist() == sorted(set(aa.tolist()))
-    assert bounds.tolist() == [0, *np.cumsum([np.sum(aa == a) for a in addresses]).tolist()]
+def test_connections_equal_a_stable_argsort(trace):
     table = list(zip(*columns(trace)))
-    for k, address in enumerate(addresses.tolist()):
-        group = rows[bounds[k]:bounds[k + 1]]
-        assert np.all(aa[group] == address) and np.all(np.diff(group) > 0)
-        # an address with only peripheral packets gets an empty part
-        part = connection_part(trace, group)
+    addresses, grouped = [], []
+    for address, part in connections(trace):
+        rows = list(zip(*columns(part)))
+        assert rows and all(row[1] == address for row in rows)
         assert part.sniff_channel == trace.sniff_channel
-        assert list(zip(*columns(part))) == [table[r] for r in group.tolist() if table[r][2]]
+        addresses.append(address)
+        grouped += rows
+        # an address with only peripheral packets keeps its address, with no packets
+        aa, central = part.connection()
+        assert aa == address and central.sniff_channel == trace.sniff_channel
+        assert list(zip(*columns(central))) == [row for row in rows if row[2]]
+    assert addresses == sorted(set(trace.access_addresses.tolist()))
+    order = np.argsort(trace.access_addresses, kind="stable").tolist()
+    assert grouped == [table[r] for r in order]
 
 
 @property_settings
