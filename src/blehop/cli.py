@@ -174,8 +174,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    with open(args.forecast) as handle:
-        forecast = Forecast.from_dict(json.load(handle))
+    forecast = Forecast.from_json(Path(args.forecast).read_bytes())
     if forecast.access_address is None:
         raise ConfigError("forecast names no access_address")
     trace = _connection_trace(args, forecast.access_address)
@@ -271,6 +270,7 @@ EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
     (EstimationError, EXIT_ESTIMATION),
     (json.JSONDecodeError, EXIT_PARSE),
+    (UnicodeDecodeError, EXIT_PARSE),
     (OSError, EXIT_IO),
 )
 
@@ -280,7 +280,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
-        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        parse = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError))
+        prefix = "invalid JSON input: " if parse else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 

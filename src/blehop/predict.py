@@ -15,8 +15,11 @@ profile) can be forecast.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -135,6 +138,106 @@ def predict_event_time(sync, event_offset):
     return time_pred, math.sqrt(max(var, 0.0))
 
 
+# The row layout of forecast.json, as json.dumps(indent=2) writes an entry
+_FIELDS = ("counter", "channel", "time_ns", "time_std_ns")
+_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %d' for key in _FIELDS)
+_ENTRIES_OPEN, _ENTRIES_CLOSE = ',\n  "entries": [\n', "\n  ]\n}\n"
+_WRITE_BLOCK_ROWS = 8192
+# What to_json writes around the rows; the access address as _head writes it
+_HEAD = re.compile(rb'\{\n(?:  "access_address": "(0x[0-9A-F]{8})",\n)?'
+                   rb'  "counters_are_wire": (true|false)' + re.escape(_ENTRIES_OPEN.encode()))
+_TAIL = _ENTRIES_CLOSE.encode()
+_NUMBER_BYTES = b"0123456789-"
+# a row and the ",\n" after it, without its numbers, and where each number goes
+_SKELETON_ROW = (_ROW % (0, 0, 0, 0) + ",\n").encode().translate(None, _NUMBER_BYTES)
+_SLOTS = np.array([m.end() for m in re.finditer(b": ", _SKELETON_ROW)])
+_ROW_END = b"\n    },\n"  # a row's last line and the separator after it
+# every byte but a number's as a space
+_SPACE_OUT = bytes(c if c in _NUMBER_BYTES else ord(" ") for c in range(256))
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
+_READ_BLOCK_BYTES = 1 << 18
+
+
+def _read_rows(data):
+    """The head keys and the four int64 columns of ``data`` if it is laid
+    out exactly as ``to_json`` writes a non-empty forecast, else None.
+
+    Rows are read in blocks of about ``_READ_BLOCK_BYTES``, each cut at a
+    row's end, so the temporaries stay the size of one block.
+    """
+    head = _HEAD.match(data)
+    if head is None or not data.endswith(_TAIL):
+        return None
+    start, end = head.end(), len(data) - len(_TAIL)
+    # room for the most rows the body can hold: rows of one-digit numbers
+    columns = np.empty((len(_FIELDS), (end - start + 2) // (len(_SKELETON_ROW) + len(_FIELDS))),
+                       np.int64)
+    rows = 0
+    while start < end:
+        stop = data.find(_ROW_END, start + _READ_BLOCK_BYTES, end)
+        stop = end if stop < 0 else stop + len(_ROW_END) - 2  # up to the row's "}"
+        values = _read_block(data[start:stop])
+        if values is None:
+            return None
+        k = values.size // len(_FIELDS)
+        columns[:, rows:rows + k] = values.reshape(k, len(_FIELDS)).T
+        rows += k
+        start = stop + 2  # past the ",\n" between rows
+    address, wire = head.groups()
+    raw = {"counters_are_wire": wire == b"true"}
+    if address is not None:
+        raw["access_address"] = address.decode()
+    return raw, tuple(columns[:, :rows])
+
+
+def _read_block(block):
+    """The numbers of ``block``, k rows as ``to_json`` writes them joined
+    by ",\\n", as one flat int64 array; None unless every byte is where
+    and as ``to_json`` would write it.
+
+    With the numbers' bytes deleted, the block must be k row skeletons. A
+    minus must open a number, so each run of number bytes is one integer,
+    and NumPy parses them all in one call. A number at an int64 limit may
+    have been clamped there, so it is left to ``json.loads``. The values'
+    shortest decimal widths must add up to the number bytes (no leading
+    zero, no "-0"), and the i-th value must start two bytes after the
+    i-th colon: the skeleton's colons are the only ones, so each value
+    sits in its own slot, with none empty and none between slots.
+    """
+    skeleton = block.translate(None, _NUMBER_BYTES)
+    k, rest = divmod(len(skeleton) + 2, len(_SKELETON_ROW))  # the last row has no ",\n"
+    if rest or skeleton + b",\n" != _SKELETON_ROW * k:
+        return None
+    numbers = block.translate(_SPACE_OUT)
+    chars = np.frombuffer(numbers, np.uint8)
+    if b"-" in numbers:
+        minus = np.flatnonzero(chars == ord("-"))
+        if (minus[0] == 0 or minus[-1] == chars.size - 1 or np.any(chars[minus - 1] != ord(" "))
+                or np.any(chars[minus + 1] - ord("0") >= 10)):
+            return None
+    try:
+        # NumPy before 2.0 warns, rather than raises, on text it cannot read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(numbers, np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if (values.size != len(_FIELDS) * k or values.max() == _INT64.max
+            or values.min() == _INT64.min):
+        return None
+    widths = (1 + np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right")
+              + (values < 0))
+    ends = np.cumsum(widths)
+    if ends[-1] != len(block) - len(skeleton):
+        return None
+    starts = (np.arange(k)[:, None] * len(_SKELETON_ROW) + _SLOTS).ravel() + (ends - widths)
+    raw = np.frombuffer(block, np.uint8)
+    if np.any(raw[starts - 2] != ord(":")) or np.any(chars[starts] == ord(" ")):
+        return None
+    return values
+
+
 @dataclass
 class Forecast:
     """Future events in time order, as four equal-length int64 columns.
@@ -187,16 +290,37 @@ class Forecast:
 
     def to_json(self):
         """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte,
-        with the rows written from the columns by a ``repr`` template:
-        ``indent`` sends ``json.dumps`` to its slow pure-Python encoder."""
+        with the rows written from the columns a block at a time, one ``%``
+        format per block: ``indent`` sends ``json.dumps`` to its slow
+        pure-Python encoder. Integers need no nan/inf fallback, so only an
+        empty forecast is left to ``json.dumps``."""
         if len(self) == 0:
             return json.dumps(self.to_dict(), indent=2) + "\n"
-        values = (col.tolist() for col in self.columns())
-        row = ('    {\n      "counter": %r,\n      "channel": %r,\n'
-               '      "time_ns": %r,\n      "time_std_ns": %r\n    }')
+        rows = np.stack(self.columns(), axis=1)
         head = json.dumps(self._head(), indent=2)[:-2]  # without its closing "\n}"
-        return ('%s,\n  "entries": [\n%s\n  ]\n}\n'
-                % (head, ",\n".join(row % e for e in zip(*values))))
+        parts = [head, _ENTRIES_OPEN]
+        size = min(len(rows), _WRITE_BLOCK_ROWS)
+        template = ",\n".join([_ROW] * size)
+        for start in range(0, len(rows), size):
+            block = rows[start:start + size]
+            if len(block) < size:  # the last block
+                template = ",\n".join([_ROW] * len(block))
+            parts += (template % tuple(block.ravel().tolist()), ",\n")
+        parts[-1] = _ENTRIES_CLOSE
+        return "".join(parts)
+
+    @classmethod
+    def from_json(cls, data):
+        """Read the bytes of a forecast file: the layout ``to_json`` writes
+        is parsed a block of rows at a time, any other text by ``from_dict``
+        after ``json.loads``; both give the same forecast or the same error.
+        Text is decoded as ``open()`` decodes it."""
+        read = _read_rows(data)
+        if read is None:
+            return cls.from_dict(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
+        head, columns = read
+        with reading("forecast"):
+            return cls._checked(columns, head)
 
     @classmethod
     def from_dict(cls, raw):
@@ -208,18 +332,24 @@ class Forecast:
             if type(entries) is not list:
                 raise ConfigError(f"forecast entries must be a list, got {entries!r:.40}")
             columns = []
-            for key in ("counter", "channel", "time_ns", "time_std_ns"):
+            for key in _FIELDS:
                 values = [e[key] for e in entries]
                 if not set(map(type, values)) <= {int}:
                     raise ConfigError(f"forecast {key} values must be JSON integers")
                 columns.append(np.array(values, np.int64))
-            if not np.all((columns[1] >= 0) & (columns[1] < NUM_DATA_CHANNELS)):
-                raise ConfigError("forecast channels must be in 0..36")
-            wire = check_bool(raw["counters_are_wire"], "forecast counters_are_wire")
-            aa = raw.get("access_address")
-            if aa is not None:
-                aa = check_access_address(int(aa, 16))
-            return cls(*columns, counters_are_wire=wire, access_address=aa)
+            return cls._checked(columns, raw)
+
+    @classmethod
+    def _checked(cls, columns, raw):
+        """The forecast of four int64 columns, in ``_FIELDS`` order, and the
+        head keys of ``raw``, all checked."""
+        if not np.all((columns[1] >= 0) & (columns[1] < NUM_DATA_CHANNELS)):
+            raise ConfigError("forecast channels must be in 0..36")
+        wire = check_bool(raw["counters_are_wire"], "forecast counters_are_wire")
+        aa = raw.get("access_address")
+        if aa is not None:
+            aa = check_access_address(int(aa, 16))
+        return cls(*columns, counters_are_wire=wire, access_address=aa)
 
 
 def predict_csa1(classification, sync, horizon):

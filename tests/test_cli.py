@@ -691,13 +691,43 @@ def test_predict_refuses_a_trace_without_the_reports_first_packet(tmp_path, pipe
 def test_bad_forecast_values_exit_with_config_error(tmp_path, pipeline, capsys, path, value):
     sim, _, pred = pipeline
     forecast = _mutated(json.loads((pred / "forecast.json").read_text()), path, value)
-    forecast_path = tmp_path / "forecast.json"
-    forecast_path.write_text(json.dumps(forecast))
     part = connection_trace(sim, 0xB0A1CD9D, tmp_path / "part.csv")
+    errors = []
+    # compact, and laid out as predict writes it: its rows are read in bulk
+    for layout, text in enumerate(_forecast_layouts(forecast)):
+        forecast_path = tmp_path / f"forecast_{layout}.json"
+        forecast_path.write_text(text)
+        capsys.readouterr()
+        assert main(["evaluate", "--forecast", str(forecast_path), "--trace", str(part),
+                     "--interval-us", "12500",
+                     "--out-dir", str(tmp_path / f"out_{layout}")]) == EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert "forecast" in errors[0]
+    assert errors[1] == errors[0]
+
+
+def _forecast_layouts(forecast):
+    """The forecast dict as compact JSON, and as ``Forecast.to_json`` lays it out."""
+    return json.dumps(forecast), json.dumps(forecast, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["simulate"], "--scenario"),
+    (["predict", "--trace", "TRACE"], "--report"),
+    (["evaluate", "--trace", "TRACE", "--interval-us", "12500"], "--forecast"),
+    (["hopgen"], "--params"),
+], ids=["simulate", "predict", "evaluate", "hopgen"])
+def test_json_inputs_that_are_not_utf8_exit_with_parse_error(tmp_path, pipeline, capsys,
+                                                             argv, option):
+    # each used to end in a UnicodeDecodeError traceback and exit 1
+    trace = str(pipeline[0] / "trace.csv")
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"entries": [\xff]}')
     capsys.readouterr()
-    assert main(["evaluate", "--forecast", str(forecast_path), "--trace", str(part),
-                 "--interval-us", "12500", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "forecast" in capsys.readouterr().err
+    assert main([*(trace if arg == "TRACE" else arg for arg in argv), option, str(path),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: invalid JSON input: 'utf-8' codec")
+    assert not (tmp_path / "out").exists()
 
 
 # A short capture, so that each mutated input runs the CLI in milliseconds
@@ -728,14 +758,15 @@ def short_run(tmp_path_factory):
 
 def _run_on(work_dir, option, text, argv):
     """``blehop <argv> <option> <text written to a file>`` in a fresh out dir; its
-    exit code (checked to be one the CLI documents) and that out dir."""
+    exit code (checked to be one the CLI documents), that out dir and its stderr."""
     run_dir = Path(tempfile.mkdtemp(dir=work_dir))
     path = run_dir / "input"
     path.write_text(text)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([*argv, option, str(path), "--out-dir", str(run_dir / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_AMBIGUOUS, EXIT_IO, EXIT_ESTIMATION)
-    return code, run_dir / "out"
+    return code, run_dir / "out", err.getvalue()
 
 
 REPORT_PATHS = [(key,) for key in (
@@ -753,8 +784,8 @@ FORECAST_PATHS = [("access_address",), ("counters_are_wire",), ("entries",)] + [
 @given(path=st.sampled_from(REPORT_PATHS), value=st.sampled_from(BAD_VALUES))
 def test_mutated_report_never_escapes_the_cli(short_run, path, value):
     trace, report, _, work_dir = short_run
-    code, out = _run_on(work_dir, "--report", json.dumps(_mutated(report, path, value)),
-                        ["predict", "--trace", str(trace), "--train-seconds", "15"])
+    code, out, _ = _run_on(work_dir, "--report", json.dumps(_mutated(report, path, value)),
+                           ["predict", "--trace", str(trace), "--train-seconds", "15"])
     if code == EXIT_OK:
         Forecast.from_dict(json.loads((out / "forecast.json").read_text()))
         json.loads((out / "eval.json").read_text())
@@ -764,9 +795,13 @@ def test_mutated_report_never_escapes_the_cli(short_run, path, value):
 @given(path=st.sampled_from(FORECAST_PATHS), value=st.sampled_from(BAD_VALUES))
 def test_mutated_forecast_never_escapes_the_cli(short_run, path, value):
     trace, _, forecast, work_dir = short_run
-    code, out = _run_on(work_dir, "--forecast", json.dumps(_mutated(forecast, path, value)),
-                        ["evaluate", "--trace", str(trace), "--interval-us", "7500"])
+    runs = [_run_on(work_dir, "--forecast", text,
+                    ["evaluate", "--trace", str(trace), "--interval-us", "7500"])
+            for text in _forecast_layouts(_mutated(forecast, path, value))]
+    (code, out, err), (bulk_code, bulk_out, bulk_err) = runs
+    assert (bulk_code, bulk_err) == (code, err)
     if code == EXIT_OK:
+        assert (bulk_out / "eval.json").read_bytes() == (out / "eval.json").read_bytes()
         json.loads((out / "eval.json").read_text())
 
 
@@ -788,8 +823,8 @@ PARAMS_PATHS = [(conn, key) for conn in (0, 1)
 @given(path=st.sampled_from(SCENARIO_PATHS), value=st.sampled_from(BAD_VALUES))
 def test_mutated_scenario_never_escapes_the_cli(short_run, path, value):
     work_dir = short_run[-1]
-    code, out = _run_on(work_dir, "--scenario", json.dumps(_mutated(SCENARIO_DOC, path, value)),
-                        ["simulate"])
+    scenario = json.dumps(_mutated(SCENARIO_DOC, path, value))
+    code, out, _ = _run_on(work_dir, "--scenario", scenario, ["simulate"])
     if code == EXIT_OK:
         load_trace(out / "trace.csv")
         [json.loads(line) for line in (out / "timelines.jsonl").read_text().splitlines()]
@@ -802,7 +837,7 @@ def test_mutated_params_file_never_escapes_the_cli(short_run, path, value):
     work_dir = short_run[-1]
     conn, key = path
     params = _mutated(SCENARIO["connections"][conn]["params"], (key,), value)
-    code, out = _run_on(work_dir, "--params", json.dumps(params), ["hopgen"])
+    code, out, _ = _run_on(work_dir, "--params", json.dumps(params), ["hopgen"])
     if code == EXIT_OK:
         with open(out / "hops.csv") as handle:
             assert len(list(csv.reader(handle))) == 75
@@ -820,7 +855,7 @@ def _reconstruct_mutated(short_run, text, fmt):
     """Run ``reconstruct`` on a mutated trace: it exits 0 with readable reports,
     or refuses the trace as a config or parse error."""
     work_dir = short_run[-1]
-    code, out = _run_on(work_dir, "--trace", text, ["reconstruct", "--format", fmt])
+    code, out, _ = _run_on(work_dir, "--trace", text, ["reconstruct", "--format", fmt])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE)
     if code == EXIT_OK:
         for path in out.glob("report_*.json"):

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import blehop.predict
@@ -541,6 +543,21 @@ def test_forecast_dict_round_trip():
     assert empty.to_dict() == {"counters_are_wire": True, "entries": []}
 
 
+# rows per block of Forecast.to_json
+BLOCK = blehop.predict._WRITE_BLOCK_ROWS
+
+
+def random_forecast(rows, seed, csa2=True, named=True):
+    """A forecast of ``rows`` random rows; CSA#1 counters are offsets, and
+    times may be negative."""
+    rng = np.random.default_rng(seed)
+    counters = rng.integers(0, 65536, rows) if csa2 else np.sort(rng.integers(-50, 10**6, rows))
+    times = np.sort(rng.integers(-(10**15), 10**18, rows))
+    return Forecast(counters, rng.integers(0, 37, rows), times, rng.integers(0, 10**6, rows),
+                    counters_are_wire=csa2,
+                    access_address=int(rng.integers(0, 2**32)) if named else None)
+
+
 def test_forecast_json_is_json_dumps_byte_for_byte():
     def dumped(fc):
         return json.dumps(fc.to_dict(), indent=2) + "\n"
@@ -554,10 +571,121 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
                      np.array([0, 1]), access_address=0xB0A1CD9D)
     empty = Forecast.from_dict({"counters_are_wire": True, "entries": []})
-    for fc in (csa2, csa1, named, empty):
+    # the writer's blocks: exactly one, one and a row, and several
+    blocks = [random_forecast(rows, seed=rows) for rows in (BLOCK, BLOCK + 1, 3 * BLOCK + 5)]
+    for fc in (csa2, csa1, named, empty, *blocks):
         assert fc.to_json() == dumped(fc)
     assert '"counters_are_wire": false' in csa1.to_json()
     assert named.to_json().startswith('{\n  "access_address": "0xB0A1CD9D",\n')
+
+
+def test_forecast_json_is_read_without_json_loads():
+    csa1 = predict_csa1(CsaClassification(CsaVersion.CSA1, (0, 25),
+                                          IntervalEstimate(12_500_000, 12_500_037.3), 10),
+                        track([-10**9, -987_499_910, -974_999_850], [1, 1], 12_500_037.3), 300)
+    # rows of one-digit numbers are the shortest, and fill the reader's room exactly
+    shortest = Forecast(*np.arange(4 * 9).reshape(4, 9) % 10, access_address=7)
+    forecasts = [csa1, random_forecast(1, 1, named=False), random_forecast(2 * BLOCK, 2),
+                 random_forecast(40, 3, csa2=False), shortest]
+    assert np.any(csa1.times_ns < 0)
+    with mock.patch.object(Forecast, "from_dict", side_effect=AssertionError):
+        for fc in forecasts:
+            read = Forecast.from_json(fc.to_json().encode())
+            assert (read.counters_are_wire, read.access_address) == (
+                fc.counters_are_wire, fc.access_address)
+            for got, want in zip(read.columns(), fc.columns()):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == np.int64
+
+
+def _read_outcome(read, data):
+    """The forecast ``read(data)`` gives, as comparable values, or its error."""
+    try:
+        fc = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([(col.dtype.str, col.tobytes()) for col in fc.columns()], fc.counters_are_wire,
+            fc.access_address)
+
+
+# each number mutation replaces one number of the rows
+_NUMBER_MUTATIONS = {
+    "leading zero": lambda n: n[:n.index(b"-") + 1] + b"0" + n.lstrip(b"-") if b"-" in n
+    else b"0" + n,
+    "minus zero": lambda n: b"-0", "lone minus": lambda n: b"-", "1-2": lambda n: b"1-2",
+    "float": lambda n: b"1.5", "exponent": lambda n: b"1e3", "plus": lambda n: b"+5",
+    "1e20": lambda n: b"9" * 20, "-1e20": lambda n: b"-" + b"9" * 20, "empty": lambda n: b"",
+    # the int64 limits, and the integers just past them
+    "2**63-1": lambda n: b"%d" % (2**63 - 1), "2**63": lambda n: b"%d" % 2**63,
+    "-2**63": lambda n: b"%d" % -2**63, "-2**63-1": lambda n: b"%d" % (-2**63 - 1),
+}
+
+
+def _mutated_bytes(data, kind, place, key):
+    """``data`` with one mutation of ``kind``: at byte ``place``, or to the
+    ``key`` number of the row that opens after it (else of the first row)."""
+    place %= len(data) + 1
+    start = data.find(b"\n    {\n", place)
+    start = (data.find(b"\n    {\n") if start < 0 else start) + 1
+    end = data.find(b"\n    }", start) + len(b"\n    }")
+    row = data[start:end]
+    number = re.compile(rb'"%s": (-?[0-9]+)' % key.encode()).search(data, start)
+    if kind in _NUMBER_MUTATIONS:
+        return (data[:number.start(1)] + _NUMBER_MUTATIONS[kind](number.group(1))
+                + data[number.end(1):])
+    if kind == "move number":  # up to 40 bytes back or on, out of its slot
+        rest = data[:number.start(1)] + data[number.end(1):]
+        to = min(max(number.start(1) + place % 81 - 40, 0), len(rest))
+        return rest[:to] + number.group(1) + rest[to:]
+    if kind == "drop row":
+        return data[:start] + data[end + 2:] if data[end:end + 2] == b",\n" else (
+            data[:start - 2] + data[end:])
+    if kind == "duplicate row":
+        return data[:end] + b",\n" + row + data[end:]
+    if kind == "reorder keys":
+        lines = row.split(b"\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        return data[:start] + b"\n".join(lines) + data[end:]
+    if kind == "bracket":  # the closing "]" as "}"
+        place = data.rindex(b"]")
+        return data[:place] + b"}" + data[place + 1:]
+    return {"space": data[:place] + b" " + data[place:], "truncate": data[:place],
+            "bom": b"\xef\xbb\xbf" + data, "non-utf-8": data[:place] + b"\xff" + data[place:],
+            "none": data}[kind]
+
+
+@settings(max_examples=150)
+@given(size=st.one_of(
+           st.tuples(st.integers(1, 12), st.sampled_from([1, 150, 1000])),
+           st.tuples(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
+                     st.sampled_from([1000, blehop.predict._READ_BLOCK_BYTES]))),
+       seed=st.integers(0, 2**16), csa2=st.booleans(), named=st.booleans(),
+       kind=st.sampled_from([*_NUMBER_MUTATIONS, "move number", "drop row", "duplicate row",
+                             "reorder keys", "space", "truncate", "bracket", "bom", "non-utf-8",
+                             "none"]),
+       place=st.integers(0, 2**40),
+       key=st.sampled_from(["counter", "channel", "time_ns", "time_std_ns"]))
+# a number that ends a read block has no next slot to be checked against
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="leading zero", place=0,
+         key="time_std_ns")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="minus zero", place=0,
+         key="time_std_ns")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="lone minus", place=0,
+         key="time_std_ns")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="2**63", place=0, key="counter")
+# a wide number moved before its colon still covers the byte its slot opens with
+@example(size=(1, 1), seed=0, csa2=True, named=True, kind="move number", place=38,
+         key="counter")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="bracket", place=0, key="counter")
+def test_from_json_reads_as_json_loads_and_from_dict(size, seed, csa2, named, kind, place, key):
+    # the bulk reader, read a block of ``read_bytes`` at a time (1: a row),
+    # against the reader of any JSON text: the same forecast, or the same error
+    rows, read_bytes = size
+    data = _mutated_bytes(random_forecast(rows, seed, csa2, named).to_json().encode(), kind,
+                          place, key)
+    with mock.patch.object(blehop.predict, "_READ_BLOCK_BYTES", read_bytes):
+        got = _read_outcome(Forecast.from_json, data)
+    assert got == _read_outcome(lambda d: Forecast.from_dict(json.loads(d.decode())), data)
 
 
 def test_forecast_refuses_times_that_are_not_int64_nanoseconds():
