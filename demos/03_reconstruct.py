@@ -69,7 +69,7 @@ print(f"stage 1, interval: {est.interval_ns / 1e6:.4f} ms on-grid, "
 # at +10 nats or more, CSA#2 at 0 or less over two whole 37-event periods,
 # and a flagged capture otherwise.
 offsets = observation_offsets(trace, est.raw_interval_ns)
-cls = classify_csa(offsets, est, trace.sniff_channel)
+cls = classify_csa(offsets, est)
 print(f"stage 2, algorithm: {cls.verdict.name}")
 
 # Stage 3+4 — full pipeline: counter alignment by circular correlation

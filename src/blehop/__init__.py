@@ -40,9 +40,8 @@ from .predict import (
     evaluate,
     init_sync,
     kalman_update,
-    predict_csa1,
-    predict_csa2,
     predict_event_time,
+    predict_events,
     run_prediction,
 )
 from .reconstruct import (

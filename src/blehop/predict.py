@@ -52,7 +52,8 @@ class SyncState(NamedTuple):
 
     Each fused observation, at event offset h from the first one and at
     timestamp t, enters by its residual r = t - origin_ns - h *
-    ref_interval_ns from a reference line. The state holds their count
+    ref_interval_ns from a reference line, ``origin_ns`` being the first
+    timestamp (exact forecasts need an int). The state holds their count
     ``n`` and the sums of h, h², r, h·r and r²; ``anchor_offset`` is the
     offset of the last observation fused.
 
@@ -61,7 +62,7 @@ class SyncState(NamedTuple):
     ints: a NumPy scalar in one would slow every later step's arithmetic.
     """
 
-    origin_ns: float
+    origin_ns: int | float
     ref_interval_ns: float
     n: int = 1
     sum_h: float = 0.0
@@ -87,7 +88,7 @@ def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
 
 
 def _fit(sync, h):
-    """The fitted time at event offset ``h`` and its variance.
+    """The fitted time at event offset ``h``, from ``origin_ns``, and its variance.
 
     ``h`` is a float or a float array, and the state's sums may be arrays
     too (one state per element); either way each element is computed by
@@ -102,8 +103,22 @@ def _fit(sync, h):
     slope = sxy / sxx
     noise = (sync.sum_rr - sync.sum_r * mean_r - slope * sxy) / (n - 2)
     dh = h - mean_h
-    time = sync.origin_ns + h * sync.ref_interval_ns + (mean_r + slope * dh)
+    time = h * sync.ref_interval_ns + (mean_r + slope * dh)
     return time, noise * (1 / n + dh * dh / sxx)
+
+
+def _at_origin(origin_ns, time_ns):
+    """An int ``origin_ns`` plus times as whole int64 ns, exact at any origin:
+    (origin - p) + round(p + time), p the origin's parity, rounds ties half
+    to even on the absolute time. A sum an int64 add would wrap is refused."""
+    parity = origin_ns % 2
+    base, rounded = origin_ns - parity, np.round(np.add(parity, time_ns))
+    # a float within int64 converts exactly, an int as it is
+    if (rounded.dtype.kind in "iu" or np.all(np.abs(rounded) < 2.0**63)) and (  # nan too
+            _INT64.min <= base + int(rounded.min(initial=0))
+            and base + int(rounded.max(initial=0)) <= _INT64.max):
+        return rounded.astype(np.int64, copy=False) + base
+    raise ConfigError("forecast times must be finite and within int64 ns")
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last):
@@ -133,9 +148,9 @@ def predict_event_time(sync, event_offset):
                                     "a prediction needs 3")
     if isinstance(event_offset, np.ndarray):
         time_pred, var = _fit(sync, event_offset.astype(np.float64))
-        return time_pred, np.sqrt(np.maximum(var, 0.0))
+        return sync.origin_ns + time_pred, np.sqrt(np.maximum(var, 0.0))
     time_pred, var = _fit(sync, float(event_offset))
-    return time_pred, math.sqrt(max(var, 0.0))
+    return sync.origin_ns + time_pred, math.sqrt(max(var, 0.0))
 
 
 # The row layout of forecast.json, as json.dumps(indent=2) writes an entry
@@ -259,11 +274,11 @@ class Forecast:
     access_address: int | None = None
 
     def __post_init__(self):
-        for name in ("times_ns", "time_stds_ns"):
-            values = np.round(getattr(self, name))  # floats half to even, ints as they are
-            if not np.all(np.abs(values) < 2.0**63):
-                raise ConfigError("forecast times must be finite and within int64 ns")
-            setattr(self, name, values.astype(np.int64))
+        shapes = {np.shape(col) for col in self.columns()}  # zip would drop unequal rows
+        if len(shapes) > 1 or len(next(iter(shapes))) != 1:
+            raise ConfigError(f"forecast columns must be 1-D and of one length, got {shapes}")
+        self.times_ns, self.time_stds_ns = (_at_origin(0, self.times_ns),
+                                            _at_origin(0, self.time_stds_ns))
 
     def __len__(self):
         return self.counters.size
@@ -352,36 +367,47 @@ class Forecast:
         return cls(*columns, counters_are_wire=wire, access_address=aa)
 
 
-def predict_csa1(classification, sync, horizon):
-    """Forecast sniffed-channel visits of a CSA#1 connection.
+def _verdict(report):
+    """The report's classification; a failed report is refused."""
+    if report.error or report.classification is None:
+        raise EstimationError(f"reconstruction failed: {report.error or 'no verdict'}")
+    return report.classification
 
-    Only the recovered phase profile is predictable from one channel: the
-    sniffed channel is visited whenever the event offset mod 37 falls in
-    the profile.
-    """
-    if classification.verdict is CsaVersion.CSA2:
-        raise ConfigError("classification is CSA#2; use predict_csa2")
+
+def predict_events(report, sync, horizon, channel=None):
+    """Forecast the ``horizon`` events past the tracker's anchor, on the
+    channels the report's verdict selects: for CSA#2 every event, its wire
+    counter from ``k_init`` and its channel under the assumed map (tied
+    alignment candidates are refused, not silently picked from); for CSA#1
+    the visits to ``sniff_channel``, the offsets (the counters' stand-in)
+    whose phase mod 37 is in the profile. ``channel`` keeps one channel's
+    events, and only their times are computed."""
+    if channel is not None:
+        check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
+    is_csa2 = _verdict(report).verdict is CsaVersion.CSA2
+    if is_csa2:
+        if report.alignment is None:
+            raise EstimationError("no counter alignment available for a CSA#2 forecast")
+        if report.alignment.ambiguous:
+            raise AmbiguousAlignmentError(report.alignment.candidates)
+        if report.map_estimate is None:
+            raise EstimationError("no channel map estimate available for a CSA#2 forecast")
     check_int(horizon, "horizon", 0, MAX_EVENTS)
     offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
-    offsets = offsets[np.isin(offsets % NUM_DATA_CHANNELS, classification.period_profile)]
-    channels = np.full(offsets.size, classification.sniff_channel)
-    return Forecast(offsets, channels, *predict_event_time(sync, offsets),
-                    counters_are_wire=False)
-
-
-def predict_csa2(alignment, ci, channel_map, sync, horizon):
-    """Forecast every event of a CSA#2 connection over the horizon.
-
-    Needs an unambiguous counter alignment; with tied alignment candidates
-    the forecast is refused rather than silently picking one.
-    """
-    if alignment.ambiguous:
-        raise AmbiguousAlignmentError(alignment.candidates)
-    check_int(horizon, "horizon", 0, MAX_EVENTS)
-    offsets = np.arange(sync.anchor_offset + 1, sync.anchor_offset + horizon + 1)
-    counters = (alignment.k_init + offsets) % COUNTER_PERIOD
-    channels = csa2_channels_bulk(counters, ci, channel_map)
-    return Forecast(counters, channels, *predict_event_time(sync, offsets))
+    if is_csa2:
+        counters = (report.alignment.k_init + offsets) % COUNTER_PERIOD
+        channels = csa2_channels_bulk(counters, report.channel_id,
+                                      report.map_estimate.assumed_map)
+    else:
+        offsets = offsets[np.isin(offsets % NUM_DATA_CHANNELS,
+                                  report.classification.period_profile)]
+        counters, channels = offsets, np.full(offsets.size, report.sniff_channel)
+    if channel is not None:
+        keep = channels == channel
+        offsets, counters, channels = offsets[keep], counters[keep], channels[keep]
+    times, stds = predict_event_time(sync._replace(origin_ns=0), offsets)  # from the origin
+    return Forecast(counters, channels, _at_origin(sync.origin_ns, times), stds,
+                    counters_are_wire=is_csa2, access_address=report.access_address)
 
 
 @dataclass
@@ -450,11 +476,11 @@ def evaluate(forecast, reference, interval_ns):
         raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
-    if isinstance(reference, EventTimeline):
-        ref_times = reference.times_ns.astype(float)
+    if isinstance(reference, EventTimeline):  # int times: errors exact at any origin
+        ref_times = reference.times_ns
         ref_channels = reference.channels
     elif isinstance(reference, SniffTrace):
-        ref_times = reference.connection()[1].timestamps().astype(float)
+        ref_times = reference.connection()[1].timestamps()
         ref_channels = np.full(ref_times.size, reference.sniff_channel)
     else:
         raise ConfigError(f"cannot evaluate against {type(reference).__name__}")
@@ -510,13 +536,12 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     ahead from every observation before it, as a live sniffer following the
     connection would predict it; each one-step prediction, scored against
     the observation it was made for, makes the evaluation report. A
-    long-horizon forecast from the end-of-training anchor is returned
-    alongside; ``horizon`` defaults to covering the trace and is counted in
-    events past that anchor. ``channel`` restricts that forecast to events
-    on one channel. Only the central packets of the trace are observations.
+    long-horizon forecast from the end-of-training anchor, by
+    :func:`predict_events`, is returned alongside; ``horizon`` defaults to
+    covering the trace and is counted in events past that anchor.
+    ``channel`` restricts that forecast to events on one channel. Only the
+    central packets of the trace are observations.
     """
-    if channel is not None:
-        check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
     if not train_ns >= 0:  # nan too
         raise ConfigError(f"train_ns must be >= 0, got {train_ns}")
     # a trace of another connection would be forecast on this one's channels
@@ -528,10 +553,7 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     if aa is not None and recon.sniff_channel not in (None, trace.sniff_channel):
         raise ConfigError(f"trace was sniffed on channel {trace.sniff_channel}, not the "
                           f"report's channel {recon.sniff_channel}")
-    if recon.error:
-        raise EstimationError(f"reconstruction failed: {recon.error}")
-    classification = recon.classification
-    est = classification.interval
+    est = _verdict(recon).interval
     ts = trace.timestamps()
     # k_init and the period profile count events from the report's first observation
     first = int(ts[0]) if ts.size else None
@@ -546,40 +568,22 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
     if n_train == ts.size:
         raise InsufficientDataError("training window covers the whole trace; nothing to predict")
 
-    is_csa2 = classification.verdict is CsaVersion.CSA2
-    if is_csa2:
-        if recon.alignment is None:
-            raise EstimationError("no counter alignment available for a CSA#2 forecast")
-        if recon.alignment.ambiguous:
-            raise AmbiguousAlignmentError(recon.alignment.candidates)
-        if recon.map_estimate is None:
-            raise EstimationError("no channel map estimate available for a CSA#2 forecast")
-
     # the tracker's sums after each observation, all at once: np.cumsum adds
     # in order, as a loop of kalman_update does, so each prefix is the state
     # that loop would reach, bit for bit
-    h = offsets.astype(np.float64)
-    origin, interval = float(ts[0]), float(est.raw_interval_ns)
-    r = ts.astype(np.float64) - origin - h * interval
+    # that loop would reach, bit for bit, from the int origin ``first``
+    h, interval = offsets.astype(np.float64), float(est.raw_interval_ns)
+    r = (ts - first).astype(np.float64) - h * interval
     sums = np.cumsum([h, h * h, r, h * r, r * r], axis=1)
-    n = np.arange(1, ts.size + 1)
     # each held-out observation predicted one step ahead, from all before it
     before = slice(n_train - 1, -1)
-    times, _ = _fit(SyncState(origin, interval, n[before], *sums[:, before]), h[n_train:])
+    times, _ = _fit(SyncState(first, interval, np.arange(n_train, ts.size), *sums[:, before]),
+                    h[n_train:])
     # whole nanoseconds, as a forecast holds them
-    report = EvalReport(ts[n_train:] - np.round(times))
-    anchor_sync = SyncState(origin, interval, n_train, *sums[:, n_train - 1].tolist(),
+    report = EvalReport(ts[n_train:] - _at_origin(first, times))
+    anchor_sync = SyncState(first, interval, n_train, *sums[:, n_train - 1].tolist(),
                             int(offsets[n_train - 1]))
 
     if horizon is None:
-        horizon = max(int(offsets[-1]) - anchor_sync.anchor_offset, 0)
-    if is_csa2:
-        forecast = predict_csa2(recon.alignment, recon.channel_id,
-                                recon.map_estimate.assumed_map, anchor_sync, horizon)
-    else:
-        forecast = predict_csa1(classification, anchor_sync, horizon)
-    keep = slice(None) if channel is None else forecast.channels == channel
-    forecast = Forecast(*(col[keep] for col in forecast.columns()),
-                        counters_are_wire=forecast.counters_are_wire,
-                        access_address=recon.access_address)
-    return PredictionRun(forecast=forecast, report=report)
+        horizon = int(offsets[-1]) - anchor_sync.anchor_offset
+    return PredictionRun(predict_events(recon, anchor_sync, horizon, channel), report)

@@ -110,7 +110,6 @@ class CsaClassification:
     verdict: CsaVersion
     period_profile: tuple
     interval: IntervalEstimate
-    sniff_channel: int
 
 
 @dataclass(frozen=True)
@@ -187,11 +186,9 @@ def estimate_interval(trace):
             f"gap GCD {gcd_steps * 1.25:.2f} ms is below the 7.5 ms minimum interval"
         )
 
-    # least-squares common divisor, accepted gaps only, refined twice (the
-    # first hops are >= 1: accepted steps are multiples of their GCD)
+    # least-squares common divisor of the accepted gaps (their hops are >= 1:
+    # accepted steps are multiples of their GCD)
     gaps_in, hops = gaps[accepted], steps[accepted] // gcd_steps
-    raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
-    hops, _ = _grid_fit(gaps_in, raw, "a gap collapses to zero events under the fitted interval")
     raw = float(np.dot(gaps_in, hops) / np.dot(hops, hops))
     estimate = IntervalEstimate(interval_ns=gcd_steps * INTERVAL_STEP_NS, raw_interval_ns=raw)
     if gcd_steps > INTERVAL_MAX_STEPS and _single_hit_interval(estimate) is None:
@@ -209,7 +206,7 @@ def _grid_fit(gaps, unit_ns, zero_hop_message):
     return hops, gaps - hops * unit_ns
 
 
-def classify_csa(offsets, interval, sniff_channel):
+def classify_csa(offsets, interval):
     """Decide which hop algorithm a trace came from, by one likelihood ratio.
 
     ``offsets`` are the observations' event offsets at ``interval``, as
@@ -245,9 +242,9 @@ def classify_csa(offsets, interval, sniff_channel):
         nats = (_csa1_nats(hits, slots, phases.size)
                 - max(csa2, _bernoulli_nats(hits, span + 1, _MAX_CSA2_RATE)))
     if nats >= _CSA1_NATS:
-        return CsaClassification(CsaVersion.CSA1, tuple(phases.tolist()), interval, sniff_channel)
+        return CsaClassification(CsaVersion.CSA1, tuple(phases.tolist()), interval)
     if folded is None and nats <= _CSA2_NATS and span + 1 >= 2 * NUM_DATA_CHANNELS:
-        return CsaClassification(CsaVersion.CSA2, (), interval, sniff_channel)
+        return CsaClassification(CsaVersion.CSA2, (), interval)
     more = "" if folded else (f"; a CSA#2 verdict needs at most {_CSA2_NATS:g} over two whole "
                               f"37-event periods, the trace spans {span + 1} events")
     raise InsufficientDataError(f"{stage}: the CSA#1 over CSA#2 log-likelihood ratio is {nats:.1f}"
@@ -582,9 +579,7 @@ class ReconstructionReport:
                                       f"got {report.sniff_channel!r}, "
                                       f"{report.first_timestamp_ns!r} and {list(profile)}")
                 interval = IntervalEstimate(interval_us * 1000, float(raw_us) * 1000.0)
-                report.classification = CsaClassification(
-                    verdict, profile, interval, report.sniff_channel
-                )
+                report.classification = CsaClassification(verdict, profile, interval)
             if "alignment" in raw:
                 align = raw["alignment"]
                 candidates = tuple(check_int(c, "alignment candidate", 0, COUNTER_PERIOD - 1)
@@ -654,7 +649,7 @@ def reconstruct_connection(trace):
         if folded is not None:
             # the hit 37-event periods, once each (an off-grid stray may share one)
             offsets = np.unique(offsets // NUM_DATA_CHANNELS)
-        report.classification = classify_csa(offsets, interval, trace.sniff_channel)
+        report.classification = classify_csa(offsets, interval)
         if report.classification.verdict is CsaVersion.CSA2:
             reference = build_ref_vector(report.channel_id, trace.sniff_channel)
             report.alignment = align_counter(offsets, reference)

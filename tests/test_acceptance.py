@@ -188,7 +188,7 @@ def test_criterion_04_interval_recovery():
         try:
             est = estimate_interval(trace)
             offsets = observation_offsets(trace, est.raw_interval_ns)
-            recovered = classify_csa(offsets, est, trace.sniff_channel).interval.interval_us
+            recovered = classify_csa(offsets, est).interval.interval_us
         except EstimationError:
             flagged += 1
             continue

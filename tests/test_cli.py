@@ -975,6 +975,33 @@ def test_reconstruct_names_a_peripheral_only_connection(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2].startswith("0x0000000C: ")
 
 
+def test_predict_exits_2_on_forecast_times_past_int64(tmp_path, capsys):
+    # a zero-impairment capture whose last packet is at the int64 limit: a
+    # forecast one event past it is refused, and no times are written wrapped
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"sniff_channel": 22, "rng_seed": 7, "connections": [{
+        "params": {"csa_version": 2, "interval_us": 7500, "channel_map": "0x1FFFFFFC00",
+                   "access_address": "0xB0A1CD9D"},
+        "impairments": {"duration_us": 30_000_000}}]}))
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == EXIT_OK
+    trace = load_trace(tmp_path / "trace.csv")
+    ts = trace.timestamps()
+    late = tmp_path / "late.csv"
+    save_trace(SniffTrace(22, ts + (2**63 - 1 - int(ts[-1])), trace.access_addresses,
+                          trace.is_central), late)
+    assert main(["reconstruct", "--trace", str(late), "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+    predict = ["predict", "--report", str(tmp_path / "r" / "report_0xB0A1CD9D.json"),
+               "--trace", str(late), "--train-seconds", "10"]
+    assert main(predict + ["--out-dir", str(tmp_path / "p")]) == EXIT_OK
+    forecast = json.loads((tmp_path / "p" / "forecast.json").read_text())
+    assert forecast["entries"][-1]["time_ns"] == 2**63 - 1
+    capsys.readouterr()
+    assert main(predict + ["--horizon", str(len(forecast["entries"]) + 1),
+                           "--out-dir", str(tmp_path / "past")]) == EXIT_CONFIG
+    assert "within int64" in capsys.readouterr().err
+    assert not (tmp_path / "past" / "forecast.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

@@ -27,6 +27,7 @@ from blehop import (
     ImpairmentModel,
     InsufficientDataError,
     IntervalEstimate,
+    MapEstimate,
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
@@ -37,9 +38,8 @@ from blehop import (
     init_sync,
     kalman_update,
     observation_offsets,
-    predict_csa1,
-    predict_csa2,
     predict_event_time,
+    predict_events,
     reconstruct_connection,
     run_prediction,
     simulate,
@@ -245,7 +245,8 @@ def test_vectorized_one_step_predictions_equal_the_live_loop(
             run = run_prediction(trace, recon, train_ns=duration // 3)
         except EstimationError:
             assume(False)
-    # one fit for the one-step predictions, then one for the forecast
+    # one fit for the one-step predictions, then one for the forecast; the
+    # fit gives times from the origin, the live prediction adds the origin
     (_, (one_step, _)), (anchor, _) = calls
     raw_interval = recon.classification.interval.raw_interval_ns
     ts, offsets = trace.timestamps(), observation_offsets(trace, raw_interval)
@@ -253,11 +254,11 @@ def test_vectorized_one_step_predictions_equal_the_live_loop(
     sync, loop = init_sync(ts[0], raw_interval), []
     for j in range(1, ts.size):
         if j == n_train:
-            assert sync == anchor
+            assert sync._replace(origin_ns=0) == anchor  # the forecast's fit, from the origin
         if j >= n_train:
             loop.append(predict_event_time(sync, int(offsets[j]))[0].hex())
         sync = kalman_update(sync, ts[j], int(offsets[j]) - sync.anchor_offset)
-    assert loop == [t.hex() for t in one_step.tolist()]
+    assert loop == [(sync.origin_ns + t).hex() for t in one_step.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +270,30 @@ def make_sync(interval=12_500_000):
     return track(np.arange(3) * interval, [1, 1], interval)
 
 
+EST = IntervalEstimate(12_500_000, 12_500_000.0)
+
+
+def csa2_report(candidates, channel_map, address=0xB0A1CD9D):
+    """A CSA#2 report with these alignment candidates and this map."""
+    excluded = {c: 1 for c in range(37) if c not in channel_map}
+    return ReconstructionReport(address, 22, 100, 0, None,
+                                CsaClassification(CsaVersion.CSA2, (), EST),
+                                CounterAlignment(10, 1, tuple(candidates)),
+                                MapEstimate(excluded, True, 0))
+
+
+def csa1_report(profile, sniff=10, address=0x53D39A21):
+    return ReconstructionReport(address, sniff, 100, 0, None,
+                                CsaClassification(CsaVersion.CSA1, tuple(profile), EST))
+
+
 def test_predict_csa2_channels_match_selection():
-    align = CounterAlignment(correlation_peak=10, second_peak=1, candidates=(60000,))
     ci = channel_identifier(0xB0A1CD9D)
     sync = make_sync()
-    fc = predict_csa2(align, ci, MAP_10, sync, 200)
+    fc = predict_events(csa2_report([60000], MAP_10), sync, 200)
     assert len(fc) == 200
     assert fc.counters_are_wire
+    assert fc.access_address == 0xB0A1CD9D
     assert fc.counters[0] == 60003  # the event after the anchor, offset 2
     expected = csa2_channels_bulk(fc.counters, ci, MAP_10)
     assert fc.channels.tolist() == expected.tolist()
@@ -283,13 +301,12 @@ def test_predict_csa2_channels_match_selection():
 
 
 def test_predict_csa2_wraps_counter():
-    align = CounterAlignment(10, 1, (65528,))
-    fc = predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
+    fc = predict_events(csa2_report([65528], MAP_27), make_sync(), 10)
     assert fc.counters.tolist() == [65531, 65532, 65533, 65534, 65535, 0, 1, 2, 3, 4]
 
 
 def test_predict_csa2_channel_filter():
-    # predict_csa2 forecasts every event; run_prediction keeps one channel's rows
+    # run_prediction hands its channel to predict_events, which keeps one channel's rows
     params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_10, 0xB0A1CD9D)
     _, trace = simulate_one(params, 60 * 10**9)
     recon = reconstruct_connection(trace)
@@ -304,20 +321,74 @@ def test_predict_csa2_channel_filter():
 
 
 def test_predict_csa2_refuses_ambiguous_alignment():
-    align = CounterAlignment(2, 2, (5, 1000))
     with pytest.raises(AmbiguousAlignmentError):
-        predict_csa2(align, 0x7D3C, MAP_27, make_sync(), 10)
+        predict_events(csa2_report([5, 1000], MAP_27), make_sync(), 10)
 
 
 def test_predict_csa1_phase_profile():
-    est = IntervalEstimate(12_500_000, 12_500_000.0)
-    cls = CsaClassification(CsaVersion.CSA1, (0, 25), est, 10)
-    fc = predict_csa1(cls, make_sync(), 74)
+    report = csa1_report((0, 25))
+    fc = predict_events(report, make_sync(), 74)
     assert not fc.counters_are_wire
+    assert fc.access_address == 0x53D39A21
     assert fc.counters.tolist() == [25, 37, 62, 74]
     assert fc.channels.tolist() == [10] * 4
-    with pytest.raises(ConfigError):
-        predict_csa1(CsaClassification(CsaVersion.CSA2, (), est, 10), make_sync(), 5)
+    # the verdict picks the rule: the same report read as CSA#2 has no alignment
+    csa2 = dataclasses.replace(report, classification=CsaClassification(CsaVersion.CSA2, (), EST))
+    with pytest.raises(EstimationError, match="no counter alignment"):
+        predict_events(csa2, make_sync(), 5)
+
+
+def test_predict_events_refuses_each_report_it_cannot_forecast():
+    sync, report = make_sync(), csa2_report([60000], MAP_10)
+    refusals = [
+        (dataclasses.replace(report, alignment=None), EstimationError, "no counter alignment"),
+        (dataclasses.replace(report, map_estimate=None), EstimationError, "no channel map"),
+        # a failed report has no verdict to read, and says why it failed
+        (ReconstructionReport(0xB0A1CD9D, 22, 2, 0, "too few observations"), EstimationError,
+         "reconstruction failed: too few observations"),
+        # an ambiguous alignment is refused before a map is looked for, as before
+        (dataclasses.replace(report, alignment=CounterAlignment(2, 2, (5, 1000)),
+                             map_estimate=None), AmbiguousAlignmentError, "2 tied candidates"),
+    ]
+    for bad, kind, needle in refusals:
+        with pytest.raises(kind, match=needle):
+            predict_events(bad, sync, 10)
+    with pytest.raises(InsufficientDataError, match="needs 3"):
+        predict_events(report, init_sync(0, 12_500_000), 10)
+    for channel in (-1, 37):
+        with pytest.raises(ConfigError, match="channel"):
+            predict_events(report, sync, 10, channel)
+
+
+@settings(max_examples=100)
+@given(csa2=st.booleans(), k_init=st.integers(0, 65535),
+       channels=st.sets(st.integers(0, 36), min_size=2),
+       profile=st.sets(st.integers(0, 36), min_size=1, max_size=20),
+       sniff=st.integers(0, 36), anchor=st.integers(2, 10**6), horizon=st.integers(0, 400),
+       interval=st.floats(7_500_000, 4e9), origin=st.integers(-10**18, 10**18))
+def test_a_channel_filter_keeps_the_unfiltered_forecasts_rows(
+        csa2, k_init, channels, profile, sniff, anchor, horizon, interval, origin):
+    if csa2:
+        report = csa2_report([k_init], ChannelMap.from_channels(channels))
+    else:
+        report = csa1_report(sorted(profile), sniff)
+    rng = np.random.default_rng(anchor)
+    offsets = np.sort(rng.choice(anchor + 1, 3, replace=False))
+    offsets[0], offsets[-1] = 0, anchor
+    times = origin + np.rint(offsets * interval + rng.normal(0, 50_000, 3)).astype(np.int64)
+    sync = track(times.tolist(), np.diff(offsets).tolist(), interval)
+    full = predict_events(report, sync, horizon)
+    if csa2:
+        assert len(full) == horizon
+    else:
+        assert set(full.channels.tolist()) <= {sniff}
+    for channel in range(37):
+        on_channel = predict_events(report, sync, horizon, channel)
+        keep = full.channels == channel
+        for got, want in zip(on_channel.columns(), full.columns()):
+            np.testing.assert_array_equal(got, want[keep])
+        assert (on_channel.counters_are_wire, on_channel.access_address) == (
+            full.counters_are_wire, full.access_address)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +634,9 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
         return json.dumps(fc.to_dict(), indent=2) + "\n"
 
     sync = track([0, 12_500_090, 25_000_150], [1, 1], 12_500_037.3)
-    align = CounterAlignment(10, 1, (65500,))
-    csa2 = predict_csa2(align, channel_identifier(0xB0A1CD9D), MAP_10, sync, 200)
+    csa2 = predict_events(csa2_report([65500], MAP_10), sync, 200)
     assert 65535 in csa2.counters.tolist()
-    est = IntervalEstimate(12_500_000, 12_500_037.3)
-    csa1 = predict_csa1(CsaClassification(CsaVersion.CSA1, (0, 25), est, 10), sync, 300)
+    csa1 = predict_events(csa1_report((0, 25)), sync, 300)
     named = Forecast(np.array([1, 65535]), np.array([2, 36]), np.array([10**16, 2**62]),
                      np.array([0, 1]), access_address=0xB0A1CD9D)
     empty = Forecast.from_dict({"counters_are_wire": True, "entries": []})
@@ -580,9 +649,8 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
 
 
 def test_forecast_json_is_read_without_json_loads():
-    csa1 = predict_csa1(CsaClassification(CsaVersion.CSA1, (0, 25),
-                                          IntervalEstimate(12_500_000, 12_500_037.3), 10),
-                        track([-10**9, -987_499_910, -974_999_850], [1, 1], 12_500_037.3), 300)
+    csa1 = predict_events(csa1_report((0, 25)),
+                          track([-10**9, -987_499_910, -974_999_850], [1, 1], 12_500_037.3), 300)
     # rows of one-digit numbers are the shortest, and fill the reader's room exactly
     shortest = Forecast(*np.arange(4 * 9).reshape(4, 9) % 10, access_address=7)
     forecasts = [csa1, random_forecast(1, 1, named=False), random_forecast(2 * BLOCK, 2),
@@ -699,8 +767,7 @@ def test_forecast_refuses_times_that_are_not_int64_nanoseconds():
 def test_forecast_times_are_predictions_rounded_half_to_even():
     # an interval of x.5 ns puts every other event's time on a tie
     sync = make_sync(12_500_000.5)
-    align = CounterAlignment(10, 1, (100,))
-    fc = predict_csa2(align, 0x7D3C, MAP_27, sync, 50)
+    fc = predict_events(csa2_report([100], MAP_27), sync, 50)
     times, stds = predict_event_time(sync, np.arange(3, 53))
     assert fc.times_ns.dtype == fc.time_stds_ns.dtype == np.int64
     np.testing.assert_array_equal(fc.times_ns, np.rint(times))
@@ -828,6 +895,62 @@ def test_run_prediction_refuses_a_trace_from_another_channel():
     assert len(run_prediction(on_22, recon, train_ns=60 * 10**9).forecast) > 0
     with pytest.raises(ConfigError, match="sniffed on channel 30, not the report's channel 22"):
         run_prediction(on_30, recon, train_ns=60 * 10**9)
+
+
+def shifted(trace, timeline, shift):
+    """The same capture and its truth, ``shift`` ns later."""
+    return (SniffTrace(trace.sniff_channel, trace.timestamps() + shift, trace.access_addresses,
+                       trace.is_central),
+            EventTimeline(timeline.params, timeline.counters, timeline.channels,
+                          timeline.times_ns + shift))
+
+
+def epoch_capture():
+    """A zero-impairment CSA#2 capture: 7.5 ms, 200 s, its trace and truth."""
+    params = ConnectionParams(CsaVersion.CSA2, 7500, MAP_27, 0xB0A1CD9D)
+    timelines, trace = simulate_one(params, 200 * 10**9, seed=7)
+    return trace, timelines[0]
+
+
+def test_forecasts_are_exact_at_any_clock_origin():
+    # the capture as it is and 1.7e18 ns later, a Unix-epoch clock (2023)
+    shift, capture = 1_700_000_000 * 10**9, epoch_capture()
+    runs = []
+    for trace, truth in (capture, shifted(*capture, shift)):
+        run = run_prediction(trace, reconstruct_connection(trace), train_ns=60 * 10**9)
+        runs.append((run.forecast, run.report, evaluate(run.forecast, truth, 7_500_000)))
+    (forecast, one_step, against_truth), (later, later_one_step, later_against_truth) = runs
+    np.testing.assert_array_equal(later.times_ns, forecast.times_ns + shift)
+    for got, want in zip(later.columns()[:2] + later.columns()[3:],
+                         forecast.columns()[:2] + forecast.columns()[3:]):
+        np.testing.assert_array_equal(got, want)
+    for got, want in ((later_one_step, one_step), (later_against_truth, against_truth)):
+        assert got.to_dict() == want.to_dict()
+        np.testing.assert_array_equal(got.abs_errors_ns, want.abs_errors_ns)
+    # zero impairment: every prediction exact, with no spread
+    assert one_step.rmse_ns == against_truth.rmse_ns == 0.0
+    assert not np.any(later.time_stds_ns)
+
+
+def test_forecast_times_past_int64_are_refused_not_wrapped():
+    trace, truth = epoch_capture()
+    run = run_prediction(trace, reconstruct_connection(trace), train_ns=60 * 10**9)
+    # the last forecast event, the last observation, lands on the int64 limit
+    late, _ = shifted(trace, truth, 2**63 - 1 - int(run.forecast.times_ns[-1]))
+    recon = reconstruct_connection(late)
+    horizon = len(run.forecast)  # CSA#2 forecasts every event
+    edge = run_prediction(late, recon, train_ns=60 * 10**9, horizon=horizon).forecast
+    assert edge.times_ns[-1] == 2**63 - 1
+    with pytest.raises(ConfigError, match="within int64"):
+        run_prediction(late, recon, train_ns=60 * 10**9, horizon=horizon + 1)
+
+
+def test_forecast_refuses_columns_of_unequal_length_or_rank():
+    for columns in ((np.arange(3), np.array([1, 2, 3, 4]), np.array([0, 10, 20]), np.zeros(1)),
+                    (np.arange(3), np.arange(3), np.arange(3), np.arange(4)),
+                    (np.arange(4).reshape(2, 2),) * 4, (np.int64(1),) * 4):
+        with pytest.raises(ConfigError, match="1-D and of one length"):
+            Forecast(*columns)
 
 
 SCENARIO_PARAMS = {

@@ -64,7 +64,7 @@ def simulate_one(params, duration_ns, sniff=22, seed=3, jitter=0.0, drift=0.0,
 def classify(trace):
     """The classification of a trace at its interval estimate's event offsets."""
     est = estimate_interval(trace)
-    return classify_csa(observation_offsets(trace, est.raw_interval_ns), est, trace.sniff_channel)
+    return classify_csa(observation_offsets(trace, est.raw_interval_ns), est)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_interval_gcd_above_maximum_allowed_when_37_divisible():
     offsets = observation_offsets(trace, est.raw_interval_ns)
     assert offsets.tolist() == [0, 1, 3, 4]
     # no CSA#2 interval is 5.55 s long, so four hits already read as CSA#1
-    cls = classify_csa(offsets, est, trace.sniff_channel)
+    cls = classify_csa(offsets, est)
     assert (cls.verdict, cls.period_profile, cls.interval.interval_us) == (CsaVersion.CSA1, (0,),
                                                                           150_000)
 
@@ -166,15 +166,16 @@ def test_classify_single_hit_divides_by_37():
     est = estimate_interval(trace)
     offsets = observation_offsets(trace, est.raw_interval_ns)
     assert offsets.tolist() == list(range(20))  # one per 37-event period
-    cls = classify_csa(offsets, est, trace.sniff_channel)
+    cls = classify_csa(offsets, est)
     assert (cls.verdict, cls.period_profile) == (CsaVersion.CSA1, (0,))
     assert cls.interval.interval_us == 7500
     assert cls.interval.raw_interval_ns == pytest.approx(7_500_000)
-    assert cls.sniff_channel == 22
+    # the sniffed channel has one home, the report
+    assert reconstruct_connection(trace).sniff_channel == 22
     # CSA#2 at 277.5 ms hits a channel at most every other event: 20 hits in
     # 20 periods lead it by 20 log 2 - log 37 = 10.2 nats, 19 in 19 by 9.6
     with pytest.raises(InsufficientDataError, match=r"single-hit classification: .* 9\.6 nats"):
-        classify_csa(offsets[:19], est, trace.sniff_channel)
+        classify_csa(offsets[:19], est)
 
 
 def test_classify_single_hit_flags_a_short_alias():
@@ -228,7 +229,7 @@ def test_classify_csa2():
     params = ConnectionParams(CsaVersion.CSA2, 12500, MAP_27, 0xB0A1CD9D)
     _, trace = simulate_one(params, 60 * 10**9)
     est = estimate_interval(trace)
-    cls = classify_csa(observation_offsets(trace, est.raw_interval_ns), est, trace.sniff_channel)
+    cls = classify_csa(observation_offsets(trace, est.raw_interval_ns), est)
     assert (cls.verdict, cls.period_profile) == (CsaVersion.CSA2, ())
     assert cls.interval is est
 
@@ -328,8 +329,8 @@ def test_classify_needs_two_periods():
     # the bound: four hits on four phases over 73 events are flagged, over 74 read as CSA#2
     interval = IntervalEstimate(6 * STEP, 6.0 * STEP)
     with pytest.raises(InsufficientDataError, match=r"-1\.1 nats, .* spans 73 events$"):
-        classify_csa(np.array([0, 1, 2, 72]), interval, 22)
-    assert classify_csa(np.array([0, 1, 2, 73]), interval, 22).verdict is CsaVersion.CSA2
+        classify_csa(np.array([0, 1, 2, 72]), interval)
+    assert classify_csa(np.array([0, 1, 2, 73]), interval).verdict is CsaVersion.CSA2
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +732,10 @@ def test_classification_phases_like_unique(offsets, folded):
         with pytest.raises(InsufficientDataError,
                            match=f"^{'single-hit ' * folded}classification: .* {nats:.1f} nats"
                            ) as flagged:
-            classify_csa(offsets, interval, 22)
+            classify_csa(offsets, interval)
         assert ("a CSA#2 verdict" in str(flagged.value)) is not folded
         return
-    cls = classify_csa(offsets, interval, 22)
+    cls = classify_csa(offsets, interval)
     assert cls.interval == IntervalEstimate(6 * STEP, 6.0 * STEP)
     assert (cls.verdict, cls.period_profile) == (
         (CsaVersion.CSA1, tuple(np.unique(events % 37).tolist())) if nats >= 10
