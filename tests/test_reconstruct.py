@@ -2,6 +2,9 @@
 
 import gc
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,10 +496,14 @@ def test_four_step_transforms_equal_numpy_fft():
     # any peak, which the peak and candidate checks above may not see
     rng = np.random.default_rng(11)
     for x in (rng.random(65536), build_ref_vector(0x7D3C, 22).astype(np.float64)):
-        spectrum = reconstruct._rfft_65536(x)
+        out = np.empty((129, 256), dtype=np.complex128)
+        spectrum = reconstruct._rfft_65536(x.reshape(256, 256), out)
+        assert spectrum is out
         want = np.fft.fft(x).reshape(256, 256).T[:129]
         assert np.abs(spectrum - want).max() < 1e-9 * np.abs(want).max()
-        assert np.abs(reconstruct._irfft_65536(spectrum) - x).max() < 1e-12
+        back = np.empty((256, 256))
+        assert reconstruct._irfft_65536(spectrum, back) is back
+        assert np.abs(back.ravel() - x).max() < 1e-12
 
 
 def test_alignment_twiddles_are_read_only():
@@ -512,6 +519,76 @@ def test_alignment_rejects_bad_inputs():
         align_counter(np.zeros(0, dtype=np.int64), ref)
     with pytest.raises(ConfigError):
         align_counter(np.arange(10), ref[:100])
+    # the float error bound and the float workspace hold only for integer
+    # offsets and 0/1 references: the rest is refused, not coerced
+    for offsets, reference in [
+        ([0, 7.9, 15.2, 100.6], ref),  # once truncated to 0, 7, 15, 100
+        ([[0, 7], [15, 100]], ref),  # once flattened
+        (np.array([0, 7, 15], dtype=bool), ref),
+        ([0, 7, 15, 100], ref * 2),  # once scored at double: peak 6 from 3 offsets
+        ([0, 7, 15, 100], ref.astype(np.float64)),
+        ([0, 7, 15, 100], ref.astype(np.int64) - 1),
+    ]:
+        with pytest.raises(ConfigError):
+            align_counter(offsets, reference)
+
+
+def test_alignment_accepts_any_integer_or_bool_inputs():
+    ref = build_ref_vector(0x7D3C, 22)
+    want = align_counter(np.array([0, 37, 500]), ref)
+    assert align_counter([0, 37, 500], ref.astype(bool)) == want
+    assert align_counter(np.array([0, 37, 500], dtype=np.uint16), ref.astype(np.int8)) == want
+    # offsets past int64, congruent mod 65536 to the ones above
+    high = np.array([0, 37, 500], dtype=np.uint64) + np.uint64(2**63 + 2**62)
+    assert align_counter(high, ref) == want
+
+
+def test_alignment_allocates_no_transform_buffers():
+    # after a first call has made this thread's workspace, an alignment
+    # allocates only its candidate mask and result, not the 512 KB-and-up
+    # transform arrays whose page faults once dominated its time
+    ref = build_ref_vector(0x7D3C, 22)
+    offsets = _offsets_from_reference(ref, 5000, 4000)
+    align_counter(offsets, ref)
+    tracemalloc.start()
+    try:
+        align_counter(offsets, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+def test_alignments_do_not_share_a_workspace():
+    ref_a, ref_b = build_ref_vector(0x7D3C, 22), build_ref_vector(0xC9F2, 5)
+    a = _offsets_from_reference(ref_a, 5000, 4000), ref_a
+    b = _offsets_from_reference(ref_b, 60000, 9000), ref_b
+    want_a, want_b = align_counter(*a), align_counter(*b)
+    # interleaved in one thread: each call starts from its own inputs
+    assert [align_counter(*a), align_counter(*b), align_counter(*a)] == [want_a, want_b, want_a]
+
+    # at once in threads, more than there are cores, switching often: a
+    # workspace shared between them would mix one call's inputs into another's
+    cases = {"a1": a, "b1": b, "a2": a, "b2": b}
+    results = {}
+    start = threading.Barrier(len(cases))
+
+    def run(name):
+        start.wait(timeout=60)
+        results[name] = [align_counter(*cases[name]) for _ in range(50)]
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {name: [want_a if name[0] == "a" else want_b] * 50 for name in cases}
 
 
 # ---------------------------------------------------------------------------
