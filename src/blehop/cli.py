@@ -61,11 +61,10 @@ def _write_eval(out, report):
     """Write ``eval.json`` (the summary) and ``eccdf.csv`` (the error curve); their paths."""
     eval_path, eccdf_path = out / "eval.json", out / "eccdf.csv"
     _write_json(eval_path, report.to_dict())
-    _atomic_write_text(
-        eccdf_path,
-        "abs_error_us,prob_error_exceeds\n"
-        + "".join(f"{err / 1000.0:.3f},{prob:.6f}\n" for err, prob in report.eccdf),
-    )
+    eccdf = report.eccdf  # one % format over every (error in us, probability) pair
+    rows = ("%.3f,%.6f\n" * len(eccdf)) % tuple(
+        value for err, prob in eccdf for value in (err / 1000.0, prob))
+    _atomic_write_text(eccdf_path, "abs_error_us,prob_error_exceeds\n" + rows)
     return [eval_path, eccdf_path]
 
 

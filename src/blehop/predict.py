@@ -19,7 +19,6 @@ import io
 import json
 import math
 import re
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .reconstruct import observation_offsets
 from .simulate import MAX_EVENTS, EventTimeline
-from .trace import SniffTrace
+from .trace import SniffTrace, parse_decimals
 
 
 class SyncState(NamedTuple):
@@ -155,21 +154,19 @@ def predict_event_time(sync, event_offset):
 
 # The row layout of forecast.json, as json.dumps(indent=2) writes an entry
 _FIELDS = ("counter", "channel", "time_ns", "time_std_ns")
-_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %d' for key in _FIELDS)
-_ENTRIES_OPEN, _ENTRIES_CLOSE = ',\n  "entries": [\n', "\n  ]\n}\n"
+_ROW = ("    {\n%s\n    }" % ",\n".join(f'      "{key}": %d' for key in _FIELDS)).encode()
+_ENTRIES_OPEN, _TAIL = b',\n  "entries": [\n', b"\n  ]\n}\n"
 _WRITE_BLOCK_ROWS = 8192
 # What to_json writes around the rows; the access address as _head writes it
 _HEAD = re.compile(rb'\{\n(?:  "access_address": "(0x[0-9A-F]{8})",\n)?'
-                   rb'  "counters_are_wire": (true|false)' + re.escape(_ENTRIES_OPEN.encode()))
-_TAIL = _ENTRIES_CLOSE.encode()
+                   rb'  "counters_are_wire": (true|false)' + re.escape(_ENTRIES_OPEN))
 _NUMBER_BYTES = b"0123456789-"
 # a row and the ",\n" after it, without its numbers, and where each number goes
-_SKELETON_ROW = (_ROW % (0, 0, 0, 0) + ",\n").encode().translate(None, _NUMBER_BYTES)
+_SKELETON_ROW = (_ROW % (0, 0, 0, 0) + b",\n").translate(None, _NUMBER_BYTES)
 _SLOTS = np.array([m.end() for m in re.finditer(b": ", _SKELETON_ROW)])
+# the skeleton bytes from each slot to the next, the last to the next row's first
+_GAPS = np.diff(_SLOTS, append=_SLOTS[0] + len(_SKELETON_ROW))
 _ROW_END = b"\n    },\n"  # a row's last line and the separator after it
-# every byte but a number's as a space
-_SPACE_OUT = bytes(c if c in _NUMBER_BYTES else ord(" ") for c in range(256))
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _INT64 = np.iinfo(np.int64)
 _READ_BLOCK_BYTES = 1 << 18
 
@@ -192,7 +189,7 @@ def _read_rows(data):
     while start < end:
         stop = data.find(_ROW_END, start + _READ_BLOCK_BYTES, end)
         stop = end if stop < 0 else stop + len(_ROW_END) - 2  # up to the row's "}"
-        values = _read_block(data[start:stop])
+        values = _read_block(data, start, stop)
         if values is None:
             return None
         k = values.size // len(_FIELDS)
@@ -206,51 +203,29 @@ def _read_rows(data):
     return raw, tuple(columns[:, :rows])
 
 
-def _read_block(block):
-    """The numbers of ``block``, k rows as ``to_json`` writes them joined
-    by ",\\n", as one flat int64 array; None unless every byte is where
-    and as ``to_json`` would write it.
+def _read_block(data, start, stop):
+    """The numbers of ``data[start:stop]``, k rows as ``to_json`` writes
+    them joined by ",\\n", as one flat int64 array; None unless every byte
+    is where and as ``to_json`` would write it.
 
-    With the numbers' bytes deleted, the block must be k row skeletons. A
-    minus must open a number, so each run of number bytes is one integer,
-    and NumPy parses them all in one call. A number at an int64 limit may
-    have been clamped there, so it is left to ``json.loads``. The values'
-    shortest decimal widths must add up to the number bytes (no leading
-    zero, no "-0"), and the i-th value must start two bytes after the
-    i-th colon: the skeleton's colons are the only ones, so each value
-    sits in its own slot, with none empty and none between slots.
+    With the numbers' bytes deleted, the block must be k row skeletons, so
+    its colons are the skeleton's. Each number's slot starts two bytes
+    after its colon and ends the skeleton's gap before the next slot, or
+    before the block's last line; the slots must hold every number byte,
+    and each must hold one number as ``%d`` writes it.
     """
-    skeleton = block.translate(None, _NUMBER_BYTES)
+    skeleton = data[start:stop].translate(None, _NUMBER_BYTES)
     k, rest = divmod(len(skeleton) + 2, len(_SKELETON_ROW))  # the last row has no ",\n"
     if rest or skeleton + b",\n" != _SKELETON_ROW * k:
         return None
-    numbers = block.translate(_SPACE_OUT)
-    chars = np.frombuffer(numbers, np.uint8)
-    if b"-" in numbers:
-        minus = np.flatnonzero(chars == ord("-"))
-        if (minus[0] == 0 or minus[-1] == chars.size - 1 or np.any(chars[minus - 1] != ord(" "))
-                or np.any(chars[minus + 1] - ord("0") >= 10)):
-            return None
-    try:
-        # NumPy before 2.0 warns, rather than raises, on text it cannot read
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(numbers, np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
+    buf = np.frombuffer(data, np.uint8)
+    slots = np.flatnonzero(buf[start:stop] == ord(":")) + (start + 2)
+    ends = np.empty_like(slots)
+    ends[:-1] = slots[1:] - np.tile(_GAPS, k)[:-1]
+    ends[-1] = stop - len(_ROW_END) + 2  # before the last "\n    }"
+    if (ends - slots).sum() != stop - start - len(skeleton):
         return None
-    if (values.size != len(_FIELDS) * k or values.max() == _INT64.max
-            or values.min() == _INT64.min):
-        return None
-    widths = (1 + np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right")
-              + (values < 0))
-    ends = np.cumsum(widths)
-    if ends[-1] != len(block) - len(skeleton):
-        return None
-    starts = (np.arange(k)[:, None] * len(_SKELETON_ROW) + _SLOTS).ravel() + (ends - widths)
-    raw = np.frombuffer(block, np.uint8)
-    if np.any(raw[starts - 2] != ord(":")) or np.any(chars[starts] == ord(" ")):
-        return None
-    return values
+    return parse_decimals(buf, slots, ends)
 
 
 @dataclass
@@ -305,24 +280,26 @@ class Forecast:
 
     def to_json(self):
         """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte,
-        with the rows written from the columns a block at a time, one ``%``
-        format per block: ``indent`` sends ``json.dumps`` to its slow
-        pure-Python encoder. Integers need no nan/inf fallback, so only an
-        empty forecast is left to ``json.dumps``."""
+        with the rows written from the columns a block at a time, one bytes
+        ``%`` format per block, and decoded once: ``indent`` sends
+        ``json.dumps`` to its slow pure-Python encoder. Integers need no
+        nan/inf fallback, so only an empty forecast is left to ``json.dumps``."""
         if len(self) == 0:
             return json.dumps(self.to_dict(), indent=2) + "\n"
         rows = np.stack(self.columns(), axis=1)
         head = json.dumps(self._head(), indent=2)[:-2]  # without its closing "\n}"
-        parts = [head, _ENTRIES_OPEN]
+        parts = [head.encode(), _ENTRIES_OPEN]
         size = min(len(rows), _WRITE_BLOCK_ROWS)
-        template = ",\n".join([_ROW] * size)
+        template = b",\n".join([_ROW] * size)
         for start in range(0, len(rows), size):
             block = rows[start:start + size]
             if len(block) < size:  # the last block
-                template = ",\n".join([_ROW] * len(block))
-            parts += (template % tuple(block.ravel().tolist()), ",\n")
-        parts[-1] = _ENTRIES_CLOSE
-        return "".join(parts)
+                template = b",\n".join([_ROW] * len(block))
+            parts += (template % tuple(block.ravel().tolist()), b",\n")
+        parts[-1] = _TAIL
+        text = b"".join(parts)
+        del parts  # so that the decode holds two copies of the text, not three
+        return text.decode()
 
     @classmethod
     def from_json(cls, data):
@@ -570,7 +547,6 @@ def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, chan
 
     # the tracker's sums after each observation, all at once: np.cumsum adds
     # in order, as a loop of kalman_update does, so each prefix is the state
-    # that loop would reach, bit for bit
     # that loop would reach, bit for bit, from the int origin ``first``
     h, interval = offsets.astype(np.float64), float(est.raw_interval_ns)
     r = (ts - first).astype(np.float64) - h * interval

@@ -653,9 +653,17 @@ def test_forecast_json_is_read_without_json_loads():
                           track([-10**9, -987_499_910, -974_999_850], [1, 1], 12_500_037.3), 300)
     # rows of one-digit numbers are the shortest, and fill the reader's room exactly
     shortest = Forecast(*np.arange(4 * 9).reshape(4, 9) % 10, access_address=7)
+    # times at Unix-epoch scale, 19 digits each, as a capture's timestamps carry them
+    events = np.arange(50)
+    epoch = Forecast(events, events % 37, 1_700_000_000 * 10**9 + 7_500_000 * events,
+                     np.full(50, 40), access_address=7)
+    # the int64 limits, read exactly
+    limits = np.array([2**63 - 1, 1 - 2**63, -2**63])
+    edges = Forecast(limits, np.array([0, 1, 36]), limits, limits)
     forecasts = [csa1, random_forecast(1, 1, named=False), random_forecast(2 * BLOCK, 2),
-                 random_forecast(40, 3, csa2=False), shortest]
+                 random_forecast(40, 3, csa2=False), shortest, epoch, edges]
     assert np.any(csa1.times_ns < 0)
+    assert len(str(epoch.times_ns.min())) == 19
     with mock.patch.object(Forecast, "from_dict", side_effect=AssertionError):
         for fc in forecasts:
             read = Forecast.from_json(fc.to_json().encode())
@@ -685,7 +693,8 @@ _NUMBER_MUTATIONS = {
     "1e20": lambda n: b"9" * 20, "-1e20": lambda n: b"-" + b"9" * 20, "empty": lambda n: b"",
     # the int64 limits, and the integers just past them
     "2**63-1": lambda n: b"%d" % (2**63 - 1), "2**63": lambda n: b"%d" % 2**63,
-    "-2**63": lambda n: b"%d" % -2**63, "-2**63-1": lambda n: b"%d" % (-2**63 - 1),
+    "1-2**63": lambda n: b"%d" % (1 - 2**63), "-2**63": lambda n: b"%d" % -2**63,
+    "-2**63-1": lambda n: b"%d" % (-2**63 - 1),
 }
 
 
@@ -701,10 +710,11 @@ def _mutated_bytes(data, kind, place, key):
     if kind in _NUMBER_MUTATIONS:
         return (data[:number.start(1)] + _NUMBER_MUTATIONS[kind](number.group(1))
                 + data[number.end(1):])
-    if kind == "move number":  # up to 40 bytes back or on, out of its slot
-        rest = data[:number.start(1)] + data[number.end(1):]
+    if kind in ("move number", "move first byte"):  # up to 40 bytes back or on
+        moved = number.group(1) if kind == "move number" else number.group(1)[:1]
+        rest = data[:number.start(1)] + data[number.start(1) + len(moved):]
         to = min(max(number.start(1) + place % 81 - 40, 0), len(rest))
-        return rest[:to] + number.group(1) + rest[to:]
+        return rest[:to] + moved + rest[to:]
     if kind == "drop row":
         return data[:start] + data[end + 2:] if data[end:end + 2] == b",\n" else (
             data[:start - 2] + data[end:])
@@ -728,9 +738,9 @@ def _mutated_bytes(data, kind, place, key):
            st.tuples(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
                      st.sampled_from([1000, blehop.predict._READ_BLOCK_BYTES]))),
        seed=st.integers(0, 2**16), csa2=st.booleans(), named=st.booleans(),
-       kind=st.sampled_from([*_NUMBER_MUTATIONS, "move number", "drop row", "duplicate row",
-                             "reorder keys", "space", "truncate", "bracket", "bom", "non-utf-8",
-                             "none"]),
+       kind=st.sampled_from([*_NUMBER_MUTATIONS, "move number", "move first byte", "drop row",
+                             "duplicate row", "reorder keys", "space", "truncate", "bracket",
+                             "bom", "non-utf-8", "none"]),
        place=st.integers(0, 2**40),
        key=st.sampled_from(["counter", "channel", "time_ns", "time_std_ns"]))
 # a number that ends a read block has no next slot to be checked against
@@ -741,10 +751,19 @@ def _mutated_bytes(data, kind, place, key):
 @example(size=(3, 1), seed=0, csa2=True, named=True, kind="lone minus", place=0,
          key="time_std_ns")
 @example(size=(3, 1), seed=0, csa2=True, named=True, kind="2**63", place=0, key="counter")
+# a block's last number ends before its "\n    }", so an emptied one is an empty slot
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="empty", place=0, key="time_std_ns")
+# the int64 limits are read exactly, not clamped
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="2**63-1", place=0, key="time_ns")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="1-2**63", place=0, key="time_ns")
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="-2**63", place=0, key="time_std_ns")
 # a wide number moved before its colon still covers the byte its slot opens with
 @example(size=(1, 1), seed=0, csa2=True, named=True, kind="move number", place=38,
          key="counter")
 @example(size=(3, 1), seed=0, csa2=True, named=True, kind="bracket", place=0, key="counter")
+# a digit moved before a block's first slot leaves a shorter number in the slot
+@example(size=(3, 1), seed=0, csa2=True, named=True, kind="move first byte", place=35,
+         key="counter")
 def test_from_json_reads_as_json_loads_and_from_dict(size, seed, csa2, named, kind, place, key):
     # the bulk reader, read a block of ``read_bytes`` at a time (1: a row),
     # against the reader of any JSON text: the same forecast, or the same error
