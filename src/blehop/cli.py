@@ -47,14 +47,20 @@ EXIT_IO = 5
 EXIT_ESTIMATION = 6
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, data):
+    """Write the bytes ``data`` to a temporary file, then rename it to ``path``."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
 def _write_json(path, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``, its bytes decoded as UTF-8."""
+    return json.loads(Path(path).read_bytes().decode())
 
 
 def _write_eval(out, report):
@@ -62,9 +68,9 @@ def _write_eval(out, report):
     eval_path, eccdf_path = out / "eval.json", out / "eccdf.csv"
     _write_json(eval_path, report.to_dict())
     eccdf = report.eccdf  # one % format over every (error in us, probability) pair
-    rows = ("%.3f,%.6f\n" * len(eccdf)) % tuple(
+    rows = (b"%.3f,%.6f\n" * len(eccdf)) % tuple(
         value for err, prob in eccdf for value in (err / 1000.0, prob))
-    _atomic_write_text(eccdf_path, "abs_error_us,prob_error_exceeds\n" + rows)
+    _atomic_write(eccdf_path, b"abs_error_us,prob_error_exceeds\n" + rows)
     return [eval_path, eccdf_path]
 
 
@@ -101,24 +107,21 @@ def _out_dir(args):
 
 
 def cmd_simulate(args):
-    with open(args.scenario) as handle:
-        config = ScenarioConfig.from_dict(json.load(handle))
+    config = ScenarioConfig.from_dict(_read_json(args.scenario))
     timelines, trace = simulate(config)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
     save_trace(trace, trace_path, "csv")
     timelines_path = out / "timelines.jsonl"
-    lines = []
-    for conn, timeline in zip(config.connections, timelines):
-        lines.append(json.dumps({
-            "access_address_hex": f"0x{conn.params.access_address:08X}",
-            "params": conn.params.to_dict(),
-            "initial_counter": conn.initial_counter,
-            "counters": timeline.counters.tolist(),
-            "channels": timeline.channels.tolist(),
-            "times_ns": timeline.times_ns.tolist(),
-        }))
-    _atomic_write_text(timelines_path, "".join(line + "\n" for line in lines))
+    lines = [json.dumps({
+        "access_address_hex": f"0x{conn.params.access_address:08X}",
+        "params": conn.params.to_dict(),
+        "initial_counter": conn.initial_counter,
+        "counters": timeline.counters.tolist(),
+        "channels": timeline.channels.tolist(),
+        "times_ns": timeline.times_ns.tolist(),
+    }) + "\n" for conn, timeline in zip(config.connections, timelines)]
+    _atomic_write(timelines_path, "".join(lines).encode())
     _write_manifest(args, [args.scenario], [trace_path, timelines_path],
                     rng_seed=config.rng_seed)
     print(f"simulated {len(config.connections)} connection(s), "
@@ -154,8 +157,7 @@ def _connection_trace(args, access_address):
 
 
 def cmd_predict(args):
-    with open(args.report) as handle:
-        report = ReconstructionReport.from_dict(json.load(handle))
+    report = ReconstructionReport.from_dict(_read_json(args.report))
     run = run_prediction(
         _connection_trace(args, report.access_address), report,
         train_ns=_scaled_int(args.train_seconds, 1e9, "--train-seconds"),
@@ -164,7 +166,7 @@ def cmd_predict(args):
     )
     out = _out_dir(args)
     forecast_path = out / "forecast.json"
-    _atomic_write_text(forecast_path, run.forecast.to_json())
+    _atomic_write(forecast_path, run.forecast.to_json())
     _write_manifest(args, [args.report, args.trace],
                     [forecast_path, *_write_eval(out, run.report)])
     print(f"forecast {len(run.forecast)} event(s); one-step RMSE "
@@ -184,8 +186,7 @@ def cmd_evaluate(args):
 
 
 def cmd_hopgen(args):
-    with open(args.params) as handle:
-        params = ConnectionParams.from_dict(json.load(handle))
+    params = ConnectionParams.from_dict(_read_json(args.params))
     if not 1 <= args.events <= MAX_EVENTS:
         raise ConfigError(f"--events must be in 1..{MAX_EVENTS}, got {args.events}")
     start = args.start_counter
@@ -199,13 +200,11 @@ def cmd_hopgen(args):
         unmapped = csa2_unmapped_bulk(idx, channel_identifier(params.access_address))
     out = _out_dir(args)
     hops_path = out / "hops.csv"
-    rows = ["event,counter,unmapped_channel,channel,time_us"]
-    for n in range(args.events):
-        counter = (start + n) % COUNTER_PERIOD
-        rows.append(
-            f"{n},{counter},{int(unmapped[n])},{int(channels[n])},{n * params.interval_us}"
-        )
-    _atomic_write_text(hops_path, "".join(r + "\n" for r in rows))
+    events = idx - start
+    columns = np.stack([events, idx % COUNTER_PERIOD, unmapped, channels,
+                        events * params.interval_us], axis=1)
+    rows = (b"%d,%d,%d,%d,%d\n" * args.events) % tuple(columns.ravel().tolist())
+    _atomic_write(hops_path, b"event,counter,unmapped_channel,channel,time_us\n" + rows)
     _write_manifest(args, [args.params], [hops_path])
     print(f"wrote {args.events} event(s) -> {hops_path}")
     return EXIT_OK
@@ -262,15 +261,15 @@ def build_parser():
 
 
 # failures and their exit codes, most specific first: an ambiguous
-# alignment is also an estimation error
+# alignment is also an estimation error; each with the prefix of its message
 EXIT_CODES = (
-    (AmbiguousAlignmentError, EXIT_AMBIGUOUS),
-    (TraceParseError, EXIT_PARSE),
-    (ConfigError, EXIT_CONFIG),
-    (EstimationError, EXIT_ESTIMATION),
-    (json.JSONDecodeError, EXIT_PARSE),
-    (UnicodeDecodeError, EXIT_PARSE),
-    (OSError, EXIT_IO),
+    (AmbiguousAlignmentError, EXIT_AMBIGUOUS, ""),
+    (TraceParseError, EXIT_PARSE, ""),
+    (ConfigError, EXIT_CONFIG, ""),
+    (EstimationError, EXIT_ESTIMATION, ""),
+    (json.JSONDecodeError, EXIT_PARSE, "invalid JSON input: "),
+    (UnicodeDecodeError, EXIT_PARSE, "input is not valid UTF-8: "),
+    (OSError, EXIT_IO, ""),
 )
 
 
@@ -278,11 +277,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(kind for kind, _ in EXIT_CODES) as exc:
-        parse = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError))
-        prefix = "invalid JSON input: " if parse else ""
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in EXIT_CODES
+                            if isinstance(exc, kind))
         print(f"error: {prefix}{exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return code
 
 
 if __name__ == "__main__":

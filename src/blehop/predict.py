@@ -15,7 +15,6 @@ profile) can be forecast.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -279,13 +278,13 @@ class Forecast:
         }
 
     def to_json(self):
-        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte,
-        with the rows written from the columns a block at a time, one bytes
-        ``%`` format per block, and decoded once: ``indent`` sends
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"`` as UTF-8 bytes,
+        byte for byte, with the rows written from the columns a block at a
+        time, one bytes ``%`` format per block: ``indent`` sends
         ``json.dumps`` to its slow pure-Python encoder. Integers need no
         nan/inf fallback, so only an empty forecast is left to ``json.dumps``."""
         if len(self) == 0:
-            return json.dumps(self.to_dict(), indent=2) + "\n"
+            return (json.dumps(self.to_dict(), indent=2) + "\n").encode()
         rows = np.stack(self.columns(), axis=1)
         head = json.dumps(self._head(), indent=2)[:-2]  # without its closing "\n}"
         parts = [head.encode(), _ENTRIES_OPEN]
@@ -297,19 +296,17 @@ class Forecast:
                 template = b",\n".join([_ROW] * len(block))
             parts += (template % tuple(block.ravel().tolist()), b",\n")
         parts[-1] = _TAIL
-        text = b"".join(parts)
-        del parts  # so that the decode holds two copies of the text, not three
-        return text.decode()
+        return b"".join(parts)
 
     @classmethod
     def from_json(cls, data):
         """Read the bytes of a forecast file: the layout ``to_json`` writes
         is parsed a block of rows at a time, any other text by ``from_dict``
         after ``json.loads``; both give the same forecast or the same error.
-        Text is decoded as ``open()`` decodes it."""
+        Text is decoded as UTF-8."""
         read = _read_rows(data)
         if read is None:
-            return cls.from_dict(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
+            return cls.from_dict(json.loads(data.decode()))
         head, columns = read
         with reading("forecast"):
             return cls._checked(columns, head)

@@ -148,10 +148,10 @@ def _parse_row(row, timestamp, address, channel, is_central):
 
 @contextmanager
 def _open_text(source, mode="r"):
-    """A text handle on a path, closed after use, or on a caller's stream, flushed
-    and left open (a byte stream's wrapper is detached, so it cannot close it)."""
+    """A UTF-8 text handle on a path, closed after use, or on a caller's stream,
+    flushed and left open (a byte stream's wrapper is detached, so it cannot close it)."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, newline="") as handle:
+        with open(source, mode, encoding="utf-8", newline="") as handle:
             yield handle
     elif isinstance(source, io.TextIOBase):
         try:

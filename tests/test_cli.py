@@ -5,7 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -123,6 +126,8 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
     assert ev["matched"] > 50
     forecast = json.loads((pred / "forecast.json").read_text())
     assert forecast["counters_are_wire"] is True
+    data = (pred / "forecast.json").read_bytes()
+    assert Forecast.from_json(data).to_json() == data
     assert len(forecast["entries"]) > 1000
     with open(pred / "eccdf.csv") as handle:
         rows = list(csv.reader(handle))
@@ -144,6 +149,10 @@ def test_full_pipeline(tmp_path, scenario_file, capsys):
     ev2 = json.loads((ev_dir / "eval.json").read_text())
     assert ev2["matched"] > 0
     assert (merged_dir / "eval.json").read_bytes() == (ev_dir / "eval.json").read_bytes()
+    # every output is written as bytes, with no newline translation
+    for out_dir in (sim, recon, pred, merged_dir, ev_dir):
+        for path in out_dir.iterdir():
+            assert b"\r" not in path.read_bytes(), path
 
     for out_dir in (sim, recon, pred, ev_dir):
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
@@ -183,6 +192,43 @@ def test_runs_are_byte_identical(tmp_path, scenario_file, capsys):
     capsys.readouterr()
 
 
+# The CLI chain run as one script: each command must exit 0
+CHAIN = """
+import sys
+from blehop import load_trace, save_trace
+from blehop.cli import main
+
+def run(*argv):
+    if main(list(argv)):
+        sys.exit(f"{argv[0]} failed")
+
+run("simulate", "--scenario", "scenario.json", "--out-dir", "sim")
+run("reconstruct", "--trace", "sim/trace.csv", "--out-dir", "recon")
+save_trace(load_trace("sim/trace.csv"), "trace.jsonl", "jsonl")
+run("reconstruct", "--trace", "trace.jsonl", "--format", "jsonl", "--out-dir", "recon_jsonl")
+run("predict", "--report", "recon/report_0xB0A1CD9D.json", "--trace", "sim/trace.csv",
+    "--train-seconds", "60", "--out-dir", "pred")
+run("evaluate", "--forecast", "pred/forecast.json", "--trace", "sim/trace.csv",
+    "--interval-us", "12500", "--out-dir", "eval")
+run("hopgen", "--params", "params.json", "--out-dir", "hops")
+"""
+
+
+def test_cli_chain_relies_on_no_default_encoding(tmp_path):
+    # every file the CLI opens names its encoding: under these flags a text
+    # file opened with the locale's default raises an EncodingWarning as an error
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    (tmp_path / "params.json").write_text(json.dumps(SCENARIO["connections"][0]["params"]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", CHAIN],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "hops" / "hops.csv").exists()
+
+
 def test_hopgen_csa1(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({
@@ -219,6 +265,15 @@ def test_hopgen_csa2_with_start_counter(tmp_path, capsys):
     # counter 0 under CI 0x7D3C: unmapped 25, remapped to 9; counter 1: 35 direct
     assert rows[1] == ["0", "0", "25", "9", "0"]
     assert rows[2] == ["1", "1", "35", "35", "7500"]
+    # across the counter's wrap: the whole file, as earlier versions wrote it
+    wrap = tmp_path / "wrap"
+    assert main(["hopgen", "--params", str(params), "--events", "4",
+                 "--start-counter", "65534", "--out-dir", str(wrap)]) == EXIT_OK
+    assert (wrap / "hops.csv").read_bytes() == (b"event,counter,unmapped_channel,channel,time_us\n"
+                                                b"0,65534,28,35,0\n"
+                                                b"1,65535,34,34,7500\n"
+                                                b"2,0,25,9,15000\n"
+                                                b"3,1,35,35,22500\n")
     capsys.readouterr()
 
 
@@ -716,17 +771,28 @@ def _forecast_layouts(forecast):
     (["predict", "--trace", "TRACE"], "--report"),
     (["evaluate", "--trace", "TRACE", "--interval-us", "12500"], "--forecast"),
     (["hopgen"], "--params"),
-], ids=["simulate", "predict", "evaluate", "hopgen"])
+    (["reconstruct"], "--trace"),
+    (["reconstruct", "--format", "jsonl"], "--trace"),
+    (["predict", "--report", "REPORT"], "--trace"),
+    (["evaluate", "--forecast", "FORECAST", "--interval-us", "12500"], "--trace"),
+], ids=["simulate", "predict", "evaluate", "hopgen", "reconstruct-trace",
+        "reconstruct-jsonl-trace", "predict-trace", "evaluate-trace"])
 def test_json_inputs_that_are_not_utf8_exit_with_parse_error(tmp_path, pipeline, capsys,
                                                              argv, option):
-    # each used to end in a UnicodeDecodeError traceback and exit 1
-    trace = str(pipeline[0] / "trace.csv")
-    path = tmp_path / "input.json"
-    path.write_bytes(b'{"entries": [\xff]}')
+    # each JSON input used to end in a UnicodeDecodeError traceback and exit 1;
+    # a trace is the pipeline's CSV trace with the byte 0xff in its first row
+    sim, recon, pred = pipeline
+    files = {"TRACE": sim / "trace.csv", "REPORT": recon / "report_0xB0A1CD9D.json",
+             "FORECAST": pred / "forecast.json"}
+    path = tmp_path / "input"
+    if option == "--trace":
+        path.write_bytes(files["TRACE"].read_bytes().replace(b",0x", b",0x\xff", 1))
+    else:
+        path.write_bytes(b'{"entries": [\xff]}')
     capsys.readouterr()
-    assert main([*(trace if arg == "TRACE" else arg for arg in argv), option, str(path),
+    assert main([*(str(files.get(arg, arg)) for arg in argv), option, str(path),
                  "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: invalid JSON input: 'utf-8' codec")
+    assert capsys.readouterr().err.startswith("error: input is not valid UTF-8: 'utf-8' codec")
     assert not (tmp_path / "out").exists()
 
 

@@ -643,9 +643,9 @@ def test_forecast_json_is_json_dumps_byte_for_byte():
     # the writer's blocks: exactly one, one and a row, and several
     blocks = [random_forecast(rows, seed=rows) for rows in (BLOCK, BLOCK + 1, 3 * BLOCK + 5)]
     for fc in (csa2, csa1, named, empty, *blocks):
-        assert fc.to_json() == dumped(fc)
-    assert '"counters_are_wire": false' in csa1.to_json()
-    assert named.to_json().startswith('{\n  "access_address": "0xB0A1CD9D",\n')
+        assert fc.to_json() == dumped(fc).encode()
+    assert b'"counters_are_wire": false' in csa1.to_json()
+    assert named.to_json().startswith(b'{\n  "access_address": "0xB0A1CD9D",\n')
 
 
 def test_forecast_json_is_read_without_json_loads():
@@ -666,7 +666,7 @@ def test_forecast_json_is_read_without_json_loads():
     assert len(str(epoch.times_ns.min())) == 19
     with mock.patch.object(Forecast, "from_dict", side_effect=AssertionError):
         for fc in forecasts:
-            read = Forecast.from_json(fc.to_json().encode())
+            read = Forecast.from_json(fc.to_json())
             assert (read.counters_are_wire, read.access_address) == (
                 fc.counters_are_wire, fc.access_address)
             for got, want in zip(read.columns(), fc.columns()):
@@ -768,8 +768,7 @@ def test_from_json_reads_as_json_loads_and_from_dict(size, seed, csa2, named, ki
     # the bulk reader, read a block of ``read_bytes`` at a time (1: a row),
     # against the reader of any JSON text: the same forecast, or the same error
     rows, read_bytes = size
-    data = _mutated_bytes(random_forecast(rows, seed, csa2, named).to_json().encode(), kind,
-                          place, key)
+    data = _mutated_bytes(random_forecast(rows, seed, csa2, named).to_json(), kind, place, key)
     with mock.patch.object(blehop.predict, "_READ_BLOCK_BYTES", read_bytes):
         got = _read_outcome(Forecast.from_json, data)
     assert got == _read_outcome(lambda d: Forecast.from_dict(json.loads(d.decode())), data)
