@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
 from .simulate import MAX_EVENTS, ScenarioConfig, simulate
-from .trace import connections, load_trace, save_trace
+from .trace import connections, format_rows, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,15 +48,16 @@ EXIT_IO = 5
 EXIT_ESTIMATION = 6
 
 
-def _atomic_write(path, data):
-    """Write the bytes ``data`` to a temporary file, then rename it to ``path``."""
+def _atomic_write(path, chunks):
+    """Write the byte strings ``chunks`` in order to a temporary file renamed to ``path``."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as handle:
+        handle.writelines(chunks)
     os.replace(tmp, path)
 
 
 def _write_json(path, payload):
-    _atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+    _atomic_write(path, [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
 def _read_json(path):
@@ -67,10 +69,9 @@ def _write_eval(out, report):
     """Write ``eval.json`` (the summary) and ``eccdf.csv`` (the error curve); their paths."""
     eval_path, eccdf_path = out / "eval.json", out / "eccdf.csv"
     _write_json(eval_path, report.to_dict())
-    eccdf = report.eccdf  # one % format over every (error in us, probability) pair
-    rows = (b"%.3f,%.6f\n" * len(eccdf)) % tuple(
-        value for err, prob in eccdf for value in (err / 1000.0, prob))
-    _atomic_write(eccdf_path, b"abs_error_us,prob_error_exceeds\n" + rows)
+    errors, probs = np.array(report.eccdf).reshape(-1, 2).T
+    _atomic_write(eccdf_path, chain([b"abs_error_us,prob_error_exceeds\n"],
+                                    format_rows(b"%.3f,%.6f\n", (errors / 1000.0, probs))))
     return [eval_path, eccdf_path]
 
 
@@ -113,15 +114,14 @@ def cmd_simulate(args):
     trace_path = out / "trace.csv"
     save_trace(trace, trace_path, "csv")
     timelines_path = out / "timelines.jsonl"
-    lines = [json.dumps({
+    _atomic_write(timelines_path, ((json.dumps({
         "access_address_hex": f"0x{conn.params.access_address:08X}",
         "params": conn.params.to_dict(),
         "initial_counter": conn.initial_counter,
         "counters": timeline.counters.tolist(),
         "channels": timeline.channels.tolist(),
         "times_ns": timeline.times_ns.tolist(),
-    }) + "\n" for conn, timeline in zip(config.connections, timelines)]
-    _atomic_write(timelines_path, "".join(lines).encode())
+    }) + "\n").encode() for conn, timeline in zip(config.connections, timelines)))
     _write_manifest(args, [args.scenario], [trace_path, timelines_path],
                     rng_seed=config.rng_seed)
     print(f"simulated {len(config.connections)} connection(s), "
@@ -166,7 +166,7 @@ def cmd_predict(args):
     )
     out = _out_dir(args)
     forecast_path = out / "forecast.json"
-    _atomic_write(forecast_path, run.forecast.to_json())
+    _atomic_write(forecast_path, [run.forecast.to_json()])
     _write_manifest(args, [args.report, args.trace],
                     [forecast_path, *_write_eval(out, run.report)])
     print(f"forecast {len(run.forecast)} event(s); one-step RMSE "
@@ -201,10 +201,9 @@ def cmd_hopgen(args):
     out = _out_dir(args)
     hops_path = out / "hops.csv"
     events = idx - start
-    columns = np.stack([events, idx % COUNTER_PERIOD, unmapped, channels,
-                        events * params.interval_us], axis=1)
-    rows = (b"%d,%d,%d,%d,%d\n" * args.events) % tuple(columns.ravel().tolist())
-    _atomic_write(hops_path, b"event,counter,unmapped_channel,channel,time_us\n" + rows)
+    columns = (events, idx % COUNTER_PERIOD, unmapped, channels, events * params.interval_us)
+    _atomic_write(hops_path, chain([b"event,counter,unmapped_channel,channel,time_us\n"],
+                                   format_rows(b"%d,%d,%d,%d,%d\n", columns)))
     _write_manifest(args, [args.params], [hops_path])
     print(f"wrote {args.events} event(s) -> {hops_path}")
     return EXIT_OK

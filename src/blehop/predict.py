@@ -42,7 +42,7 @@ from .errors import (
 )
 from .reconstruct import observation_offsets
 from .simulate import MAX_EVENTS, EventTimeline
-from .trace import SniffTrace, parse_decimals
+from .trace import SniffTrace, format_rows, parse_decimals
 
 
 class SyncState(NamedTuple):
@@ -76,7 +76,7 @@ def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
 
     ``interval_ns`` sets the reference line that residuals are measured
     from; the fit does not depend on it. ``nominal_interval_ns`` is
-    accepted for callers of earlier versions and not used.
+    accepted and not used; perfbench's ``track`` follower still passes it.
     """
     if not 0 < interval_ns < math.inf:  # nan too
         raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
@@ -151,17 +151,16 @@ def predict_event_time(sync, event_offset):
     return sync.origin_ns + time_pred, math.sqrt(max(var, 0.0))
 
 
-# The row layout of forecast.json, as json.dumps(indent=2) writes an entry
+# An entry of forecast.json as json.dumps(indent=2) writes it, and the ",\n" after it
 _FIELDS = ("counter", "channel", "time_ns", "time_std_ns")
-_ROW = ("    {\n%s\n    }" % ",\n".join(f'      "{key}": %d' for key in _FIELDS)).encode()
+_ROW = ("    {\n%s\n    },\n" % ",\n".join(f'      "{key}": %d' for key in _FIELDS)).encode()
 _ENTRIES_OPEN, _TAIL = b',\n  "entries": [\n', b"\n  ]\n}\n"
-_WRITE_BLOCK_ROWS = 8192
 # What to_json writes around the rows; the access address as _head writes it
 _HEAD = re.compile(rb'\{\n(?:  "access_address": "(0x[0-9A-F]{8})",\n)?'
                    rb'  "counters_are_wire": (true|false)' + re.escape(_ENTRIES_OPEN))
 _NUMBER_BYTES = b"0123456789-"
 # a row and the ",\n" after it, without its numbers, and where each number goes
-_SKELETON_ROW = (_ROW % (0, 0, 0, 0) + b",\n").translate(None, _NUMBER_BYTES)
+_SKELETON_ROW = (_ROW % (0, 0, 0, 0)).translate(None, _NUMBER_BYTES)
 _SLOTS = np.array([m.end() for m in re.finditer(b": ", _SKELETON_ROW)])
 # the skeleton bytes from each slot to the next, the last to the next row's first
 _GAPS = np.diff(_SLOTS, append=_SLOTS[0] + len(_SKELETON_ROW))
@@ -279,23 +278,15 @@ class Forecast:
 
     def to_json(self):
         """``json.dumps(self.to_dict(), indent=2) + "\\n"`` as UTF-8 bytes,
-        byte for byte, with the rows written from the columns a block at a
-        time, one bytes ``%`` format per block: ``indent`` sends
-        ``json.dumps`` to its slow pure-Python encoder. Integers need no
-        nan/inf fallback, so only an empty forecast is left to ``json.dumps``."""
+        byte for byte, with the rows written from the columns by
+        :func:`format_rows`: ``indent`` sends ``json.dumps`` to its slow
+        pure-Python encoder. Integers need no nan/inf fallback, so only an
+        empty forecast is left to ``json.dumps``."""
         if len(self) == 0:
             return (json.dumps(self.to_dict(), indent=2) + "\n").encode()
-        rows = np.stack(self.columns(), axis=1)
         head = json.dumps(self._head(), indent=2)[:-2]  # without its closing "\n}"
-        parts = [head.encode(), _ENTRIES_OPEN]
-        size = min(len(rows), _WRITE_BLOCK_ROWS)
-        template = b",\n".join([_ROW] * size)
-        for start in range(0, len(rows), size):
-            block = rows[start:start + size]
-            if len(block) < size:  # the last block
-                template = b",\n".join([_ROW] * len(block))
-            parts += (template % tuple(block.ravel().tolist()), b",\n")
-        parts[-1] = _TAIL
+        parts = [head.encode(), _ENTRIES_OPEN, *format_rows(_ROW, self.columns())]
+        parts[-1] = parts[-1][:-2] + _TAIL  # the last row has no ",\n"
         return b"".join(parts)
 
     @classmethod

@@ -218,6 +218,7 @@ def _read_rows(handle, fmt):
     return (channels.pop() if channels else None), timestamps, addresses, central
 
 
+_FORMAT_BLOCK_ROWS = 8192  # rows per bytes % format of format_rows
 _CHUNK_HINT = 1 << 18  # characters of text per bulk-parsed chunk of lines
 _PAD = 24  # zero bytes on each side of a chunk, so every word read below is in range
 _CHANNELS = {str(k): k for k in range(NUM_DATA_CHANNELS)}  # the canonical channel texts
@@ -300,6 +301,18 @@ def _match_chunk(text, channel):
     return timestamps, addresses, is_central
 
 
+def format_rows(template, columns):
+    """Yield ``template % row`` as bytes for the rows of equal-length NumPy
+    columns, one bytes ``%`` per block of ``_FORMAT_BLOCK_ROWS`` rows. Values
+    are taken by ``tolist``: ``np.where(flags, b"true", b"false")`` fills a ``%s``."""
+    for start in range(0, len(columns[0]), _FORMAT_BLOCK_ROWS):
+        block = [column[start:start + _FORMAT_BLOCK_ROWS].tolist() for column in columns]
+        values = [None] * (len(block) * len(block[0]))
+        for k, column in enumerate(block):
+            values[k::len(block)] = column
+        yield (template * len(block[0])) % tuple(values)
+
+
 def parse_decimals(buf, starts, ends):
     """The int64 values of the fields ``buf[starts[i]:ends[i]]``, or None
     unless each is written as ``%d`` writes an int64: an optional minus,
@@ -379,22 +392,19 @@ def _jsonl_records(handle):
 
 
 def save_trace(trace, dest, fmt="csv"):
-    """Write a trace to a path or text stream in ``csv`` or ``jsonl`` form."""
+    """Write a trace to a path or stream as ``csv``, or as the ``jsonl`` ``json.dumps`` writes."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown trace format {fmt!r}")
-    columns = (trace.timestamps().tolist(), trace.access_addresses.tolist(),
-               trace.is_central.tolist())
+    if fmt == "csv":
+        head, row = ",".join(CSV_FIELDS) + "\n", f"%d,0x%08X,{trace.sniff_channel},%s\n"
+    else:
+        head, row = "", (f'{{"timestamp_ns": %d, "access_address_hex": "0x%08X", '
+                         f'"channel": {trace.sniff_channel}, "is_central": %s}}\n')
+    columns = (trace.timestamps(), trace.access_addresses,
+               np.where(trace.is_central, b"true", b"false"))
     with _open_text(dest, "w") as handle:
-        if fmt == "csv":
-            row = (f"%d,0x%08X,{trace.sniff_channel},false\n",
-                   f"%d,0x%08X,{trace.sniff_channel},true\n")
-            handle.write(",".join(CSV_FIELDS) + "\n")
-            handle.writelines(row[central] % (ts, aa) for ts, aa, central in zip(*columns))
-        else:
-            handle.writelines(
-                json.dumps(dict(zip(CSV_FIELDS, (ts, f"0x{aa:08X}", trace.sniff_channel, c))))
-                + "\n" for ts, aa, c in zip(*columns)
-            )
+        handle.write(head)
+        handle.writelines(block.decode() for block in format_rows(row.encode(), columns))
 
 
 def connections(trace):

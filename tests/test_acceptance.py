@@ -283,7 +283,8 @@ def test_criterion_06_map_recovery():
 def test_criterion_07_collection_budget():
     """Measured evidence-collection time matches the coupon-collector model."""
     rng = np.random.default_rng(1007)
-    n_trials, target, n_ch = 200, 2932, 28
+    n_trials, n_ch = 200, 28
+    target = expected_reconstruction_budget(n_ch)
     durations = []
     for _ in range(n_trials):
         cmap, sniff = _random_map(rng, n_ch)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blehop import (
+    COUNTER_PERIOD,
     ChannelMap,
+    ConnectionParams,
+    CsaVersion,
     Forecast,
     ReconstructionReport,
     SniffTrace,
+    channel_identifier,
+    channel_sequence,
     connections,
+    csa1_unmapped_bulk,
+    csa2_unmapped_bulk,
     load_trace,
     reconstruct,
     save_trace,
@@ -274,6 +282,53 @@ def test_hopgen_csa2_with_start_counter(tmp_path, capsys):
                                                 b"1,65535,34,34,7500\n"
                                                 b"2,0,25,9,15000\n"
                                                 b"3,1,35,35,22500\n")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("conn", [0, 1])
+def test_hopgen_equals_one_format_of_the_whole_file(tmp_path, capsys, conn):
+    """``hops.csv`` around the formatter's 8192-row block equals one bytes
+    ``%`` over every row, as the file was once written whole."""
+    raw = SCENARIO["connections"][conn]["params"]
+    params = ConnectionParams.from_dict(raw)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    start = 65500  # the counter wraps inside the file
+    for events in (8191, 8192, 8193):
+        out = tmp_path / f"hops_{events}"
+        assert main(["hopgen", "--params", str(path), "--events", str(events),
+                     "--start-counter", str(start), "--out-dir", str(out)]) == EXIT_OK
+        idx = np.arange(start, start + events)
+        if params.csa_version is CsaVersion.CSA1:
+            unmapped = csa1_unmapped_bulk(idx, params.initial_channel, params.hop_increment)
+        else:
+            unmapped = csa2_unmapped_bulk(idx, channel_identifier(params.access_address))
+        rows = np.stack([idx - start, idx % COUNTER_PERIOD, unmapped,
+                         channel_sequence(params, start, events),
+                         (idx - start) * params.interval_us], axis=1)
+        want = (b"%d,%d,%d,%d,%d\n" * events) % tuple(rows.ravel().tolist())
+        assert (out / "hops.csv").read_bytes() == (
+            b"event,counter,unmapped_channel,channel,time_us\n" + want)
+    capsys.readouterr()
+
+
+def test_hopgen_memory_grows_only_by_its_columns(tmp_path, capsys):
+    """``hops.csv`` is streamed to disk a block of rows at a time: at 200,000
+    events the traced peak stays under twice its five int64 columns (16 MB),
+    where the whole file's text and the values formatted into it need more."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(SCENARIO["connections"][0]["params"]))
+    events = 200_000
+    tracemalloc.start()
+    try:
+        code = main(["hopgen", "--params", str(path), "--events", str(events),
+                     "--out-dir", str(tmp_path / "hops")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2 * 5 * 8 * events, f"peak {peak / 1e6:.1f} MB"
+    assert (tmp_path / "hops" / "hops.csv").read_bytes().count(b"\n") == events + 1
     capsys.readouterr()
 
 

@@ -614,8 +614,8 @@ def test_forecast_dict_round_trip():
     assert empty.to_dict() == {"counters_are_wire": True, "entries": []}
 
 
-# rows per block of Forecast.to_json
-BLOCK = blehop.predict._WRITE_BLOCK_ROWS
+# rows per block of Forecast.to_json (trace.format_rows)
+BLOCK = blehop.trace._FORMAT_BLOCK_ROWS
 
 
 def random_forecast(rows, seed, csa2=True, named=True):

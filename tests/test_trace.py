@@ -19,6 +19,7 @@ from blehop import (
     save_trace,
 )
 from blehop import trace as trace_module
+from blehop.trace import CSV_FIELDS
 
 
 def make_trace(sniff=22):
@@ -150,6 +151,45 @@ def test_csv_format_is_stable():
     assert lines[0] == "timestamp_ns,access_address_hex,channel,is_central"
     assert lines[1] == "1000000,0xB0A1CD9D,22,true"
     assert lines[2] == "2500000,0x53D39A21,22,false"
+
+
+def written_row_by_row(trace, fmt):
+    """The bytes of ``trace`` as save_trace once wrote them, one row at a
+    time: a ``%`` template per CSV row, ``json.dumps`` per JSONL record."""
+    ch = trace.sniff_channel
+    if fmt == "csv":
+        row = (f"%d,0x%08X,{ch},false\n", f"%d,0x%08X,{ch},true\n")
+        text = ",".join(CSV_FIELDS) + "\n" + "".join(
+            row[central] % (ts, aa) for ts, aa, central in zip(*columns(trace)))
+    else:
+        text = "".join(
+            json.dumps(dict(zip(CSV_FIELDS, (ts, f"0x{aa:08X}", ch, central)))) + "\n"
+            for ts, aa, central in zip(*columns(trace)))
+    return text.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("rows, sniff", [
+    (0, None), (0, 36), (1, 0), (8191, 22), (8192, 36), (8193, 5),
+])
+def test_save_trace_equals_the_row_by_row_writer(tmp_path, fmt, rows, sniff):
+    # around the formatter's 8192-row block, with the int64 timestamp limits,
+    # the lowest and highest address and both flags at the ends
+    rng = np.random.default_rng(rows)
+    ts = np.sort(rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True))
+    aa = rng.integers(0, 2**32, rows)
+    central = rng.integers(0, 2, rows).astype(bool)
+    if rows:
+        ts[0], aa[0], central[0] = -(2**63), 0, True
+        ts[-1], aa[-1], central[-1] = 2**63 - 1, 0xFFFFFFFF, False
+    trace = SniffTrace(sniff, ts, aa, central)
+    want = written_row_by_row(trace, fmt)
+    path, text, data = tmp_path / f"trace.{fmt}", io.StringIO(), io.BytesIO()
+    for dest in (path, text, data):
+        save_trace(trace, dest, fmt)
+    assert path.read_bytes() == want
+    assert text.getvalue().encode() == want
+    assert data.getvalue() == want
 
 
 def test_load_sorts_by_timestamp():
