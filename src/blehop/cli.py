@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     EstimationError,
     TraceParseError,
+    check_int,
 )
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
@@ -179,7 +180,7 @@ def cmd_evaluate(args):
     if forecast.access_address is None:
         raise ConfigError("forecast names no access_address")
     trace = _connection_trace(args, forecast.access_address)
-    report = evaluate(forecast, trace, int(args.interval_us) * 1000)
+    report = evaluate(forecast, trace, args.interval_us * 1000)
     _write_manifest(args, [args.forecast, args.trace], _write_eval(_out_dir(args), report))
     print(f"RMSE {report.rmse_ns / 1e6:.4f} ms over {report.matched} matched event(s)")
     return EXIT_OK
@@ -187,11 +188,8 @@ def cmd_evaluate(args):
 
 def cmd_hopgen(args):
     params = ConnectionParams.from_dict(_read_json(args.params))
-    if not 1 <= args.events <= MAX_EVENTS:
-        raise ConfigError(f"--events must be in 1..{MAX_EVENTS}, got {args.events}")
-    start = args.start_counter
-    if not 0 <= start < COUNTER_PERIOD:
-        raise ConfigError(f"--start-counter must be in 0..{COUNTER_PERIOD - 1}, got {start}")
+    check_int(args.events, "--events", 1, MAX_EVENTS)
+    start = check_int(args.start_counter, "--start-counter", 0, COUNTER_PERIOD - 1)
     channels = channel_sequence(params, start, args.events)
     idx = np.arange(start, start + args.events, dtype=np.int64)
     if params.csa_version is CsaVersion.CSA1:

@@ -255,7 +255,7 @@ _INV17 = np.uint16(61681)
 def _prn16(counters, ci):
     # np.add, not +: on a 0-d input the operands are NumPy scalars, whose +
     # warns on the wrap that the rule relies on
-    ci = np.uint16(ci)
+    ci = np.uint16(check_int(ci, "ci", 0, COUNTER_PERIOD - 1))
     x = np.asarray(counters, dtype=np.int64).astype(np.uint16) ^ ci
     for _ in range(3):
         x = np.add(_ROUND[x], ci)
@@ -281,7 +281,7 @@ def csa2_counters_for_unmapped(channel, ci):
     17, ``perm16``, which is its own inverse), then xor with ci.
     """
     channel = check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
-    ci = np.uint16(ci)
+    ci = np.uint16(check_int(ci, "ci", 0, COUNTER_PERIOD - 1))
     x = np.arange(channel, COUNTER_PERIOD, NUM_DATA_CHANNELS, dtype=np.uint16) ^ ci
     for _ in range(3):
         # the perm16 table is uint32; back to uint16 so the next round wraps
@@ -344,7 +344,7 @@ def csa2_channels_bulk(counters, ci, channel_map):
     request until one for another connection replaces it.
     """
     global _last
-    key = (int(ci), channel_map)
+    key = (check_int(ci, "ci", 0, COUNTER_PERIOD - 1), channel_map)
     last_key, table = _last
     if key != last_key:
         _last = (key, None)
@@ -363,6 +363,8 @@ def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):
     The recursion advances the previous *unmapped* channel, never the
     remapped output, which is what gives the sequence its 37-event period.
     """
+    initial_channel = check_int(initial_channel, "initial_channel", 0, NUM_DATA_CHANNELS - 1)
+    hop_increment = check_int(hop_increment, "hop_increment", HOP_INCREMENT_MIN, HOP_INCREMENT_MAX)
     idx = np.asarray(event_indices, dtype=np.int64)
     return (initial_channel + (idx + 1) * hop_increment) % NUM_DATA_CHANNELS
 
@@ -374,9 +376,9 @@ def csa1_channels_bulk(event_indices, params):
 
 
 def channel_sequence(params, start_event, count):
-    """Mapped channels for ``count`` consecutive events from ``start_event``."""
-    if start_event < 0 or count < 0:
-        raise ConfigError("start_event and count must be non-negative")
+    """Mapped channels for ``count`` events from ``start_event``, ints >= 0 summing below 2**63."""
+    start_event = check_int(start_event, "start_event", 0, 2**63 - 1)
+    count = check_int(count, "count", 0, 2**63 - 1 - start_event)
     idx = np.arange(start_event, start_event + count, dtype=np.int64)
     if params.csa_version is CsaVersion.CSA1:
         return csa1_channels_bulk(idx, params)

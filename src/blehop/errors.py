@@ -29,10 +29,19 @@ def reading(what):
 def check_int(value, what, low, high):
     """``value`` as an int if it is an int or a NumPy integer (not a bool) in
     ``low``..``high``; otherwise a :class:`ConfigError` naming ``what``."""
+    if type(value) is int and low <= value <= high:  # a live step's case: no isinstance calls
+        return value
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not low <= value <= high):
         raise ConfigError(f"{what} must be an integer in {low}..{high}, got {value!r}")
     return int(value)
+
+
+def check_number(value, what):
+    """``value`` as a float if it is an int or a float (a JSON number, not a bool)."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a JSON number, got {value!r:.40}")
+    return float(value)
 
 
 def check_bool(value, what):

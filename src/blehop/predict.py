@@ -120,10 +120,8 @@ def _at_origin(origin_ns, time_ns):
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last):
-    """Fuse one timestamp, ``hops_since_last`` events past the last one fused."""
-    if not 1 <= hops_since_last < math.inf:  # nan too
-        raise ConfigError(f"hops_since_last must be finite and >= 1, got {hops_since_last}")
-    h = sync.anchor_offset + int(hops_since_last)
+    """Fuse one timestamp, ``hops_since_last`` (an int >= 1) events past the last one fused."""
+    h = sync.anchor_offset + check_int(hops_since_last, "hops_since_last", 1, 2**63 - 1)
     r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
     if not math.isfinite(r):  # a NaN would stay in the sums and in every later prediction
         raise ConfigError(f"measured_time_ns must be finite, got {measured_time_ns}")

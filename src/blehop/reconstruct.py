@@ -47,6 +47,7 @@ from .errors import (
     InsufficientDataError,
     check_bool,
     check_int,
+    check_number,
     reading,
 )
 from .trace import connections
@@ -228,6 +229,7 @@ def classify_csa(offsets, interval):
     leads by at most log 37 nats, and is ruled out only once well over half
     of the periods are hit. Such a reading is never CSA#2, only flagged.
     """
+    offsets = _event_offsets(offsets)
     hits, csa2, stage = offsets.size, -math.inf, "classification"
     folded = _single_hit_interval(interval)
     if folded is not None:
@@ -317,6 +319,19 @@ def build_ref_vector(ci, sniff_channel):
     return ref
 
 
+def _event_offsets(offsets):
+    """``offsets`` as a 1-D int64 array, refused if empty or of a non-integer dtype."""
+    offsets = np.asarray(offsets)
+    if offsets.ndim != 1:
+        raise ConfigError(f"observation offsets must be 1-D, got {offsets.ndim} dimensions")
+    if offsets.size == 0:
+        raise InsufficientDataError("no observation offsets")
+    if not np.issubdtype(offsets.dtype, np.integer):
+        raise ConfigError(f"observation offsets must be integers, got {offsets.dtype}")
+    # exact mod 65536 for every integer dtype: 2**64 is a multiple of it
+    return offsets.astype(np.int64, copy=False)
+
+
 def align_counter(offsets, c_ref):
     """Find the event counter of the first observation by circular correlation.
 
@@ -347,15 +362,7 @@ def align_counter(offsets, c_ref):
     if not (c_ref.dtype == np.bool_
             or (np.issubdtype(c_ref.dtype, np.integer) and c_ref.min() >= 0 and c_ref.max() <= 1)):
         raise ConfigError("reference vector must be a bool or integer array of 0s and 1s")
-    offsets = np.asarray(offsets)
-    if offsets.ndim != 1:
-        raise ConfigError(f"observation offsets must be 1-D, got {offsets.ndim} dimensions")
-    if offsets.size == 0:
-        raise EstimationError("no observation offsets to align")
-    if not np.issubdtype(offsets.dtype, np.integer):
-        raise ConfigError(f"observation offsets must be integers, got {offsets.dtype}")
-    # exact mod 65536 for every integer dtype: 2**64 is a multiple of it
-    offsets = offsets.astype(np.int64, copy=False)
+    offsets = _event_offsets(offsets)
     ws = _WORKSPACE
     np.copyto(ws.real, c_ref.reshape(_SIDE, _SIDE))
     _rfft_65536(ws.real, ws.spectrum)
@@ -441,10 +448,9 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     / 2**16), Core Spec v5.x Vol 6 Part B 4.5.8.3). It has never shown, so
     the whole span counts.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.size == 0:
-        raise InsufficientDataError("no observations to infer a map from")
-    counters = (k_init + offsets) % COUNTER_PERIOD
+    offsets = _event_offsets(offsets)
+    sniff_channel = check_int(sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
+    counters = (check_int(k_init, "k_init", 0, COUNTER_PERIOD - 1) + offsets) % COUNTER_PERIOD
     unmapped = csa2_unmapped_bulk(counters, ci)
     remap_mask = unmapped != sniff_channel
     remap_counters = counters[remap_mask]
@@ -593,12 +599,11 @@ class ReconstructionReport:
                 check_int(report.first_timestamp_ns, "first_timestamp_ns", -2**63, 2**63 - 1)
             if "verdict" in raw:
                 interval_us = check_interval_us(raw["interval_us"])
-                raw_us = raw["raw_interval_us"]
+                raw_us = check_number(raw["raw_interval_us"], "raw_interval_us")
                 # a fitted interval lies within the gap tolerance of the snapped one;
                 # a far smaller one would stretch a forecast over millions of events
-                if (type(raw_us) not in (int, float)
-                        or not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2):
-                    raise ConfigError(f"raw_interval_us must be a number within "
+                if not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2:
+                    raise ConfigError(f"raw_interval_us must be within "
                                       f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
                 verdict = raw["verdict"]
                 if verdict not in ("CSA1", "CSA2"):
@@ -614,7 +619,7 @@ class ReconstructionReport:
                                       "distinct period_profile phases (at least one for CSA#1), "
                                       f"got {report.sniff_channel!r}, "
                                       f"{report.first_timestamp_ns!r} and {list(profile)}")
-                interval = IntervalEstimate(interval_us * 1000, float(raw_us) * 1000.0)
+                interval = IntervalEstimate(interval_us * 1000, raw_us * 1000.0)
                 report.classification = CsaClassification(verdict, profile, interval)
             if "alignment" in raw:
                 align = raw["alignment"]

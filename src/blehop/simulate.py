@@ -30,7 +30,7 @@ from .csa import (
     ConnectionParams,
     channel_sequence,
 )
-from .errors import ConfigError, check_int, reading
+from .errors import ConfigError, check_int, check_number, reading
 from .trace import SniffTrace
 
 MAX_DRIFT_PPM = 500.0
@@ -38,7 +38,7 @@ MAX_DRIFT_PPM = 500.0
 # and several hundred MB of event arrays
 MAX_EVENTS = 10**7
 # scenario times are int64 nanoseconds
-_MAX_TIME_US = (2**63 - 1) // 1000
+_MAX_NS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ class ImpairmentModel:
     """Sniffer-side imperfections applied to one connection's events.
 
     ``duration_ns`` is how long the connection is simulated (from its start
-    offset). Jitter is the per-observation Gaussian timestamp error, drift
-    the connection clock's frequency offset relative to the sniffer clock
-    (a random walk from ``clock_drift_ppm`` that spreads by
-    ``drift_walk_ppm_per_sqrt_s`` ppm per √s; nothing is drawn for a walk of
-    0), and ``miss_probability`` the chance that a packet on the sniffed
-    channel is not captured.
+    offset), an integer in 0..2**63 - 1. Jitter is the per-observation
+    Gaussian timestamp error, drift the connection clock's frequency offset
+    relative to the sniffer clock (a random walk from ``clock_drift_ppm``
+    that spreads by ``drift_walk_ppm_per_sqrt_s`` ppm per √s; nothing is
+    drawn for a walk of 0), and ``miss_probability`` the chance that a
+    packet on the sniffed channel is not captured.
     """
 
     duration_ns: int
@@ -61,8 +61,8 @@ class ImpairmentModel:
     drift_walk_ppm_per_sqrt_s: float = 0.0
 
     def __post_init__(self):
-        if not self.duration_ns >= 0:  # nan too
-            raise ConfigError(f"duration_ns must be >= 0, got {self.duration_ns}")
+        object.__setattr__(self, "duration_ns",
+                           check_int(self.duration_ns, "duration_ns", 0, _MAX_NS))
         if not 0 <= self.jitter_sigma_ns < math.inf:
             raise ConfigError(f"jitter_sigma_ns must be finite and >= 0, "
                               f"got {self.jitter_sigma_ns}")
@@ -81,7 +81,7 @@ class ImpairmentModel:
 
 @dataclass(frozen=True)
 class ConnectionScenario:
-    """One connection inside a scenario: parameters, placement, impairments."""
+    """One connection in a scenario; ``start_offset_ns`` and ``initial_counter`` are ints >= 0."""
 
     params: ConnectionParams
     impairments: ImpairmentModel
@@ -89,9 +89,8 @@ class ConnectionScenario:
     initial_counter: int = 0
 
     def __post_init__(self):
-        if self.start_offset_ns < 0:
-            raise ConfigError("start_offset_ns must be >= 0")
-        check_int(self.initial_counter, "initial_counter", 0, COUNTER_PERIOD - 1)
+        for name, high in (("start_offset_ns", _MAX_NS), ("initial_counter", COUNTER_PERIOD - 1)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 0, high))
 
 
 @dataclass(frozen=True)
@@ -132,17 +131,16 @@ class ScenarioConfig:
 def _connection_from_dict(raw):
     imp = raw.get("impairments", {})
     impairments = ImpairmentModel(
-        duration_ns=check_int(imp["duration_us"], "duration_us", 0, _MAX_TIME_US) * 1000,
-        jitter_sigma_ns=float(imp.get("jitter_sigma_us", 0.0)) * 1000.0,
-        clock_drift_ppm=float(imp.get("clock_drift_ppm", 0.0)),
-        miss_probability=float(imp.get("miss_probability", 0.0)),
-        drift_walk_ppm_per_sqrt_s=float(imp.get("drift_walk_ppm_per_sqrt_s", 0.0)),
+        duration_ns=check_int(imp["duration_us"], "duration_us", 0, _MAX_NS // 1000) * 1000,
+        jitter_sigma_ns=check_number(imp.get("jitter_sigma_us", 0.0), "jitter_sigma_us") * 1000.0,
+        **{key: check_number(imp.get(key, 0.0), key)
+           for key in ("clock_drift_ppm", "miss_probability", "drift_walk_ppm_per_sqrt_s")},
     )
     return ConnectionScenario(
         params=ConnectionParams.from_dict(raw["params"]),
         impairments=impairments,
         start_offset_ns=check_int(raw.get("start_offset_us", 0), "start_offset_us",
-                                  0, _MAX_TIME_US) * 1000,
+                                  0, _MAX_NS // 1000) * 1000,
         initial_counter=raw.get("initial_counter", 0),
     )
 

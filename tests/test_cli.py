@@ -406,6 +406,11 @@ def test_params_csa_version_spellings(tmp_path, capsys, conn, spellings):
     (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), float("nan"), "drift_walk"),
     # finite, but a walk this wide runs the clock backwards within a few events
     (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), 1e9, "backwards"),
+    # an impairment is a JSON number: these simulated 1 us, 5 ppm and no misses
+    (("connections", 0, "impairments", "jitter_sigma_us"), True, "jitter_sigma_us"),
+    (("connections", 0, "impairments", "clock_drift_ppm"), "5", "clock_drift_ppm"),
+    (("connections", 0, "impairments", "miss_probability"), False, "miss_probability"),
+    (("connections", 0, "impairments", "drift_walk_ppm_per_sqrt_s"), "0.1", "drift_walk"),
 ])
 def test_bad_scenario_values_exit_with_config_error(tmp_path, capsys, path, value, needle):
     # each value used to be coerced (22.9 simulated channel 22, true seeded

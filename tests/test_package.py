@@ -1,11 +1,40 @@
-"""Checks on the package as a whole: what its runtime imports, and what its
-modules import from one another."""
+"""Checks on the package as a whole: what its runtime imports, what its
+modules import from one another, and the one check every integer argument
+goes through."""
 
+import argparse
 import ast
+import dataclasses
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from blehop import (
+    ChannelMap,
+    ConfigError,
+    ConnectionParams,
+    ConnectionScenario,
+    CsaVersion,
+    ImpairmentModel,
+    channel_sequence,
+    csa1_unmapped_bulk,
+    csa2_channels_bulk,
+    csa2_counters_for_unmapped,
+    csa2_unmapped_bulk,
+    infer_channel_map,
+    init_sync,
+    kalman_update,
+    prn_e_bulk,
+)
+from blehop.cli import EXIT_OK, cmd_hopgen
+from blehop.csa import csa2_remap_index_bulk
+from blehop.errors import check_int
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +71,113 @@ def test_src_imports_no_other_modules_private_names():
                   and isinstance(node.value, ast.Name) and node.value.id in modules):
                 bad.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert not bad, "\n".join(bad)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+PARAMS = ConnectionParams(CsaVersion.CSA2, 12500, ChannelMap.from_hex("0x1FFFFFFC00"), 0xB0A1CD9D)
+SYNC = init_sync(0, 12_500_000)
+CI = 100
+# five unmapped hits on channel 22 from counter 0: no remap evidence to reconcile
+HIT_OFFSETS = csa2_counters_for_unmapped(22, CI)[:5]
+
+
+def _hopgen(tmp_path, events=5, start_counter=0):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS.to_dict()))
+    out = tmp_path / "hops"
+    code = cmd_hopgen(argparse.Namespace(command="hopgen", params=str(params), events=events,
+                                         start_counter=start_counter, out_dir=str(out)))
+    return code, (out / "hops.csv").read_bytes()
+
+
+# every integer argument the package is passed: (name, call(value, tmp_path),
+# a valid value that every integer dtype holds, an out-of-range int)
+INTEGER_SITES = [
+    ("hops_since_last", lambda v, _: kalman_update(SYNC, 12_500_000.0, v), 1, 0),
+    ("duration_ns", lambda v, _: ImpairmentModel(v), 100, -1),
+    ("start_offset_ns",
+     lambda v, _: ConnectionScenario(PARAMS, ImpairmentModel(100), start_offset_ns=v), 5, -1),
+    ("start_event", lambda v, _: channel_sequence(PARAMS, v, 3), 10, -1),
+    ("count", lambda v, _: channel_sequence(PARAMS, 10, v), 3, -1),
+    ("initial_channel", lambda v, _: csa1_unmapped_bulk([0, 1, 2], v, 7), 3, 37),
+    ("hop_increment", lambda v, _: csa1_unmapped_bulk([0, 1, 2], 3, v), 7, 17),
+    ("ci", lambda v, _: prn_e_bulk([0, 1, 65535], v), CI, 65536),
+    ("ci", lambda v, _: csa2_unmapped_bulk([0, 1, 65535], v), CI, -1),
+    ("ci", lambda v, _: csa2_remap_index_bulk([0, 1, 65535], v, 28), CI, 70000),
+    ("ci", lambda v, _: csa2_counters_for_unmapped(22, v), CI, 65536),
+    ("ci", lambda v, _: csa2_channels_bulk([0, 1, 65535], v, PARAMS.channel_map), CI, 65536),
+    ("k_init", lambda v, _: infer_channel_map(HIT_OFFSETS, v, CI, 22), 0, 65536),
+    ("sniff_channel", lambda v, _: infer_channel_map(HIT_OFFSETS, 0, CI, v), 22, 37),
+    ("--events", lambda v, tmp: _hopgen(tmp, events=v), 5, 10**7 + 1),
+    ("--start-counter", lambda v, tmp: _hopgen(tmp, start_counter=v), 10, 65536),
+]
+SITE_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(INTEGER_SITES)]
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range", INTEGER_SITES, ids=SITE_IDS)
+@pytest.mark.parametrize("bad", [1.5, True, float("nan"), float("inf"), -float("inf"), "3",
+                                 "out of range"])
+def test_every_integer_argument_refuses_what_is_not_an_integer_in_range(
+        tmp_path, name, call, valid, out_of_range, bad):
+    # a float was truncated or used as is (hops 1.5 fused at hop 1, ci 1.5
+    # hopped as 1, initial_channel 1.5 gave channel 8.5), True read as 1, and
+    # a string, an infinity or a channel identifier past 16 bits ended in a
+    # TypeError or an OverflowError
+    value = out_of_range if bad == "out of range" else bad
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an integer in "):
+        call(value, tmp_path)
+
+
+def _parts(result):
+    """A site's result as a list of values, whose types are compared too."""
+    if isinstance(result, np.ndarray):
+        return [result.dtype, result.tolist()]
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, field.name) for field in dataclasses.fields(result)]
+    return list(result)
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range",
+                         [site for site in INTEGER_SITES if not site[0].startswith("--")],
+                         ids=[i for i in SITE_IDS if not i.startswith("--")])
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: d.__name__)
+def test_every_integer_argument_takes_a_numpy_integer_as_its_int(
+        tmp_path, name, call, valid, out_of_range, dtype):
+    # the CLI's options are left out: argparse gives them as Python ints
+    want, got = _parts(call(valid, tmp_path)), _parts(call(dtype(valid), tmp_path))
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_hopgen_takes_the_valid_values_of_its_sites(tmp_path):
+    for name, call, valid, _ in INTEGER_SITES:
+        if name.startswith("--"):
+            assert call(valid, tmp_path)[0] == EXIT_OK
+
+
+class _Int(int):
+    """An int of another type, which ``check_int``'s fast path leaves to its full path."""
+
+
+def _checked(value, low, high):
+    try:
+        result = check_int(value, "x", low, high)
+    except ConfigError:
+        return None
+    assert type(result) is int
+    return result
+
+
+@pytest.mark.parametrize("low, high", [(0, 36), (1, 2**63 - 1), (-2**63, 2**63 - 1)])
+def test_check_int_fast_path_agrees_with_its_full_path(low, high):
+    for value in sorted({v + d for v in (low, high, 0) for d in (-1, 0, 1)}):
+        want = value if low <= value <= high else None
+        assert _checked(value, low, high) == want
+        assert _checked(_Int(value), low, high) == want
+        for dtype in INT_DTYPES:
+            if np.iinfo(dtype).min <= value <= np.iinfo(dtype).max:
+                assert _checked(dtype(value), low, high) == want
+    assert _checked(True, low, high) is _checked(False, low, high) is None

@@ -533,6 +533,23 @@ def test_alignment_rejects_bad_inputs():
             align_counter(offsets, reference)
 
 
+@pytest.mark.parametrize("stage", ["classify_csa", "align_counter", "infer_channel_map"])
+def test_every_offsets_stage_refuses_what_alignment_refuses(stage):
+    # float offsets were truncated by the map inference ([0.4, 5.9, 9.2] read
+    # as [0, 5, 9]) and ended in a TypeError in the classification
+    call = {
+        "classify_csa": lambda o: classify_csa(o, IntervalEstimate(6 * STEP, 6.0 * STEP)),
+        "align_counter": lambda o: align_counter(o, build_ref_vector(0x7D3C, 22)),
+        "infer_channel_map": lambda o: infer_channel_map(o, 0, 0x7D3C, 22),
+    }[stage]
+    for offsets in ([0.4, 5.9, 9.2], [[0, 5], [9, 100]], np.array([0, 5, 9], dtype=bool)):
+        with pytest.raises(ConfigError, match="^observation offsets must be"):
+            call(offsets)
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        with pytest.raises(InsufficientDataError):
+            call(empty)
+
+
 def test_alignment_accepts_any_integer_or_bool_inputs():
     ref = build_ref_vector(0x7D3C, 22)
     want = align_counter(np.array([0, 37, 500]), ref)
