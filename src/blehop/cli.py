@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -35,11 +34,12 @@ from .errors import (
     EstimationError,
     TraceParseError,
     check_int,
+    check_number,
 )
 from .predict import Forecast, evaluate, run_prediction
 from .reconstruct import ReconstructionReport, reconstruct_all
 from .simulate import MAX_EVENTS, ScenarioConfig, simulate
-from .trace import connections, format_rows, load_trace, save_trace
+from .trace import connections, format_rows, load_trace, trace_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,14 +94,6 @@ def _write_manifest(args, inputs, outputs, rng_seed=None):
     _write_json(Path(args.out_dir) / "run_manifest.json", manifest)
 
 
-def _scaled_int(value, scale, option):
-    """``value * scale`` truncated to an int; a non-finite product is a ConfigError."""
-    scaled = value * scale
-    if not math.isfinite(scaled):
-        raise ConfigError(f"{option} must be a finite number, got {value}")
-    return int(scaled)
-
-
 def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +105,7 @@ def cmd_simulate(args):
     timelines, trace = simulate(config)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
-    save_trace(trace, trace_path, "csv")
+    _atomic_write(trace_path, trace_bytes(trace))
     timelines_path = out / "timelines.jsonl"
     _atomic_write(timelines_path, ((json.dumps({
         "access_address_hex": f"0x{conn.params.access_address:08X}",
@@ -161,7 +153,7 @@ def cmd_predict(args):
     report = ReconstructionReport.from_dict(_read_json(args.report))
     run = run_prediction(
         _connection_trace(args, report.access_address), report,
-        train_ns=_scaled_int(args.train_seconds, 1e9, "--train-seconds"),
+        train_ns=int(check_number(args.train_seconds * 1e9, "--train-seconds", ends="()")),
         horizon=args.horizon,
         channel=args.channel,
     )

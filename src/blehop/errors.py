@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,11 +38,18 @@ def check_int(value, what, low, high):
     return int(value)
 
 
-def check_number(value, what):
-    """``value`` as a float if it is an int or a float (a JSON number, not a bool)."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{what} must be a JSON number, got {value!r:.40}")
-    return float(value)
+def check_number(value, what, low=-math.inf, high=math.inf, ends="[]"):
+    """``value`` as a Python int or float if it is an int, a float or a NumPy
+    integer or floating scalar (not a bool) from ``low`` to ``high``, each
+    end closed or open as the brackets of ``ends`` say ("[]", "[)", "(]" or
+    "()"); NaN is in no range. Otherwise a :class:`ConfigError` naming ``what``."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    if type(value) in (int, float) and (low <= value if ends[0] == "[" else low < value) and (
+            value <= high if ends[1] == "]" else value < high):
+        return value
+    raise ConfigError(f"{what} must be a number in {ends[0]}{low}, {high}{ends[1]}, "
+                      f"got {value!r:.40}")
 
 
 def check_bool(value, what):

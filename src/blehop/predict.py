@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .errors import (
     InsufficientDataError,
     check_bool,
     check_int,
+    check_number,
     reading,
 )
 from .reconstruct import observation_offsets
@@ -74,15 +76,14 @@ class SyncState(NamedTuple):
 def init_sync(first_time_ns, interval_ns, *, nominal_interval_ns=None):
     """Start a tracker at the first observation of a connection.
 
-    ``interval_ns`` sets the reference line that residuals are measured
-    from; the fit does not depend on it. ``nominal_interval_ns`` is
+    ``first_time_ns``, a finite number, is the origin; an integer one stays
+    an int, so integer timestamps are fused exactly at any epoch.
+    ``interval_ns``, in (0, inf), sets the reference line residuals are
+    measured from; the fit does not depend on it. ``nominal_interval_ns`` is
     accepted and not used; perfbench's ``track`` follower still passes it.
     """
-    if not 0 < interval_ns < math.inf:  # nan too
-        raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
-    if not math.isfinite(first_time_ns):
-        raise ConfigError(f"first_time_ns must be finite, got {first_time_ns}")
-    return SyncState(float(first_time_ns), float(interval_ns))
+    interval_ns = check_number(interval_ns, "interval_ns", 0, math.inf, "()")
+    return SyncState(check_number(first_time_ns, "first_time_ns", ends="()"), float(interval_ns))
 
 
 def _fit(sync, h):
@@ -120,9 +121,13 @@ def _at_origin(origin_ns, time_ns):
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last):
-    """Fuse one timestamp, ``hops_since_last`` (an int >= 1) events past the last one fused."""
+    """Fuse one timestamp, ``hops_since_last`` (an int >= 1) events past the
+    last one fused; an integer one is taken from the origin exactly."""
     h = sync.anchor_offset + check_int(hops_since_last, "hops_since_last", 1, 2**63 - 1)
-    r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
+    try:
+        r = float(operator.index(measured_time_ns) - sync.origin_ns) - h * sync.ref_interval_ns
+    except TypeError:  # not an integer
+        r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
     if not math.isfinite(r):  # a NaN would stay in the sums and in every later prediction
         raise ConfigError(f"measured_time_ns must be finite, got {measured_time_ns}")
     return SyncState(sync.origin_ns, sync.ref_interval_ns, sync.n + 1, sync.sum_h + h,
@@ -429,14 +434,13 @@ def evaluate(forecast, reference, interval_ns):
 
     One rule for every reference: each reference event, in time order,
     takes the nearest untaken prediction within half an interval, and the
-    two are compared on time and channel. A trace must hold one connection
-    and is scored by its central packets, each heard on its sniff_channel.
-    Predictions left unmatched are counted as misses, not as errors.
-    Forecast times must not go backwards: a hand-built forecast whose
-    times do raises :class:`ConfigError`.
+    two are compared on time and channel; ``interval_ns`` is in (0, inf). A
+    trace must hold one connection and is scored by its central packets,
+    each heard on its sniff_channel. Predictions left unmatched are counted
+    as misses, not as errors. Forecast times must not go backwards: a
+    hand-built forecast whose times do raises :class:`ConfigError`.
     """
-    if not 0 < interval_ns < math.inf:  # nan too
-        raise ConfigError(f"interval_ns must be finite and positive, got {interval_ns}")
+    interval_ns = check_number(interval_ns, "interval_ns", 0, math.inf, "()")
     if len(forecast) == 0:
         raise EstimationError("cannot evaluate an empty forecast")
     if isinstance(reference, EventTimeline):  # int times: errors exact at any origin
@@ -494,19 +498,18 @@ class PredictionRun:
 def run_prediction(trace, recon, *, train_ns=100_000_000_000, horizon=None, channel=None):
     """Train a tracker on the head of a trace, then predict its tail.
 
-    The tracker is fitted to the observations in the first ``train_ns``
-    (at least 3). Over the remainder each observation is predicted one step
-    ahead from every observation before it, as a live sniffer following the
-    connection would predict it; each one-step prediction, scored against
-    the observation it was made for, makes the evaluation report. A
-    long-horizon forecast from the end-of-training anchor, by
+    The tracker is fitted to the observations in the first ``train_ns``, in
+    [0, inf] (at least 3). Over the remainder each observation is predicted
+    one step ahead from every observation before it, as a live sniffer
+    following the connection would predict it; each one-step prediction,
+    scored against the observation it was made for, makes the evaluation
+    report. A long-horizon forecast from the end-of-training anchor, by
     :func:`predict_events`, is returned alongside; ``horizon`` defaults to
     covering the trace and is counted in events past that anchor.
     ``channel`` restricts that forecast to events on one channel. Only the
     central packets of the trace are observations.
     """
-    if not train_ns >= 0:  # nan too
-        raise ConfigError(f"train_ns must be >= 0, got {train_ns}")
+    train_ns = check_number(train_ns, "train_ns", 0, math.inf)
     # a trace of another connection would be forecast on this one's channels
     aa, trace = trace.connection()
     if aa is not None and aa != recon.access_address:

@@ -281,13 +281,14 @@ def _single_hit_interval(interval):
 def observation_offsets(trace, interval_ns):
     """Integer event offset of each observation relative to the first.
 
-    ``interval_ns`` may be the raw (unsnapped) estimate. This is the one
-    off-grid gate: under the right interval the residuals are pure timing
-    noise, so gaps beyond ``DEFAULT_TOLERANCE_NS`` are rare outliers whose
-    rounding is still unambiguous; under a wrong interval most gaps land
-    far off-grid. The interval is rejected when more than 5 % of gaps sit
-    beyond that tolerance, or any gap beyond 4x it.
+    ``interval_ns`` is a number in (0, inf) and may be the raw (unsnapped)
+    estimate. This is the one off-grid gate: under the right interval the
+    residuals are pure timing noise, so gaps beyond ``DEFAULT_TOLERANCE_NS``
+    are rare outliers whose rounding is still unambiguous; under a wrong
+    interval most gaps land far off-grid. The interval is rejected when
+    more than 5 % of gaps sit beyond that tolerance, or any gap beyond 4x it.
     """
+    interval_ns = check_number(interval_ns, "interval_ns", 0, math.inf, "()")
     ts = trace.timestamps()
     if ts.size == 0:
         raise InsufficientDataError("empty trace")
@@ -599,12 +600,11 @@ class ReconstructionReport:
                 check_int(report.first_timestamp_ns, "first_timestamp_ns", -2**63, 2**63 - 1)
             if "verdict" in raw:
                 interval_us = check_interval_us(raw["interval_us"])
-                raw_us = check_number(raw["raw_interval_us"], "raw_interval_us")
                 # a fitted interval lies within the gap tolerance of the snapped one;
                 # a far smaller one would stretch a forecast over millions of events
-                if not abs(raw_us - interval_us) < INTERVAL_STEP_US / 2:
-                    raise ConfigError(f"raw_interval_us must be within "
-                                      f"{INTERVAL_STEP_US / 2} us of interval_us, got {raw_us!r}")
+                raw_us = check_number(raw["raw_interval_us"], "raw_interval_us",
+                                      interval_us - INTERVAL_STEP_US // 2,
+                                      interval_us + INTERVAL_STEP_US // 2, "()")
                 verdict = raw["verdict"]
                 if verdict not in ("CSA1", "CSA2"):
                     raise ConfigError(f'verdict must be "CSA1" or "CSA2", got {verdict!r:.40}')

@@ -51,7 +51,9 @@ class ImpairmentModel:
     relative to the sniffer clock (a random walk from ``clock_drift_ppm``
     that spreads by ``drift_walk_ppm_per_sqrt_s`` ppm per √s; nothing is
     drawn for a walk of 0), and ``miss_probability`` the chance that a
-    packet on the sniffed channel is not captured.
+    packet on the sniffed channel is not captured. These four are numbers,
+    stored as floats: jitter in [0, inf) ns, drift in [-500, 500] ppm,
+    ``miss_probability`` in [0, 1) and the walk in [0, inf).
     """
 
     duration_ns: int
@@ -63,20 +65,13 @@ class ImpairmentModel:
     def __post_init__(self):
         object.__setattr__(self, "duration_ns",
                            check_int(self.duration_ns, "duration_ns", 0, _MAX_NS))
-        if not 0 <= self.jitter_sigma_ns < math.inf:
-            raise ConfigError(f"jitter_sigma_ns must be finite and >= 0, "
-                              f"got {self.jitter_sigma_ns}")
-        if not abs(self.clock_drift_ppm) <= MAX_DRIFT_PPM:  # nan too
-            raise ConfigError(
-                f"|clock_drift_ppm| must be <= {MAX_DRIFT_PPM}, got {self.clock_drift_ppm}"
-            )
-        if not 0.0 <= self.miss_probability < 1.0:
-            raise ConfigError(
-                f"miss_probability must be in [0, 1), got {self.miss_probability}"
-            )
-        if not 0 <= self.drift_walk_ppm_per_sqrt_s < math.inf:
-            raise ConfigError(f"drift_walk_ppm_per_sqrt_s must be finite and >= 0, "
-                              f"got {self.drift_walk_ppm_per_sqrt_s}")
+        for name, low, high, ends in (
+                ("jitter_sigma_ns", 0, math.inf, "[)"),
+                ("clock_drift_ppm", -MAX_DRIFT_PPM, MAX_DRIFT_PPM, "[]"),
+                ("miss_probability", 0, 1, "[)"),
+                ("drift_walk_ppm_per_sqrt_s", 0, math.inf, "[)")):
+            object.__setattr__(self, name,
+                               float(check_number(getattr(self, name), name, low, high, ends)))
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,9 @@ def _connection_from_dict(raw):
     imp = raw.get("impairments", {})
     impairments = ImpairmentModel(
         duration_ns=check_int(imp["duration_us"], "duration_us", 0, _MAX_NS // 1000) * 1000,
-        jitter_sigma_ns=check_number(imp.get("jitter_sigma_us", 0.0), "jitter_sigma_us") * 1000.0,
-        **{key: check_number(imp.get(key, 0.0), key)
+        jitter_sigma_ns=check_number(imp.get("jitter_sigma_us", 0.0), "jitter_sigma_us",
+                                     0, math.inf, "[)") * 1000.0,
+        **{key: imp.get(key, 0.0)
            for key in ("clock_drift_ppm", "miss_probability", "drift_walk_ppm_per_sqrt_s")},
     )
     return ConnectionScenario(

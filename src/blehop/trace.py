@@ -19,6 +19,7 @@ import json
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +148,14 @@ def _parse_row(row, timestamp, address, channel, is_central):
 
 
 @contextmanager
-def _open_text(source, mode="r"):
-    """A UTF-8 text handle on a path, closed after use, or on a caller's stream,
-    flushed and left open (a byte stream's wrapper is detached, so it cannot close it)."""
+def _open_text(source):
+    """A UTF-8 text handle for reading a path, closed after use, or a caller's
+    stream, left open (a byte stream's wrapper is detached, so it cannot close it)."""
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="utf-8", newline="") as handle:
+        with open(source, encoding="utf-8", newline="") as handle:
             yield handle
     elif isinstance(source, io.TextIOBase):
-        try:
-            yield source
-        finally:
-            source.flush()
+        yield source
     else:
         handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
         try:
@@ -391,8 +389,9 @@ def _jsonl_records(handle):
         yield line_num, [record[f] for f in CSV_FIELDS]
 
 
-def save_trace(trace, dest, fmt="csv"):
-    """Write a trace to a path or stream as ``csv``, or as the ``jsonl`` ``json.dumps`` writes."""
+def trace_bytes(trace, fmt="csv"):
+    """A trace file's bytes, ``csv`` or the ``jsonl`` ``json.dumps`` writes, as an
+    iterator of blocks formatted as they are taken; a bad ``fmt`` raises on the call."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown trace format {fmt!r}")
     if fmt == "csv":
@@ -402,9 +401,18 @@ def save_trace(trace, dest, fmt="csv"):
                          f'"channel": {trace.sniff_channel}, "is_central": %s}}\n')
     columns = (trace.timestamps(), trace.access_addresses,
                np.where(trace.is_central, b"true", b"false"))
-    with _open_text(dest, "w") as handle:
-        handle.write(head)
-        handle.writelines(block.decode() for block in format_rows(row.encode(), columns))
+    return chain([head.encode()], format_rows(row.encode(), columns))
+
+
+def save_trace(trace, dest, fmt="csv"):
+    """Write :func:`trace_bytes` to a path, or to a byte or text stream, flushed and left open."""
+    blocks = trace_bytes(trace, fmt)
+    if isinstance(dest, (str, Path)):
+        with open(dest, "wb") as handle:
+            handle.writelines(blocks)
+    else:
+        dest.writelines(map(bytes.decode, blocks) if isinstance(dest, io.TextIOBase) else blocks)
+        dest.flush()
 
 
 def connections(trace):

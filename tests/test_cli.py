@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blehop.trace
 from blehop import (
     COUNTER_PERIOD,
     ChannelMap,
@@ -1126,6 +1127,25 @@ def test_predict_exits_2_on_forecast_times_past_int64(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "past")]) == EXIT_CONFIG
     assert "within int64" in capsys.readouterr().err
     assert not (tmp_path / "past" / "forecast.json").exists()
+
+
+def test_simulate_leaves_no_partial_trace_csv(tmp_path, capsys, monkeypatch):
+    # trace.csv leaves through the atomic writer like every other output: a
+    # write that fails after its first block of rows leaves no trace.csv
+    real = blehop.trace.format_rows
+
+    def fails_after_one_block(template, columns):
+        blocks = real(template, columns)
+        yield next(blocks)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(blehop.trace, "format_rows", fails_after_one_block)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SHORT_SCENARIO))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == EXIT_IO
+    assert "disk full" in capsys.readouterr().err
+    assert not (sim / "trace.csv").exists()
 
 
 def test_version_flag(capsys):

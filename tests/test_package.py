@@ -1,10 +1,11 @@
 """Checks on the package as a whole: what its runtime imports, what its
 modules import from one another, and the one check every integer argument
-goes through."""
+and every real-valued argument goes through."""
 
 import argparse
 import ast
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -21,16 +22,27 @@ from blehop import (
     ConnectionParams,
     ConnectionScenario,
     CsaVersion,
+    EvalReport,
+    Forecast,
     ImpairmentModel,
+    PredictionRun,
+    ReconstructionReport,
+    ScenarioConfig,
+    SniffTrace,
     channel_sequence,
     csa1_unmapped_bulk,
     csa2_channels_bulk,
     csa2_counters_for_unmapped,
     csa2_unmapped_bulk,
+    evaluate,
     infer_channel_map,
     init_sync,
     kalman_update,
+    observation_offsets,
     prn_e_bulk,
+    reconstruct_connection,
+    run_prediction,
+    simulate,
 )
 from blehop.cli import EXIT_OK, cmd_hopgen
 from blehop.csa import csa2_remap_index_bulk
@@ -181,3 +193,114 @@ def test_check_int_fast_path_agrees_with_its_full_path(low, high):
             if np.iinfo(dtype).min <= value <= np.iinfo(dtype).max:
                 assert _checked(dtype(value), low, high) == want
     assert _checked(True, low, high) is _checked(False, low, high) is None
+
+
+# ---------------------------------------------------------------------------
+# real-valued arguments
+
+INF, NAN = float("inf"), float("nan")
+AA = PARAMS.access_address
+STAMPS = [0, 12_500_000, 37_500_000]
+ONE_CONNECTION = SniffTrace(22, STAMPS, [AA] * 3, [True] * 3)
+FORECAST = Forecast(np.arange(3), np.full(3, 22), np.array(STAMPS), np.zeros(3, np.int64))
+
+
+@functools.cache
+def _capture():
+    """(trace, report) of a zero-impairment 60 s CSA#2 capture."""
+    config = ScenarioConfig((ConnectionScenario(PARAMS, ImpairmentModel(60 * 10**9)),), 22, 3)
+    trace = simulate(config)[1]
+    return trace, reconstruct_connection(trace)
+
+
+def _scenario(**impairments):
+    return ScenarioConfig.from_dict({"sniff_channel": 22, "rng_seed": 1, "connections": [
+        {"params": PARAMS.to_dict(), "impairments": {"duration_us": 100, **impairments}}]})
+
+
+# every real-valued argument the package is passed: (name, call(value), a
+# valid integer value, out-of-range values, an open end among them if it has one)
+REAL_SITES = [
+    ("interval_ns", lambda v: init_sync(0, v), 12_500_000, [0, -1, INF]),
+    ("first_time_ns", lambda v: init_sync(v, 12_500_000), 5, [INF, -INF]),
+    ("interval_ns", lambda v: evaluate(FORECAST, ONE_CONNECTION, v), 12_500_000, [0, INF]),
+    ("interval_ns", lambda v: observation_offsets(ONE_CONNECTION, v), 12_500_000,
+     [0, -12_500_000, INF]),
+    ("train_ns", lambda v: run_prediction(*_capture(), train_ns=v), 20 * 10**9, [-1, -INF]),
+    ("jitter_sigma_ns", lambda v: ImpairmentModel(100, jitter_sigma_ns=v), 5, [-1, INF]),
+    ("clock_drift_ppm", lambda v: ImpairmentModel(100, clock_drift_ppm=v), 20,
+     [500.5, -501, INF]),
+    ("miss_probability", lambda v: ImpairmentModel(100, miss_probability=v), 0, [1.0, -0.1]),
+    ("drift_walk_ppm_per_sqrt_s", lambda v: ImpairmentModel(100, drift_walk_ppm_per_sqrt_s=v),
+     1, [-0.1, INF]),
+    # a scenario file's impairments, each under its JSON name
+    ("jitter_sigma_us", lambda v: _scenario(jitter_sigma_us=v), 50, [-1, INF]),
+    ("clock_drift_ppm", lambda v: _scenario(clock_drift_ppm=v), -20, [-500.5, NAN]),
+    ("miss_probability", lambda v: _scenario(miss_probability=v), 0, [1, INF]),
+    ("drift_walk_ppm_per_sqrt_s", lambda v: _scenario(drift_walk_ppm_per_sqrt_s=v), 0, [-1]),
+    # the fitted interval lies within half a 1250 us step of the snapped one
+    ("raw_interval_us",
+     lambda v: ReconstructionReport.from_dict({**_capture()[1].to_dict(), "raw_interval_us": v}),
+     12_500, [12_500 - 625, 12_500 + 625, 0, INF]),
+]
+REAL_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(REAL_SITES)]
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range", REAL_SITES, ids=REAL_IDS)
+@pytest.mark.parametrize("bad", [True, False, "5", None, 1j, NAN, "out of range"])
+def test_every_real_argument_refuses_what_is_not_a_number_in_range(
+        name, call, valid, out_of_range, bad):
+    # the CLI's --train-seconds is left out: argparse gives it as a float
+    # (test_cli checks its nan and inf)
+    for value in out_of_range if bad == "out of range" else [bad]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a number in "):
+            call(value)
+
+
+def _value(result):
+    """A site's result in a form that ``==`` compares."""
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.tolist()
+    if isinstance(result, PredictionRun):
+        return result.forecast.to_json(), _value(result.report)
+    if isinstance(result, EvalReport):
+        return result.to_dict(), result.eccdf
+    return result
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range", REAL_SITES, ids=REAL_IDS)
+@pytest.mark.parametrize("kind", [int, float, np.int64, np.float64], ids=lambda k: k.__name__)
+def test_every_real_argument_takes_any_number_type_as_its_float(
+        name, call, valid, out_of_range, kind):
+    assert _value(call(kind(valid))) == _value(call(float(valid)))
+
+
+def _is_math(node, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _range_tests(node, function=None):
+    """(function, source) of each ``math.isfinite`` call and each comparison
+    against ``math.inf`` or ``-math.inf`` in ``node``."""
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    found = []
+    if isinstance(node, ast.Call) and _is_math(node.func, "isfinite"):
+        found.append((function, ast.unparse(node)))
+    elif isinstance(node, ast.Compare) and any(
+            _is_math(n.operand if isinstance(n, ast.UnaryOp) else n, "inf")
+            for n in (node.left, *node.comparators)):
+        found.append((function, ast.unparse(node)))
+    for child in ast.iter_child_nodes(node):
+        found += _range_tests(child, function)
+    return found
+
+
+def test_src_tests_real_ranges_only_through_check_number():
+    # the one exception: the live step's residual, which stands in for a
+    # check_number on each timestamp, a cost the live step does not pay
+    allowed = {("predict.py", "kalman_update", "math.isfinite(r)")}
+    found = [(path.name, *hit) for path in sorted((ROOT / "src" / "blehop").glob("*.py"))
+             if path.name != "errors.py" for hit in _range_tests(ast.parse(path.read_bytes()))]
+    assert not set(found) - allowed, "\n".join(map(str, found))

@@ -209,7 +209,58 @@ def test_update_keeps_python_scalars_in_the_state():
     sync = init_sync(np.int64(0), np.int64(interval))
     for j in range(1, 4):
         sync = kalman_update(sync, np.int64(j * interval + 1_000), np.int64(1))
-    assert [type(v) for v in sync] == [float, float, int] + [float] * 5 + [int]
+    # an integer first timestamp stays the int origin
+    assert [type(v) for v in sync] == [int, float, int] + [float] * 5 + [int]
+
+
+@pytest.mark.parametrize("stamp", [int, np.int64])
+def test_the_live_tracker_is_exact_at_unix_epoch_scale(stamp):
+    # 200 noiseless 7.5 ms stamps from 1.7e18 ns: with a float origin and each
+    # stamp made a float first, event 300 read sigma 19.3 ns instead of 0
+    start, interval = 1_700_000_000 * 10**9, 7_500_000
+    sync = init_sync(stamp(start), interval)
+    for k in range(1, 200):
+        sync = kalman_update(sync, stamp(start + k * interval), 1)
+    time_ns, std_ns = predict_event_time(sync, 300)
+    assert std_ns == 0.0
+    # the nearest float: 128 ns, half of float64's spacing here, below the event
+    assert time_ns == float(start + 300 * interval) == start + 300 * interval - 128
+
+
+def _bits(sync):
+    return [float(value).hex() for value in sync]
+
+
+@settings(max_examples=200)
+@given(first=st.integers(-2**52, 2**52 - 10**12), interval=st.integers(7_500_000, 4 * 10**9),
+       hops=st.lists(st.integers(1, 40), min_size=3, max_size=20),
+       noise=st.lists(st.integers(-10**6, 10**6), min_size=20, max_size=20),
+       stamp=st.sampled_from([int, np.int64]))
+def test_integer_stamps_below_2_53_track_as_their_floats(first, interval, hops, noise, stamp):
+    # below 2**53 each stamp and each difference of two is exact as a float, so
+    # the int origin changes no state and no prediction of the float tracker
+    offsets = np.cumsum([0, *hops])
+    stamps = [first + int(h) * interval + e for h, e in zip(offsets, noise)]
+    assume(max(map(abs, stamps)) < 2**53)
+    exact = init_sync(stamp(stamps[0]), interval)
+    floats = init_sync(float(stamps[0]), float(interval))
+    for t, h in zip(stamps[1:], hops):
+        exact = kalman_update(exact, stamp(t), h)
+        floats = kalman_update(floats, float(t), h)
+        assert _bits(exact) == _bits(floats)
+    for target in (exact.anchor_offset + 1, exact.anchor_offset + 10**6):
+        assert ([v.hex() for v in predict_event_time(exact, target)]
+                == [v.hex() for v in predict_event_time(floats, target)])
+
+
+@pytest.mark.parametrize("stamp", [int, np.int64])
+@pytest.mark.parametrize("first, later", [(-2**63, 2**63 - 1), (2**63 - 1, -2**63),
+                                          (-2**63, -2**63 + 7_500_001)])
+def test_any_two_int64_stamps_are_taken_apart_exactly(stamp, first, later):
+    # a NumPy int64 difference would wrap on the first two, with a
+    # RuntimeWarning; two floats would put the last residual 225 ns off
+    sync = kalman_update(init_sync(stamp(first), 7_500_000), stamp(later), 1)
+    assert sync.sum_r == float(later - first) - 7_500_000
 
 
 def test_sync_state_is_immutable():
