@@ -52,9 +52,12 @@ EXIT_ESTIMATION = 6
 def _atomic_write(path, chunks):
     """Write the byte strings ``chunks`` in order to a temporary file renamed to ``path``."""
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    finally:  # gone after the rename; a failed write leaves none behind
+        tmp.unlink(missing_ok=True)
 
 
 def _write_json(path, payload):
@@ -100,6 +103,21 @@ def _out_dir(args):
     return out
 
 
+def _timeline_lines(config, timelines):
+    """The lines of ``timelines.jsonl`` as bytes blocks: each the ``json.dumps`` of
+    a connection's timeline, its integer lists written by :func:`format_rows`."""
+    for conn, timeline in zip(config.connections, timelines):
+        yield json.dumps({"access_address_hex": f"0x{conn.params.access_address:08X}",
+                          "params": conn.params.to_dict(),
+                          "initial_counter": conn.initial_counter})[:-1].encode()  # no "}"
+        for key in ("counters", "channels", "times_ns"):  # EventTimeline's columns
+            column = getattr(timeline, key)
+            yield f', "{key}": ['.encode()
+            yield from chain(format_rows(b"%d", (column[:1],)), format_rows(b", %d", (column[1:],)))
+            yield b"]"
+        yield b"}\n"
+
+
 def cmd_simulate(args):
     config = ScenarioConfig.from_dict(_read_json(args.scenario))
     timelines, trace = simulate(config)
@@ -107,14 +125,7 @@ def cmd_simulate(args):
     trace_path = out / "trace.csv"
     _atomic_write(trace_path, trace_bytes(trace))
     timelines_path = out / "timelines.jsonl"
-    _atomic_write(timelines_path, ((json.dumps({
-        "access_address_hex": f"0x{conn.params.access_address:08X}",
-        "params": conn.params.to_dict(),
-        "initial_counter": conn.initial_counter,
-        "counters": timeline.counters.tolist(),
-        "channels": timeline.channels.tolist(),
-        "times_ns": timeline.times_ns.tolist(),
-    }) + "\n").encode() for conn, timeline in zip(config.connections, timelines)))
+    _atomic_write(timelines_path, _timeline_lines(config, timelines))
     _write_manifest(args, [args.scenario], [trace_path, timelines_path],
                     rng_seed=config.rng_seed)
     print(f"simulated {len(config.connections)} connection(s), "

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, check_int, reading
+from .errors import ConfigError, check_int, check_ints, reading
 
 NUM_DATA_CHANNELS = 37
 COUNTER_PERIOD = 65536  # the connection event counter is 16 bits wide
@@ -256,7 +256,7 @@ def _prn16(counters, ci):
     # np.add, not +: on a 0-d input the operands are NumPy scalars, whose +
     # warns on the wrap that the rule relies on
     ci = np.uint16(check_int(ci, "ci", 0, COUNTER_PERIOD - 1))
-    x = np.asarray(counters, dtype=np.int64).astype(np.uint16) ^ ci
+    x = check_ints(counters, "counters").astype(np.uint16) ^ ci
     for _ in range(3):
         x = np.add(_ROUND[x], ci)
     return x ^ ci
@@ -306,7 +306,8 @@ def csa2_unmapped_bulk(counters, ci):
 
 def csa2_remap_index_bulk(counters, ci, n_ch):
     """CSA#2 remap index ``floor(n_ch * prn / 2**16)`` for each counter;
-    ``n_ch`` broadcasts, so a column of map sizes gives a row per size."""
+    ``n_ch`` (2..37) broadcasts, so a column of map sizes gives a row per size."""
+    n_ch = check_ints(n_ch, "n_ch", 2, NUM_DATA_CHANNELS)
     return _csa2_remap_index(_prn16(counters, ci).astype(np.int64), n_ch)
 
 
@@ -352,9 +353,9 @@ def csa2_channels_bulk(counters, ci, channel_map):
     if table is None:
         table = _csa2_channel_table(*key)
         _last = (key, table)
-    # a 0-d index gives a NumPy scalar; asarray makes it the 0-d int64 array
-    # that the direct computation returns
-    return np.asarray(table[np.asarray(counters, dtype=np.int64) & _COUNTER_MASK], dtype=np.int64)
+    # a 0-d index gives a NumPy scalar; asarray makes it the 0-d array that the
+    # direct computation returns (asarray with a dtype took twice as long)
+    return np.asarray(table[check_ints(counters, "counters") & _COUNTER_MASK]).astype(np.int64)
 
 
 def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):
@@ -365,7 +366,7 @@ def csa1_unmapped_bulk(event_indices, initial_channel, hop_increment):
     """
     initial_channel = check_int(initial_channel, "initial_channel", 0, NUM_DATA_CHANNELS - 1)
     hop_increment = check_int(hop_increment, "hop_increment", HOP_INCREMENT_MIN, HOP_INCREMENT_MAX)
-    idx = np.asarray(event_indices, dtype=np.int64)
+    idx = check_ints(event_indices, "event_indices")
     return (initial_channel + (idx + 1) * hop_increment) % NUM_DATA_CHANNELS
 
 

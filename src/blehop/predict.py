@@ -39,6 +39,7 @@ from .errors import (
     InsufficientDataError,
     check_bool,
     check_int,
+    check_ints,
     check_number,
     reading,
 )
@@ -121,13 +122,16 @@ def _at_origin(origin_ns, time_ns):
 
 
 def kalman_update(sync, measured_time_ns, hops_since_last):
-    """Fuse one timestamp, ``hops_since_last`` (an int >= 1) events past the
-    last one fused; an integer one is taken from the origin exactly."""
+    """Fuse one timestamp, a finite number (an integer exactly, from the origin),
+    ``hops_since_last`` (an int >= 1) events past the last one fused."""
     h = sync.anchor_offset + check_int(hops_since_last, "hops_since_last", 1, 2**63 - 1)
+    # operator.index would take a bool as 0 or 1; None sends it to check_number
+    stamp = None if type(measured_time_ns) is bool else measured_time_ns
     try:
-        r = float(operator.index(measured_time_ns) - sync.origin_ns) - h * sync.ref_interval_ns
-    except TypeError:  # not an integer
-        r = float(measured_time_ns) - sync.origin_ns - h * sync.ref_interval_ns
+        r = float(operator.index(stamp) - sync.origin_ns) - h * sync.ref_interval_ns
+    except TypeError:  # not an integer: check_number takes a float and refuses the rest
+        r = check_number(measured_time_ns, "measured_time_ns", ends="()") - sync.origin_ns
+        r -= h * sync.ref_interval_ns
     if not math.isfinite(r):  # a NaN would stay in the sums and in every later prediction
         raise ConfigError(f"measured_time_ns must be finite, got {measured_time_ns}")
     return SyncState(sync.origin_ns, sync.ref_interval_ns, sync.n + 1, sync.sum_h + h,
@@ -148,9 +152,9 @@ def predict_event_time(sync, event_offset):
         raise InsufficientDataError(f"the tracker has fused {sync.n} observation(s); "
                                     "a prediction needs 3")
     if isinstance(event_offset, np.ndarray):
-        time_pred, var = _fit(sync, event_offset.astype(np.float64))
+        time_pred, var = _fit(sync, check_ints(event_offset, "event_offset").astype(np.float64))
         return sync.origin_ns + time_pred, np.sqrt(np.maximum(var, 0.0))
-    time_pred, var = _fit(sync, float(event_offset))
+    time_pred, var = _fit(sync, float(check_int(event_offset, "event_offset", -2**63, 2**63 - 1)))
     return sync.origin_ns + time_pred, math.sqrt(max(var, 0.0))
 
 
@@ -238,8 +242,8 @@ class Forecast:
     counter (it never enters channel selection), so ``counters`` holds the
     event offsets from the first estimation observation instead. Times and
     their stds are whole nanoseconds, like the timestamps they predict (the
-    constructor rounds floats half to even). ``access_address`` names the
-    connection, if known.
+    constructor rounds floats half to even); counters and channels (0..36)
+    must be integers. ``access_address`` names the connection, if known.
     """
 
     counters: np.ndarray
@@ -253,6 +257,8 @@ class Forecast:
         shapes = {np.shape(col) for col in self.columns()}  # zip would drop unequal rows
         if len(shapes) > 1 or len(next(iter(shapes))) != 1:
             raise ConfigError(f"forecast columns must be 1-D and of one length, got {shapes}")
+        self.counters = check_ints(self.counters, "forecast counters", -2**63, 2**63 - 1)
+        self.channels = check_ints(self.channels, "forecast channels", 0, NUM_DATA_CHANNELS - 1)
         self.times_ns, self.time_stds_ns = (_at_origin(0, self.times_ns),
                                             _at_origin(0, self.time_stds_ns))
 
@@ -326,8 +332,6 @@ class Forecast:
     def _checked(cls, columns, raw):
         """The forecast of four int64 columns, in ``_FIELDS`` order, and the
         head keys of ``raw``, all checked."""
-        if not np.all((columns[1] >= 0) & (columns[1] < NUM_DATA_CHANNELS)):
-            raise ConfigError("forecast channels must be in 0..36")
         wire = check_bool(raw["counters_are_wire"], "forecast counters_are_wire")
         aa = raw.get("access_address")
         if aa is not None:

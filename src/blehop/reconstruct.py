@@ -47,6 +47,7 @@ from .errors import (
     InsufficientDataError,
     check_bool,
     check_int,
+    check_ints,
     check_number,
     reading,
 )
@@ -321,16 +322,14 @@ def build_ref_vector(ci, sniff_channel):
 
 
 def _event_offsets(offsets):
-    """``offsets`` as a 1-D int64 array, refused if empty or of a non-integer dtype."""
-    offsets = np.asarray(offsets)
+    """``offsets`` as a 1-D int64 array, refused if empty or not integers;
+    exact mod 65536 for every integer dtype, as 2**64 is a multiple of it."""
+    offsets = check_ints(offsets, "observation offsets")
     if offsets.ndim != 1:
         raise ConfigError(f"observation offsets must be 1-D, got {offsets.ndim} dimensions")
     if offsets.size == 0:
         raise InsufficientDataError("no observation offsets")
-    if not np.issubdtype(offsets.dtype, np.integer):
-        raise ConfigError(f"observation offsets must be integers, got {offsets.dtype}")
-    # exact mod 65536 for every integer dtype: 2**64 is a multiple of it
-    return offsets.astype(np.int64, copy=False)
+    return offsets
 
 
 def align_counter(offsets, c_ref):
@@ -357,12 +356,9 @@ def align_counter(offsets, c_ref):
     observations, far inside the 0.5 that separates two scores: the peak
     and the candidates are read from the floats directly.
     """
-    c_ref = np.asarray(c_ref)
+    c_ref = check_ints(c_ref, "reference vector", 0, 1, dtype=None)  # copied into the workspace
     if c_ref.shape != (COUNTER_PERIOD,):
         raise ConfigError(f"reference vector must have length {COUNTER_PERIOD}")
-    if not (c_ref.dtype == np.bool_
-            or (np.issubdtype(c_ref.dtype, np.integer) and c_ref.min() >= 0 and c_ref.max() <= 1)):
-        raise ConfigError("reference vector must be a bool or integer array of 0s and 1s")
     offsets = _event_offsets(offsets)
     ws = _WORKSPACE
     np.copyto(ws.real, c_ref.reshape(_SIDE, _SIDE))

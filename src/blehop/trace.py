@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .csa import NUM_DATA_CHANNELS, check_access_address
-from .errors import ConfigError, TraceParseError, check_int
+from .errors import ConfigError, TraceParseError, check_int, check_ints
 
 CSV_FIELDS = ("timestamp_ns", "access_address_hex", "channel", "is_central")
 
@@ -44,10 +44,9 @@ class SniffTrace:
     """All packets captured on one sniffed channel, as three time-ordered columns.
 
     ``timestamps()`` (int64 ns, non-decreasing), ``access_addresses``
-    (uint32) and ``is_central`` (bool) are read-only copies of the inputs;
-    a non-empty timestamp or address column must be of an integer dtype and
-    fit, and a non-empty ``is_central`` must hold bools or the integers 0
-    and 1, or :class:`ConfigError` names the column.
+    (uint32) and ``is_central`` (bool) are read-only copies of the inputs,
+    each taken by ``check_ints`` in its dtype's range (``is_central`` in
+    0..1, so bools too), which names a column it refuses.
     ``sniff_channel`` may be None only while the trace is empty (for
     example a header-only file).
     """
@@ -55,9 +54,10 @@ class SniffTrace:
     __slots__ = ("sniff_channel", "_timestamps", "access_addresses", "is_central")
 
     def __init__(self, sniff_channel, timestamps, access_addresses, is_central):
-        columns = (_integer_column(timestamps, "timestamps", np.int64),
-                   _integer_column(access_addresses, "access addresses", np.uint32),
-                   _integer_column(is_central, "is_central", bool))
+        columns = [np.array(check_ints(*column)) for column in (
+            (timestamps, "timestamps", -2**63, 2**63 - 1),
+            (access_addresses, "access addresses", 0, 2**32 - 1, np.uint32),
+            (is_central, "is_central", 0, 1, bool))]
         if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
             raise ConfigError("trace columns must be 1-D and of equal length")
         if sniff_channel is not None:
@@ -99,21 +99,6 @@ class SniffTrace:
         rows = zip(self._timestamps.tolist(), self.access_addresses.tolist(),
                    self.is_central.tolist())
         return [Observation(ts, aa, self.sniff_channel, central) for ts, aa, central in rows]
-
-
-def _integer_column(values, name, dtype):
-    """A copy of ``values`` as ``dtype``. A non-empty column of another dtype
-    must hold integers (of an integer dtype) that fit it, only 0 and 1 for
-    a bool column, so nothing is truncated, wrapped or coerced."""
-    column = np.asarray(values)
-    if column.size and column.dtype != dtype:
-        if column.dtype.kind not in "iu":
-            kind = "bools or integers" if dtype is bool else "integers"
-            raise ConfigError(f"{name} must be {kind}, got a {column.dtype} column")
-        low, high = (0, 1) if dtype is bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
-        if not low <= int(column.min()) <= int(column.max()) <= high:
-            raise ConfigError(f"{name} must be in {low}..{high}")
-    return column.astype(dtype)
 
 
 def _parse_int(row, name, value):

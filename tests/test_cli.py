@@ -26,6 +26,7 @@ from blehop import (
     CsaVersion,
     Forecast,
     ReconstructionReport,
+    ScenarioConfig,
     SniffTrace,
     channel_identifier,
     channel_sequence,
@@ -35,6 +36,7 @@ from blehop import (
     load_trace,
     reconstruct,
     save_trace,
+    simulate,
 )
 from blehop.cli import (
     EXIT_AMBIGUOUS,
@@ -1131,7 +1133,8 @@ def test_predict_exits_2_on_forecast_times_past_int64(tmp_path, capsys):
 
 def test_simulate_leaves_no_partial_trace_csv(tmp_path, capsys, monkeypatch):
     # trace.csv leaves through the atomic writer like every other output: a
-    # write that fails after its first block of rows leaves no trace.csv
+    # write that fails after its first block of rows leaves no trace.csv, and
+    # no temporary file either
     real = blehop.trace.format_rows
 
     def fails_after_one_block(template, columns):
@@ -1146,6 +1149,7 @@ def test_simulate_leaves_no_partial_trace_csv(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == EXIT_IO
     assert "disk full" in capsys.readouterr().err
     assert not (sim / "trace.csv").exists()
+    assert not (sim / "trace.csv.tmp").exists()
 
 
 def test_version_flag(capsys):
@@ -1153,3 +1157,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert "blehop" in capsys.readouterr().out
+
+
+def test_timelines_jsonl_is_json_dumps_byte_for_byte(tmp_path, capsys):
+    # its integer lists are written a block of values at a time: a timeline
+    # of one event, one of exactly a block and one of several blocks
+    doc = {"sniff_channel": 22, "rng_seed": 3, "connections": [
+        {**SCENARIO["connections"][0], "impairments": {"duration_us": 0}},
+        {**SCENARIO["connections"][1], "impairments": {"duration_us": 8191 * 18_750}},
+        {"params": {**SCENARIO["connections"][0]["params"], "access_address": "0x11223344",
+                    "interval_us": 7500}, "initial_counter": 65000,
+         "impairments": {"duration_us": 20_000 * 7500, "clock_drift_ppm": 20}}]}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == EXIT_OK
+    config = ScenarioConfig.from_dict(doc)
+    want = "".join(json.dumps({
+        "access_address_hex": f"0x{conn.params.access_address:08X}",
+        "params": conn.params.to_dict(),
+        "initial_counter": conn.initial_counter,
+        "counters": timeline.counters.tolist(),
+        "channels": timeline.channels.tolist(),
+        "times_ns": timeline.times_ns.tolist(),
+    }) + "\n" for conn, timeline in zip(config.connections, simulate(config)[0]))
+    assert [len(t) for t in simulate(config)[0]] == [1, 8192, 20_000]
+    assert (tmp_path / "timelines.jsonl").read_bytes() == want.encode()

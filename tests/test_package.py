@@ -1,6 +1,6 @@
 """Checks on the package as a whole: what its runtime imports, what its
-modules import from one another, and the one check every integer argument
-and every real-valued argument goes through."""
+modules import from one another, and the one check every integer argument,
+every integer-array argument and every real-valued argument goes through."""
 
 import argparse
 import ast
@@ -22,14 +22,19 @@ from blehop import (
     ConnectionParams,
     ConnectionScenario,
     CsaVersion,
+    EstimationError,
     EvalReport,
     Forecast,
     ImpairmentModel,
+    IntervalEstimate,
     PredictionRun,
     ReconstructionReport,
     ScenarioConfig,
     SniffTrace,
+    align_counter,
+    build_ref_vector,
     channel_sequence,
+    classify_csa,
     csa1_unmapped_bulk,
     csa2_channels_bulk,
     csa2_counters_for_unmapped,
@@ -39,6 +44,7 @@ from blehop import (
     init_sync,
     kalman_update,
     observation_offsets,
+    predict_event_time,
     prn_e_bulk,
     reconstruct_connection,
     run_prediction,
@@ -46,7 +52,7 @@ from blehop import (
 )
 from blehop.cli import EXIT_OK, cmd_hopgen
 from blehop.csa import csa2_remap_index_bulk
-from blehop.errors import check_int
+from blehop.errors import check_int, check_ints
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,6 +96,8 @@ def test_src_imports_no_other_modules_private_names():
 
 PARAMS = ConnectionParams(CsaVersion.CSA2, 12500, ChannelMap.from_hex("0x1FFFFFFC00"), 0xB0A1CD9D)
 SYNC = init_sync(0, 12_500_000)
+# three observations on the 12.5 ms grid: a tracker that predicts
+SYNC3 = kalman_update(kalman_update(SYNC, 12_500_000, 1), 25_000_000, 1)
 CI = 100
 # five unmapped hits on channel 22 from counter 0: no remap evidence to reconcile
 HIT_OFFSETS = csa2_counters_for_unmapped(22, CI)[:5]
@@ -124,6 +132,7 @@ INTEGER_SITES = [
     ("sniff_channel", lambda v, _: infer_channel_map(HIT_OFFSETS, 0, CI, v), 22, 37),
     ("--events", lambda v, tmp: _hopgen(tmp, events=v), 5, 10**7 + 1),
     ("--start-counter", lambda v, tmp: _hopgen(tmp, start_counter=v), 10, 65536),
+    ("event_offset", lambda v, _: predict_event_time(SYNC3, v), 4, 2**63),
 ]
 SITE_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(INTEGER_SITES)]
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -242,6 +251,7 @@ REAL_SITES = [
     ("raw_interval_us",
      lambda v: ReconstructionReport.from_dict({**_capture()[1].to_dict(), "raw_interval_us": v}),
      12_500, [12_500 - 625, 12_500 + 625, 0, INF]),
+    ("measured_time_ns", lambda v: kalman_update(SYNC, v, 1), 12_500_000, [INF, -INF]),
 ]
 REAL_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(REAL_SITES)]
 
@@ -303,4 +313,159 @@ def test_src_tests_real_ranges_only_through_check_number():
     allowed = {("predict.py", "kalman_update", "math.isfinite(r)")}
     found = [(path.name, *hit) for path in sorted((ROOT / "src" / "blehop").glob("*.py"))
              if path.name != "errors.py" for hit in _range_tests(ast.parse(path.read_bytes()))]
+    assert not set(found) - allowed, "\n".join(map(str, found))
+
+
+# ---------------------------------------------------------------------------
+# integer-array arguments
+
+COUNTS = [0, 1, 100]
+REF = build_ref_vector(CI, 22)
+
+
+def _computed(counters):
+    """``csa2_channels_bulk`` computing the channels directly."""
+    csa2_channels_bulk([0], CI + 1, PARAMS.channel_map)  # another connection asked last
+    return csa2_channels_bulk(counters, CI, PARAMS.channel_map)
+
+
+def _from_table(counters):
+    """``csa2_channels_bulk`` answering from the connection's channel table."""
+    for _ in range(2):  # the second request in a row builds the table
+        csa2_channels_bulk([0], CI, PARAMS.channel_map)
+    return csa2_channels_bulk(counters, CI, PARAMS.channel_map)
+
+
+# every integer-array argument the package is passed: (name, call(values),
+# valid values that every integer dtype holds where it can, out-of-range arrays)
+ARRAY_SITES = [
+    ("counters", lambda v: prn_e_bulk(v, CI), COUNTS, []),
+    ("counters", lambda v: csa2_unmapped_bulk(v, CI), COUNTS, []),
+    ("counters", lambda v: csa2_remap_index_bulk(v, CI, 28), COUNTS, []),
+    ("counters", _computed, COUNTS, []),
+    ("counters", _from_table, COUNTS, []),
+    # a map size broadcasts: a scalar, or a column of sizes
+    ("n_ch", lambda v: csa2_remap_index_bulk(COUNTS, CI, v), [[2], [28], [37]],
+     [1, 38, 40, [[2], [38], [37]]]),
+    ("event_indices", lambda v: csa1_unmapped_bulk(v, 3, 7), COUNTS, []),
+    ("timestamps", lambda v: SniffTrace(22, v, [AA] * 3, [True] * 3), STAMPS,
+     [np.array(STAMPS, dtype=np.uint64) + np.uint64(2**63)]),
+    ("access addresses", lambda v: SniffTrace(22, STAMPS, v, [True] * 3), [AA] * 3,
+     [[-1, AA, AA], [AA, AA, 2**32]]),
+    ("is_central", lambda v: SniffTrace(22, STAMPS, [AA] * 3, v), [1, 0, 1],
+     [[2, 0, 1], [1, -1, 1]]),
+    ("observation offsets", lambda v: classify_csa(v, IntervalEstimate(12_500_000, 12.5e6)),
+     HIT_OFFSETS, []),
+    ("observation offsets", lambda v: align_counter(v, REF), HIT_OFFSETS, []),
+    ("observation offsets", lambda v: infer_channel_map(v, 0, CI, 22), HIT_OFFSETS, []),
+    ("reference vector", lambda v: align_counter(HIT_OFFSETS, v), REF,
+     [REF * 2, REF.astype(np.int64) - 1]),
+    ("event_offset", lambda v: predict_event_time(SYNC3, np.asarray(v)), COUNTS, []),
+    ("forecast counters", lambda v: Forecast(v, [22] * 3, STAMPS, [0] * 3), COUNTS,
+     [np.array([0, 1, 2**63], dtype=np.uint64)]),
+    ("forecast channels", lambda v: Forecast(COUNTS, v, STAMPS, [0] * 3), [22] * 3,
+     [[99, 22, 22], [22, -1, 22], [22, 22, 37]]),
+]
+# the arguments whose range is 0..1, where a bool array is valid
+TAKES_BOOLS = {"is_central", "reference vector"}
+KINDS = {
+    "float": lambda v: np.asarray(v) + 0.5,  # was truncated: 1.5 read as 1
+    "bool": lambda v: np.asarray(v).astype(bool),  # was read as 0 and 1
+    "str": lambda v: np.asarray(v).astype(str),  # was parsed, or a NumPy error
+    "object": lambda v: np.asarray(v).astype(object),
+}
+ARRAY_CASES, ARRAY_CASE_IDS = [], []
+for i, (name, call, valid, out_of_range) in enumerate(ARRAY_SITES):
+    for kind, recast in KINDS.items():
+        if not (kind == "bool" and name in TAKES_BOOLS):
+            ARRAY_CASES.append((name, call, recast(valid)))
+            ARRAY_CASE_IDS.append(f"{name}-{i}-{kind}")
+    for k, values in enumerate(out_of_range):
+        ARRAY_CASES.append((name, call, values))
+        ARRAY_CASE_IDS.append(f"{name}-{i}-range{k}")
+
+
+@pytest.mark.parametrize("name, call, values", ARRAY_CASES, ids=ARRAY_CASE_IDS)
+def test_every_integer_array_argument_refuses_what_is_not_integers_in_range(name, call, values):
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be integers"):
+        call(values)
+
+
+def _outcome(call, values):
+    """A site's result, or its error, in a form that ``==`` compares."""
+    try:
+        result = call(values)
+    except EstimationError as exc:  # a stage may find too little in the offsets
+        return type(exc), str(exc)
+    if isinstance(result, Forecast):
+        return result.to_json(), [col.dtype for col in result.columns()]
+    if isinstance(result, SniffTrace):
+        columns = (result.timestamps(), result.access_addresses, result.is_central)
+        return [(col.dtype, col.tolist()) for col in columns]
+    return [_value(part) for part in result] if isinstance(result, tuple) else _value(result)
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range", ARRAY_SITES,
+                         ids=[f"{name}-{i}" for i, (name, *_) in enumerate(ARRAY_SITES)])
+def test_every_integer_array_argument_takes_any_integer_dtype(name, call, valid, out_of_range):
+    want = _outcome(call, np.asarray(valid, dtype=np.int64))
+    assert _outcome(call, valid) == want  # a list too
+    for dtype in INT_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= np.min(valid) and np.max(valid) <= info.max:
+            assert _outcome(call, np.asarray(valid, dtype=dtype)) == want, dtype
+
+
+def test_check_ints_casts_without_a_copy_where_it_can():
+    counters = np.arange(5)
+    assert check_ints(counters, "counters") is counters
+    ref = REF.astype(bool)
+    assert check_ints(ref, "reference vector", 0, 1, dtype=None) is ref
+    # without a range the cast wraps mod 2**64, as a counter or an offset does
+    high = np.array([2**64 - 1, 2**63], dtype=np.uint64)
+    assert check_ints(high, "offsets").tolist() == [-1, -2**63]
+    with pytest.raises(ConfigError, match=r"^offsets must be integers in 0\.\.2, "
+                                          r"got 9223372036854775808\.\.18446744073709551615$"):
+        check_ints(high, "offsets", 0, 2)
+    # an empty array of any dtype is empty integers
+    for empty in ([], np.array([], dtype=str), np.zeros(0, dtype=object)):
+        got = check_ints(empty, "x", 0, 1, np.uint32)
+        assert got.dtype == np.uint32 and got.size == 0
+
+
+def _is_np(node, *attrs):
+    return (isinstance(node, ast.Attribute) and node.attr in attrs
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def _integer_dtype_tests(node, params=frozenset(), function=None):
+    """(function, source) of each ``np.asarray`` or ``np.array`` of a parameter
+    of the function around it to an integer dtype, each ``np.issubdtype`` and
+    each ``.dtype.kind`` in ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        function = getattr(node, "name", function)
+        params = frozenset(a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                           *node.args.kwonlyargs))
+    found = []
+    if isinstance(node, ast.Call) and _is_np(node.func, "asarray", "array") and node.args:
+        dtype = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+        if (isinstance(node.args[0], ast.Name) and node.args[0].id in params
+                and dtype and "int" in ast.unparse(dtype[0])):
+            found.append((function, ast.unparse(node)))
+    elif ((isinstance(node, ast.Call) and _is_np(node.func, "issubdtype"))
+          or (isinstance(node, ast.Attribute) and node.attr == "kind"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype")):
+        found.append((function, ast.unparse(node)))
+    for child in ast.iter_child_nodes(node):
+        found += _integer_dtype_tests(child, params, function)
+    return found
+
+
+def test_src_tests_integer_arrays_only_through_check_ints():
+    # the one exception reads whether rounding kept a time an integer; it
+    # refuses nothing
+    allowed = {("predict.py", "_at_origin", "rounded.dtype.kind")}
+    found = [(path.name, *hit) for path in sorted((ROOT / "src" / "blehop").glob("*.py"))
+             if path.name != "errors.py"
+             for hit in _integer_dtype_tests(ast.parse(path.read_bytes()))]
     assert not set(found) - allowed, "\n".join(map(str, found))

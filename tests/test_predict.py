@@ -680,6 +680,33 @@ def random_forecast(rows, seed, csa2=True, named=True):
                     access_address=int(rng.integers(0, 2**32)) if named else None)
 
 
+# each column's integers; any column may be a float column instead
+FORECAST_VALUES = (st.integers(-2**63, 2**63 - 1), st.integers(-1, 40),
+                   st.integers(-2**63, 2**63 - 1), st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), rows=st.integers(0, 4), wire=st.booleans(),
+       address=st.none() | st.integers(0, 2**32 - 1))
+def test_every_forecast_the_constructor_accepts_survives_its_json(data, rows, wire, address):
+    # a channel of 99 was written and then refused on reading, and a float
+    # counter written truncated; now the constructor refuses both
+    columns = [np.array(data.draw(st.lists(values | st.floats(-1e15, 1e15),
+                                           min_size=rows, max_size=rows)))
+               for values in FORECAST_VALUES]
+    try:
+        forecast = Forecast(*columns, counters_are_wire=wire, access_address=address)
+    except ConfigError:
+        return
+    text = forecast.to_json()
+    again = Forecast.from_json(text)
+    assert [col.dtype for col in forecast.columns()] == [np.dtype(np.int64)] * 4
+    assert ([col.tolist() for col in again.columns()]
+            == [col.tolist() for col in forecast.columns()])
+    assert (again.counters_are_wire, again.access_address) == (wire, address)
+    assert again.to_json() == text
+
+
 def test_forecast_json_is_json_dumps_byte_for_byte():
     def dumped(fc):
         return json.dumps(fc.to_dict(), indent=2) + "\n"
