@@ -17,10 +17,12 @@ into the map:
   excluded channel lands on varying allowed channels over time.
 
 Each rule is written once, as a NumPy function over counters or event
-indices, and every other module calls these functions. The PRN runs in
-uint16, whose arithmetic wraps mod 2**16 by itself; every PRN stage is a
-16-bit bijection, so the PRN can also be run backwards, from the values
-whose unmapped channel is a given one to the counters that produce them.
+indices, and every other module calls these functions. The CSA#2 PRN of a
+set of counters is computed once (``csa2_prn``), on an intp lane masked to
+16 bits in place, and the unmapped channel and the remap index are read
+from it. Every PRN stage is a 16-bit bijection, so the PRN can also be run
+backwards, from the values whose unmapped channel is a given one to the
+counters that produce them.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ _MAP_BITS = 40
 _MAP_RESERVED_MASK = 0b111 << NUM_DATA_CHANNELS
 
 # The 16-bit permutation stage as a lookup table: reversing the bits of each
-# byte in place moves bit i of a 16-bit word to bit i ^ 7.
-_PERM16 = sum(
-    ((np.arange(COUNTER_PERIOD, dtype=np.uint32) >> i) & 1) << (i ^ 7) for i in range(16)
-)
+# byte in place moves bit i of a 16-bit word to bit i ^ 7. Like _ROUND it is
+# intp, an index's type, so that a lane of PRN values is looked up in place.
+_PERM16 = sum(((np.arange(COUNTER_PERIOD) >> i) & 1) << (i ^ 7) for i in range(16))
 
 
 class CsaVersion(enum.Enum):
@@ -245,32 +246,34 @@ def mam(x, ci):
     return (17 * x + ci) & 0xFFFF
 
 
-# One PRN round's perm16 and mam multiply fused into a single uint16 lookup:
-# a round is _ROUND[x] + ci, and the uint16 add wraps mod 2**16.
-_ROUND = mam(perm16(np.arange(COUNTER_PERIOD)), 0).astype(np.uint16)
-# mam's multiplier undone: 17 * 61681 = 1 (mod 2**16)
-_INV17 = np.uint16(61681)
+# One PRN round's perm16 and mam multiply fused into a single lookup: a round
+# is _ROUND[x] + ci, then mod 2**16.
+_ROUND = mam(perm16(np.arange(COUNTER_PERIOD)), 0)
 
 
-def _prn16(counters, ci):
-    # np.add, not +: on a 0-d input the operands are NumPy scalars, whose +
-    # warns on the wrap that the rule relies on
-    ci = np.uint16(check_int(ci, "ci", 0, COUNTER_PERIOD - 1))
-    x = check_ints(counters, "counters").astype(np.uint16) ^ ci
-    for _ in range(3):
-        x = np.add(_ROUND[x], ci)
-    return x ^ ci
-
-
-def prn_e_bulk(counters, ci):
-    """Per-event 16-bit pseudo-random number for each counter under ``ci``.
+def csa2_prn(counters, ci):
+    """The CSA#2 16-bit PRN of each counter, intp: the one pass that every
+    CSA#2 rule (:func:`csa2_unmapped`, :func:`csa2_remap_index`) reads.
 
     Counters are taken mod 2**16. Composition, innermost first: xor with
     ci, then three rounds of (``perm16``, ``mam``), then a final xor with
     ci. Every stage is a 16-bit bijection, so for fixed ci the map
-    k -> prn is a permutation of 0..65535. Returns uint32.
+    k -> prn is a permutation of 0..65535.
     """
-    return _prn16(counters, ci).astype(np.uint32)
+    ci = check_int(ci, "ci", 0, COUNTER_PERIOD - 1)
+    counters = check_ints(counters, "counters")
+    x = ((counters & (COUNTER_PERIOD - 1)) ^ ci).reshape(-1)  # a new lane, never the caller's
+    for _ in range(3):
+        _ROUND.take(x, out=x, mode="wrap")  # x < 2**17: wrapped by one subtraction at most
+        x += ci
+    x &= COUNTER_PERIOD - 1
+    x ^= ci
+    return x.reshape(counters.shape)[()]
+
+
+def prn_e_bulk(counters, ci):
+    """:func:`csa2_prn` as uint32."""
+    return csa2_prn(counters, ci).astype(np.uint32)
 
 
 def csa2_counters_for_unmapped(channel, ci):
@@ -281,16 +284,17 @@ def csa2_counters_for_unmapped(channel, ci):
     17, ``perm16``, which is its own inverse), then xor with ci.
     """
     channel = check_int(channel, "channel", 0, NUM_DATA_CHANNELS - 1)
-    ci = np.uint16(check_int(ci, "ci", 0, COUNTER_PERIOD - 1))
-    x = np.arange(channel, COUNTER_PERIOD, NUM_DATA_CHANNELS, dtype=np.uint16) ^ ci
+    ci = check_int(ci, "ci", 0, COUNTER_PERIOD - 1)
+    x = np.arange(channel, COUNTER_PERIOD, NUM_DATA_CHANNELS) ^ ci
     for _ in range(3):
-        # the perm16 table is uint32; back to uint16 so the next round wraps
-        x = perm16(np.multiply(np.subtract(x, ci), _INV17)).astype(np.uint16)
-    return np.sort(x ^ ci).astype(np.int64)
+        x = _PERM16[(x - ci) * 61681 & (COUNTER_PERIOD - 1)]  # 17 * 61681 = 1 (mod 2**16)
+    return np.sort(x ^ ci)
 
 
 def _csa2_unmapped(prn):
-    return prn % NUM_DATA_CHANNELS
+    # prn mod 37 through floor_divide, which NumPy runs as a multiply by the
+    # divisor's reciprocal; % divides, at about three times the cost
+    return prn - prn // NUM_DATA_CHANNELS * NUM_DATA_CHANNELS
 
 
 def _csa2_remap_index(prn, n_ch):
@@ -299,23 +303,32 @@ def _csa2_remap_index(prn, n_ch):
     return (n_ch * prn) >> 16
 
 
+def csa2_unmapped(prn):
+    """CSA#2 unmapped channel, prn mod 37, of each PRN (0..65535) of :func:`csa2_prn`."""
+    return _csa2_unmapped(check_ints(prn, "prn", 0, COUNTER_PERIOD - 1))
+
+
+def csa2_remap_index(prn, n_ch):
+    """CSA#2 remap index ``floor(n_ch * prn / 2**16)`` of each PRN (0..65535)
+    of :func:`csa2_prn`; ``n_ch`` (2..37) broadcasts, so a column of map
+    sizes gives a row per size."""
+    return _csa2_remap_index(check_ints(prn, "prn", 0, COUNTER_PERIOD - 1),
+                             check_ints(n_ch, "n_ch", 2, NUM_DATA_CHANNELS))
+
+
 def csa2_unmapped_bulk(counters, ci):
     """CSA#2 unmapped channel (prn mod 37) for each counter."""
-    return _csa2_unmapped(_prn16(counters, ci).astype(np.int64))
-
-
-def csa2_remap_index_bulk(counters, ci, n_ch):
-    """CSA#2 remap index ``floor(n_ch * prn / 2**16)`` for each counter;
-    ``n_ch`` (2..37) broadcasts, so a column of map sizes gives a row per size."""
-    n_ch = check_ints(n_ch, "n_ch", 2, NUM_DATA_CHANNELS)
-    return _csa2_remap_index(_prn16(counters, ci).astype(np.int64), n_ch)
+    return _csa2_unmapped(csa2_prn(counters, ci))
 
 
 def _csa2_channels(counters, ci, channel_map):
-    p = _prn16(counters, ci).astype(np.int64)
-    unmapped = _csa2_unmapped(p)
-    remapped = channel_map.ordered_array[_csa2_remap_index(p, channel_map.n_ch)]
-    return np.where(channel_map.allowed_mask[unmapped], unmapped, remapped)
+    prn = csa2_prn(counters, ci)
+    unmapped = _csa2_unmapped(prn)
+    channels = channel_map.ordered_array[_csa2_remap_index(prn, channel_map.n_ch)]
+    # an allowed unmapped channel is kept: a select without branches, as
+    # np.where on this random mask took about three times as long
+    channels += (unmapped - channels) * channel_map.allowed_mask[unmapped]
+    return np.asarray(channels)  # a 0-d array for a scalar counter, not a NumPy scalar
 
 
 def _csa2_channel_table(ci, channel_map):

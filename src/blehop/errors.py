@@ -48,19 +48,29 @@ def check_ints(values, what, low=None, high=None, dtype=_INT64):
     """``values`` as a ``dtype`` array (of its own for None), cast without a copy
     where possible, if of an integer dtype (or bool, for a 0..1 range) and in
     ``low``..``high`` when a range is given, else a :class:`ConfigError` naming
-    ``what``. Without a range the cast wraps mod 2**64; an empty array passes."""
+    ``what``; so is a ragged sequence, or one that mixes bools with integers
+    where a bool is refused. Without a range the cast wraps mod 2**64; an
+    empty array passes."""
     if type(values) is _NDARRAY and values.dtype is _INT64 and low is None and dtype is _INT64:
         return values  # a live step's case: no conversion
-    array = np.asarray(values)
     where = "" if low is None else f" in {low}..{high}"
-    if array.size and array.dtype.kind not in ("iub" if (low, high) == (0, 1) else "iu"):
+    kinds = "iub" if (low, high) == (0, 1) else "iu"
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise ConfigError(f"{what} must be integers{where}, got a ragged sequence") from None
+    if array.size and array.dtype.kind not in kinds:
         raise ConfigError(f"{what} must be integers{where}, got a {array.dtype} array")
+    # np.asarray reads the bools of a sequence that mixes them with integers as 0 and 1
+    if isinstance(values, (list, tuple)) and "b" not in kinds and not {bool, np.bool_}.isdisjoint(
+            map(type, np.asarray(values, dtype=object).flat)):
+        raise ConfigError(f"{what} must be integers{where}, got a sequence holding bools")
     if array.size and low is not None and array.dtype != bool:  # a bool is in 0..1
         info = _IINFO(array.dtype)  # a range the dtype cannot leave is not scanned
-        if not (low <= info.min and info.max <= high
-                or low <= int(array.min()) <= int(array.max()) <= high):
-            raise ConfigError(f"{what} must be integers{where}, "
-                              f"got {array.min()}..{array.max()}")
+        # a scalar is its own range: no reductions
+        lo, hi = (int(array),) * 2 if array.ndim == 0 else (int(array.min()), int(array.max()))
+        if not (low <= info.min and info.max <= high or low <= lo <= hi <= high):
+            raise ConfigError(f"{what} must be integers{where}, got {lo}..{hi}")
     return array if dtype is None else array.astype(dtype, copy=False)
 
 

@@ -37,8 +37,9 @@ from .csa import (
     check_access_address,
     check_interval_us,
     csa2_counters_for_unmapped,
-    csa2_remap_index_bulk,
-    csa2_unmapped_bulk,
+    csa2_prn,
+    csa2_remap_index,
+    csa2_unmapped,
 )
 from .errors import (
     ConfigError,
@@ -364,7 +365,7 @@ def align_counter(offsets, c_ref):
     np.copyto(ws.real, c_ref.reshape(_SIDE, _SIDE))
     _rfft_65536(ws.real, ws.spectrum)
     ws.real.fill(0.0)
-    ws.real.reshape(-1)[offsets % COUNTER_PERIOD] = 1.0
+    ws.real.reshape(-1)[offsets & (COUNTER_PERIOD - 1)] = 1.0
     _rfft_65536(ws.real, ws.measured)
     np.conjugate(ws.measured, out=ws.measured)
     ws.spectrum *= ws.measured
@@ -434,8 +435,16 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     whose remap target under it is not the sniffed channel is unexplained.
 
     An observation that cannot be reconciled with *any* map honoring the
-    evidence (every one, once 36 channels are proven) signals a wrong
-    alignment or channel identifier and raises :class:`InconsistentEvidenceError`.
+    evidence signals a wrong alignment or channel identifier and raises
+    :class:`InconsistentEvidenceError`, naming its smallest counter. A
+    remap observation puts the sniffed channel at index pos(n) = floor(n
+    prn / 2**16) of a map of n unproven channels, which needs pos(n)
+    unproven channels below it and n - 1 - pos(n) above. Both counts are
+    non-decreasing in n, as pos(n + 1) - pos(n) is 0 or 1, so the sizes
+    that fit are a prefix 2..n*(prn), and the observation fits some map iff
+    it fits one of two channels: for prn < 2**15 an unproven channel above
+    the sniffed one, else one below. Once only the sniffed channel is
+    unproven, nothing fits.
 
     Converged: no remap is unexplained and (n_a - 1)(1 - p)**span <=
     ``_MAP_ALPHA``. Were a channel of the assumed map (n_a channels)
@@ -447,19 +456,29 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
     """
     offsets = _event_offsets(offsets)
     sniff_channel = check_int(sniff_channel, "sniff_channel", 0, NUM_DATA_CHANNELS - 1)
-    counters = (check_int(k_init, "k_init", 0, COUNTER_PERIOD - 1) + offsets) % COUNTER_PERIOD
-    unmapped = csa2_unmapped_bulk(counters, ci)
+    counters = (check_int(k_init, "k_init", 0, COUNTER_PERIOD - 1) + offsets) & (COUNTER_PERIOD - 1)
+    prn = csa2_prn(counters, ci)
+    unmapped = csa2_unmapped(prn)
     remap_mask = unmapped != sniff_channel
-    remap_counters = counters[remap_mask]
+    remap_counters, remap_prn = counters[remap_mask], prn[remap_mask]
 
     counts = np.bincount(unmapped[remap_mask], minlength=NUM_DATA_CHANNELS)
     excluded, free = np.flatnonzero(counts), np.flatnonzero(counts == 0)
-    _check_reconcilable(remap_counters, ci, free, sniff_channel)
+    # the free channels on the side of the sniffed one (itself free) that its
+    # index in a two-channel map needs: above it for index 0, below for 1
+    below = np.count_nonzero(free < sniff_channel)
+    room = np.where(csa2_remap_index(remap_prn, 2), below, free.size - 1 - below)
+    unfit = remap_counters[room == 0]
+    if unfit.size:
+        raise InconsistentEvidenceError(
+            f"a remap observation (counter {int(unfit.min())}) fits no channel map consistent "
+            "with the gathered evidence — alignment or channel identifier is wrong"
+        )
 
     assumed = ChannelMap.from_channels(free.tolist())
     # every remap observation's unmapped channel is proven excluded, so its
     # CSA#2 channel under the assumed map is the allowed channel at its remap index
-    remap_index = csa2_remap_index_bulk(remap_counters, ci, assumed.n_ch)
+    remap_index = csa2_remap_index(remap_prn, assumed.n_ch)
     unexplained = int(np.sum(assumed.ordered_array[remap_index] != sniff_channel))
 
     span = int(offsets[-1] - offsets[0])
@@ -470,30 +489,6 @@ def infer_channel_map(offsets, k_init, ci, sniff_channel):
         converged=converged,
         unexplained_remaps=unexplained,
     )
-
-
-def _check_reconcilable(remap_counters, ci, free, sniff_channel):
-    """Raise if some remap observation fits no map that honors the evidence.
-
-    A remap observation forces the sniffed channel to sit at its CSA#2
-    remap index of *some* candidate map's ordered list. Feasibility only
-    needs enough ``free`` (unproven) channels below and above the sniffed
-    channel; if no candidate size works for an observation, the evidence is
-    self-contradictory.
-    """
-    below, above = np.count_nonzero(free < sniff_channel), np.count_nonzero(free > sniff_channel)
-    sizes = np.arange(2, free.size + 1)[:, None]
-    seen = np.zeros(COUNTER_PERIOD, dtype=bool)
-    seen[remap_counters] = True
-    counters = np.flatnonzero(seen)  # the distinct counters, ascending
-    positions = csa2_remap_index_bulk(counters, ci, sizes)
-    fits = (positions <= below) & (sizes - 1 - positions <= above)
-    unfit = counters[~fits.any(axis=0)]
-    if unfit.size:
-        raise InconsistentEvidenceError(
-            f"a remap observation (counter {int(unfit[0])}) fits no channel map consistent "
-            "with the gathered evidence — alignment or channel identifier is wrong"
-        )
 
 
 # the report keys that ``to_dict`` derives from others, and what each one is

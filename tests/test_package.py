@@ -51,7 +51,7 @@ from blehop import (
     simulate,
 )
 from blehop.cli import EXIT_OK, cmd_hopgen
-from blehop.csa import csa2_remap_index_bulk
+from blehop.csa import csa2_prn, csa2_remap_index, csa2_unmapped
 from blehop.errors import check_int, check_ints
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,7 +125,7 @@ INTEGER_SITES = [
     ("hop_increment", lambda v, _: csa1_unmapped_bulk([0, 1, 2], 3, v), 7, 17),
     ("ci", lambda v, _: prn_e_bulk([0, 1, 65535], v), CI, 65536),
     ("ci", lambda v, _: csa2_unmapped_bulk([0, 1, 65535], v), CI, -1),
-    ("ci", lambda v, _: csa2_remap_index_bulk([0, 1, 65535], v, 28), CI, 70000),
+    ("ci", lambda v, _: csa2_remap_index(csa2_prn([0, 1, 65535], v), 28), CI, 70000),
     ("ci", lambda v, _: csa2_counters_for_unmapped(22, v), CI, 65536),
     ("ci", lambda v, _: csa2_channels_bulk([0, 1, 65535], v, PARAMS.channel_map), CI, 65536),
     ("k_init", lambda v, _: infer_channel_map(HIT_OFFSETS, v, CI, 22), 0, 65536),
@@ -133,6 +133,7 @@ INTEGER_SITES = [
     ("--events", lambda v, tmp: _hopgen(tmp, events=v), 5, 10**7 + 1),
     ("--start-counter", lambda v, tmp: _hopgen(tmp, start_counter=v), 10, 65536),
     ("event_offset", lambda v, _: predict_event_time(SYNC3, v), 4, 2**63),
+    ("ci", lambda v, _: csa2_prn([0, 1, 65535], v), CI, 65536),
 ]
 SITE_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(INTEGER_SITES)]
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -339,17 +340,19 @@ def _from_table(counters):
 # every integer-array argument the package is passed: (name, call(values),
 # valid values that every integer dtype holds where it can, out-of-range arrays)
 ARRAY_SITES = [
-    ("counters", lambda v: prn_e_bulk(v, CI), COUNTS, []),
+    # a sequence that mixes bools with integers: np.asarray read True as 1
+    ("counters", lambda v: prn_e_bulk(v, CI), COUNTS, [[True, 1, 100]]),
     ("counters", lambda v: csa2_unmapped_bulk(v, CI), COUNTS, []),
-    ("counters", lambda v: csa2_remap_index_bulk(v, CI, 28), COUNTS, []),
+    ("counters", lambda v: csa2_remap_index(csa2_prn(v, CI), 28), COUNTS, []),
     ("counters", _computed, COUNTS, []),
     ("counters", _from_table, COUNTS, []),
     # a map size broadcasts: a scalar, or a column of sizes
-    ("n_ch", lambda v: csa2_remap_index_bulk(COUNTS, CI, v), [[2], [28], [37]],
+    ("n_ch", lambda v: csa2_remap_index(csa2_prn(COUNTS, CI), v), [[2], [28], [37]],
      [1, 38, 40, [[2], [38], [37]]]),
     ("event_indices", lambda v: csa1_unmapped_bulk(v, 3, 7), COUNTS, []),
+    # a ragged sequence raised NumPy's ValueError
     ("timestamps", lambda v: SniffTrace(22, v, [AA] * 3, [True] * 3), STAMPS,
-     [np.array(STAMPS, dtype=np.uint64) + np.uint64(2**63)]),
+     [np.array(STAMPS, dtype=np.uint64) + np.uint64(2**63), [[0], [12_500_000, 37_500_000]]]),
     ("access addresses", lambda v: SniffTrace(22, STAMPS, v, [True] * 3), [AA] * 3,
      [[-1, AA, AA], [AA, AA, 2**32]]),
     ("is_central", lambda v: SniffTrace(22, STAMPS, [AA] * 3, v), [1, 0, 1],
@@ -365,6 +368,9 @@ ARRAY_SITES = [
      [np.array([0, 1, 2**63], dtype=np.uint64)]),
     ("forecast channels", lambda v: Forecast(COUNTS, v, STAMPS, [0] * 3), [22] * 3,
      [[99, 22, 22], [22, -1, 22], [22, 22, 37]]),
+    ("counters", lambda v: csa2_prn(v, CI), COUNTS, []),
+    ("prn", csa2_unmapped, COUNTS, [[0, 65536], [-1, 5]]),
+    ("prn", lambda v: csa2_remap_index(v, 28), COUNTS, [[0, 65536], [-1, 5]]),
 ]
 # the arguments whose range is 0..1, where a bool array is valid
 TAKES_BOOLS = {"is_central", "reference vector"}
@@ -427,6 +433,12 @@ def test_check_ints_casts_without_a_copy_where_it_can():
     with pytest.raises(ConfigError, match=r"^offsets must be integers in 0\.\.2, "
                                           r"got 9223372036854775808\.\.18446744073709551615$"):
         check_ints(high, "offsets", 0, 2)
+    # a scalar's range is its value: the same 0-d int64 array, without reductions
+    for scalar in (28, np.uint8(28), np.array(28)):
+        got = check_ints(scalar, "n_ch", 2, 37)
+        assert (got.shape, got.dtype, int(got)) == ((), np.int64, 28)
+    with pytest.raises(ConfigError, match=r"^n_ch must be integers in 2\.\.37, got 40\.\.40$"):
+        check_ints(np.int16(40), "n_ch", 2, 37)
     # an empty array of any dtype is empty integers
     for empty in ([], np.array([], dtype=str), np.zeros(0, dtype=object)):
         got = check_ints(empty, "x", 0, 1, np.uint32)
@@ -469,3 +481,15 @@ def test_src_tests_integer_arrays_only_through_check_ints():
              if path.name != "errors.py"
              for hit in _integer_dtype_tests(ast.parse(path.read_bytes()))]
     assert not set(found) - allowed, "\n".join(map(str, found))
+
+
+def test_src_reads_the_csa2_prn_only_through_csa():
+    # the unmapped and remap rules are applied, in csa.py, to one PRN pass
+    # (csa2_prn); another module that took prn_e_bulk's PRN would have to
+    # write them again
+    found = [(path.name, node.lineno) for path in sorted((ROOT / "src" / "blehop").glob("*.py"))
+             if path.name != "csa.py"
+             for node in ast.walk(ast.parse(path.read_bytes()))
+             if isinstance(node, ast.Call) and "prn_e_bulk" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))]
+    assert not found, found

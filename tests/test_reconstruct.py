@@ -712,8 +712,8 @@ def test_map_inference_flags_a_remap_that_fits_no_map():
         infer_channel_map(offsets, k_init + 3, ci, sniff)
 
 
-# The stages count with np.bincount and a seen-table; these references are
-# the np.unique readings they replaced.
+# The stages count with np.bincount; these references are the np.unique
+# readings they replaced.
 
 @st.composite
 def csa2_captures(draw):
@@ -762,6 +762,65 @@ def test_map_inference_counts_like_unique(capture):
     risk = reference_risk(offsets, k_init, ci, sniff)
     assume(not np.isclose(risk, 0.01, rtol=1e-9, atol=0))
     assert est.converged == (unexplained == 0 and risk <= 0.01)
+
+
+def searched_unfit_counter(offsets, k_init, ci, sniff):
+    """The smallest counter of a remap observation that fits no map of the
+    unproven ("free") channels, found by trying every map size 2..|free|
+    with the spec's remap index floor(n prn / 2**16); None if all fit."""
+    counters = (k_init + offsets) % 65536
+    p = prn_e_bulk(counters, ci).astype(np.int64)
+    remap = p % 37 != sniff
+    free = np.setdiff1d(np.arange(37), p[remap] % 37)
+    below, above = np.count_nonzero(free < sniff), np.count_nonzero(free > sniff)
+    sizes = np.arange(2, free.size + 1)[:, None]
+    positions = (sizes * p[remap]) >> 16
+    fits = (positions <= below) & (sizes - 1 - positions <= above)
+    unfit = counters[remap][~fits.any(axis=0)]
+    return int(unfit.min()) if unfit.size else None
+
+
+@st.composite
+def remap_evidence(draw, free_channels):
+    """(offsets, k_init, ci, sniff): the events of a random counter span whose
+    unmapped channel is the sniffed one or outside a drawn set of free
+    channels, some dropped. ``free_channels`` says which: "any" set, all
+    "above" or all "below" the sniffed channel, the sniffed one "alone"
+    (over 2000 events or more, every other channel shows), or "none"
+    outside it (no remap observation)."""
+    sniff, ci, k_init = (draw(st.integers(0, 36)), draw(st.integers(0, 0xFFFF)),
+                         draw(st.integers(0, 0xFFFF)))
+    side = {"any": range(37), "above": range(sniff + 1, 37), "below": range(sniff)}.get(
+        free_channels, ())
+    free = draw(st.sets(st.sampled_from(side), max_size=36)) if side else set()
+    least = {"alone": 2000, "none": 200}.get(free_channels, 1)
+    counters = (k_init + np.arange(draw(st.integers(least, 4000)))) % 65536
+    unmapped = csa2_unmapped_bulk(counters, ci)
+    heard = unmapped == sniff
+    if free_channels != "none":
+        heard |= ~np.isin(unmapped, [sniff, *free])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heard = np.flatnonzero(heard & (rng.random(counters.size)
+                                    >= draw(st.sampled_from([0.0, 0.1, 0.5]))))
+    assume(heard.size)
+    return heard - heard[0], int(counters[heard[0]]), ci, sniff
+
+
+@pytest.mark.parametrize("free_channels", ["any", "above", "below", "alone", "none"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_map_feasibility_closed_form_equals_the_search_over_every_size(free_channels, data):
+    # a remap observation fits some map iff it fits one of two channels: the
+    # closed form raises exactly when the search over every size finds an
+    # observation no size fits, and names the same (smallest) counter
+    offsets, k_init, ci, sniff = data.draw(remap_evidence(free_channels))
+    unfit = searched_unfit_counter(offsets, k_init, ci, sniff)
+    if unfit is None:
+        infer_channel_map(offsets, k_init, ci, sniff)
+    else:
+        with pytest.raises(InconsistentEvidenceError,
+                           match=rf"^a remap observation \(counter {unfit}\) fits no channel map"):
+            infer_channel_map(offsets, k_init, ci, sniff)
 
 
 @st.composite
